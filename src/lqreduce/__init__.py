@@ -11,7 +11,6 @@ class split of the constraints.
 from .classify import (
     ClassifiedConstraints,
     poisson_brackets,
-    poisson_rank,
     second_class_bracket,
     split_first_second,
 )
@@ -27,6 +26,7 @@ from .errors import (
     EmptySubspace,
     InsufficientData,
     InvalidShape,
+    InvalidTolerance,
     LQReduceError,
     NonConvergence,
     NonFiniteEntry,
@@ -75,6 +75,7 @@ __all__ = [
     "InitialMatrices",
     "InsufficientData",
     "InvalidShape",
+    "InvalidTolerance",
     "LQProblem",
     "LQReduceError",
     "NonConvergence",
@@ -96,7 +97,6 @@ __all__ = [
     "numerical_ker",
     "perturb",
     "poisson_brackets",
-    "poisson_rank",
     "pontryagin_hamiltonian",
     "rank_tol",
     "recursive_reduce",

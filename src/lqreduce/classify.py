@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import ConstraintMatrix
-from .linalg import DEFAULT_TOL, numerical_ker, rank_tol
+from .linalg import DEFAULT_TOL, numerical_ker
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,3 @@ def second_class_bracket(phi: ConstraintMatrix, tol: float = DEFAULT_TOL) -> np.
     poi = poisson_brackets(phi, tol)
     _, compl = numerical_ker(poi, tol)
     return compl.T @ poi @ compl
-
-
-def poisson_rank(phi: ConstraintMatrix, tol: float = DEFAULT_TOL) -> int:
-    """Rank of the bracket matrix: the number of second-class constraints."""
-    return rank_tol(poisson_brackets(phi, tol), tol)

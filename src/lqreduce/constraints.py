@@ -15,7 +15,6 @@ from .errors import DimensionMismatch
 from .linalg import (
     DEFAULT_TOL,
     as_matrix,
-    empty_matrix,
     equilibrate_rows,
     independent_rows,
 )
@@ -63,18 +62,6 @@ class ConstraintMatrix:
 
     def with_rows(self, rows: np.ndarray) -> "ConstraintMatrix":
         return ConstraintMatrix(rows, self.n, self.m_cur)
-
-
-def empty_constraints(n: int, m_cur: int) -> ConstraintMatrix:
-    return ConstraintMatrix(empty_matrix(2 * n + 2 * m_cur), n, m_cur)
-
-
-def stack_constraints(
-    phi: ConstraintMatrix, new_rows: np.ndarray, tol: float = DEFAULT_TOL
-) -> ConstraintMatrix:
-    """Append rows below ``phi`` and re-independentize the result."""
-    stacked = np.vstack([phi.rows, as_matrix(new_rows)])
-    return phi.with_rows(independent_rows(equilibrate_rows(stacked, tol), tol))
 
 
 def apply_feedback_to_constraints(

@@ -25,6 +25,10 @@ class NonFiniteEntry(ValidationError):
     pass
 
 
+class InvalidTolerance(ValidationError):
+    """The rank tolerance is not a finite positive number."""
+
+
 class InvalidShape(ValidationError):
     """Experiment-family parameters are out of range."""
 

@@ -137,8 +137,8 @@ def perturb(
 
     Perturbing R matters only for launching the chain: once delta reaches
     the rank tolerance, a singular R gains spurious full rank and the
-    reduction collapses to the regular branch, which is the breakdown mode
-    the sweep is meant to expose.
+    reduction solves every control on its first pass, which is the
+    breakdown mode the sweep is meant to expose.
     """
     if delta < 0:
         raise InvalidShape(f"need delta >= 0, got {delta}")

@@ -12,12 +12,21 @@ routine accepts and may return them.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
-from .errors import DimensionMismatch, EmptySubspace
+from .errors import DimensionMismatch, EmptySubspace, InvalidTolerance
 
 #: Default singular-value threshold used by the whole package.
 DEFAULT_TOL = 1e-6
+
+
+def check_tol(tol) -> None:
+    """Raise InvalidTolerance unless ``tol`` is finite and positive.
+
+    A negative threshold counts every singular value and a NaN or infinite
+    one counts none, so either would decide every rank wrongly.
+    """
+    if not (np.isfinite(tol) and tol > 0):
+        raise InvalidTolerance(f"tolerance must be finite and positive, got {tol!r}")
 
 
 def as_matrix(a) -> np.ndarray:
@@ -122,8 +131,12 @@ def subspace_angle(m1, m2, tol: float = DEFAULT_TOL) -> float:
     min(rank1, rank2) principal angle pairs, matching how perturbed and
     exact constraint sets of different sizes are compared.
 
-    Computed with the combined sine/cosine recipe (scipy), which resolves
-    angles far below 1e-8 where a pure arccos of cosines saturates.
+    Computed with the combined sine/cosine recipe of Knyazev & Argentati
+    (2002, SIAM J. Sci. Comput. 23(6)): the sines, singular values of the
+    smaller basis minus its projection onto the larger one, resolve angles
+    far below 1e-8 where a pure arccos of cosines saturates; the cosines,
+    singular values of the cross products of the bases, are accurate for
+    angles above pi/4.
 
     Raises:
         DimensionMismatch: column counts differ (the two matrices live in
@@ -140,8 +153,13 @@ def subspace_angle(m1, m2, tol: float = DEFAULT_TOL) -> float:
     q2 = row_space_basis(m2, tol)
     if q1.shape[0] == 0 or q2.shape[0] == 0:
         raise EmptySubspace("subspace angle against a rank-zero matrix")
-    angles = scipy.linalg.subspace_angles(q1.T, q2.T)
-    return float(angles[0])
+    if q1.shape[0] < q2.shape[0]:
+        q1, q2 = q2, q1
+    cosines = q2 @ q1.T
+    sines = np.linalg.svd(q2 - cosines @ q1, compute_uv=False)
+    if sines[0] ** 2 <= 0.5:
+        return float(np.arcsin(sines[0]))
+    return float(np.arccos(np.linalg.svd(cosines, compute_uv=False)[-1]))
 
 
 def symplectic_matrix(n: int) -> np.ndarray:

@@ -66,12 +66,6 @@ class LQProblem:
         """Control dimension."""
         return self.B.shape[1]
 
-    def is_regular(self, tol: float) -> bool:
-        """True when R has full numerical rank (direct feedback exists)."""
-        from .linalg import rank_tol
-
-        return rank_tol(self.R, tol) == self.m
-
 
 @dataclass(frozen=True)
 class ExtendedPoint:
@@ -175,14 +169,6 @@ def initial_matrices(problem: LQProblem) -> InitialMatrices:
     return InitialMatrices(g0=g0, z0=z0, s1=s1, r1=r1)
 
 
-def hamilton_gradient(problem: LQProblem, pt: ExtendedPoint) -> np.ndarray:
-    """Analytic (dH/dx; dH/dp) used to cross-check G0, Z0 in tests."""
-    x, p, u = pt.x, pt.p, pt.u
-    dx = problem.A.T @ p - problem.Q @ x - problem.N @ u
-    dp = problem.A @ x + problem.B @ u
-    return np.concatenate([dx, dp])
-
-
 __all__ = [
     "LQProblem",
     "ExtendedPoint",
@@ -190,6 +176,5 @@ __all__ = [
     "validate",
     "pontryagin_hamiltonian",
     "initial_matrices",
-    "hamilton_gradient",
     "symplectic_matrix",
 ]

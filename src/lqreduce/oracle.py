@@ -18,12 +18,13 @@ import numpy as np
 from .errors import NonConvergence
 from .linalg import (
     DEFAULT_TOL,
+    check_tol,
     equilibrate_rows,
     independent_rows,
     numerical_ker,
     subspace_angle,
 )
-from .model import LQProblem, initial_matrices, validate
+from .model import LQProblem, initial_matrices
 from .reduction import ReductionResult
 
 
@@ -43,8 +44,10 @@ def recursive_reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> OracleResu
     index_k counts the constraint-generation passes that produced new
     independent rows, the primary constraints included; a regular problem
     therefore has index 1.
+
+    Raises InvalidTolerance unless ``tol`` is finite and positive.
     """
-    validate(problem)
+    check_tol(tol)
     n, m = problem.n, problem.m
     two_n = 2 * n
     init = initial_matrices(problem)

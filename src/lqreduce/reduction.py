@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import poisson_brackets, split_first_second
+from .classify import split_first_second
 from .constraints import (
     ConstraintMatrix,
     apply_feedback_to_constraints,
@@ -30,13 +30,14 @@ from .constraints import (
 from .errors import NonConvergence
 from .linalg import (
     DEFAULT_TOL,
+    check_tol,
     empty_matrix,
     equilibrate_rows,
     independent_rows,
     rank_tol,
     symplectic_matrix,
 )
-from .model import LQProblem, initial_matrices, validate
+from .model import LQProblem, initial_matrices
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,6 @@ class StepState:
     z: np.ndarray
     s: np.ndarray
     rk: np.ndarray
-    k: int
     m_cur: int
     p_hess: np.ndarray
 
@@ -69,9 +69,8 @@ class ReductionResult:
         m_res: residual (gauge) control count, m - sum of feedback ranks.
         rp: rank of the Poisson-bracket matrix of the final constraint set,
             i.e. the number of second-class constraints.
-        feed_blocks: per-step feedback blocks, each r_k x 2n.
-        feedtot: all blocks stacked; maps (x; p) to the values of every
-            solved control combination.
+        feedtot: the per-pass feedback blocks, each r_k x 2n, stacked; maps
+            (x; p) to the values of every solved control combination.
         feedsel: the matching combination directions in original control
             coordinates (orthonormal rows); row i of feedsel paired with row
             i of feedtot reads  feedsel[i] . u = feedtot[i] . (x; p).
@@ -95,7 +94,6 @@ class ReductionResult:
     index_k: int
     m_res: int
     rp: int
-    feed_blocks: tuple
     feedtot: np.ndarray
     feedsel: np.ndarray
     nofeed: np.ndarray
@@ -191,7 +189,7 @@ def step(
         s_new = state.s @ state.g
         rk_new = -(state.s @ state.z)
         new_state = StepState(
-            state.g, state.z, s_new, rk_new, state.k + 1, state.m_cur, state.p_hess
+            state.g, state.z, s_new, rk_new, state.m_cur, state.p_hess
         )
         return new_state, np.zeros((0, two_n)), np.eye(state.m_cur), 0
     u, sig, vt = np.linalg.svd(state.rk, full_matrices=True)
@@ -210,9 +208,7 @@ def step(
     s_c = u[:, r:].T @ state.s
     s_new = s_c @ g_new
     rk_new = -(s_c @ z_new)
-    new_state = StepState(
-        g_new, z_new, s_new, rk_new, state.k + 1, state.m_cur - r, p_new
-    )
+    new_state = StepState(g_new, z_new, s_new, rk_new, state.m_cur - r, p_new)
     return new_state, feed, v_rot, r
 
 
@@ -222,30 +218,28 @@ def _constraint_rows(state: StepState) -> np.ndarray:
     return np.hstack([state.s, -state.rk, np.zeros((l, state.m_cur))])
 
 
-def reduce(
-    problem: LQProblem,
-    tol: float = DEFAULT_TOL,
-    full_reclassify: bool = False,
-) -> ReductionResult:
+def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     """Reduce an LQ problem to its consistent Hamiltonian form.
 
-    Regular problems (R invertible at tolerance) terminate in one step with
-    the closed-form total feedback and no surviving constraints.  Singular
-    problems iterate on the extended space, seeded with the zero-order
-    constraints v = 0 and the primary constraints; the loop runs while some
-    control is unsolved and the previous pass raised the effective count of
-    independent constraints (rows found plus two per solved control).  A
-    feedback left pending by a flat-count exit is still applied.  At the end
-    the coisotropic columns are stripped from the reported constraint sets.
+    One loop runs on the extended space over one independent constraint
+    set, seeded with the zero-order constraints v = 0 and the primary
+    constraints.  Each pass solves what it can of the current control
+    coefficients as partial feedback and folds it into the set, stacks the
+    next constraint level onto it, and splits the whole set into first and
+    second class.  The loop runs while some control is unsolved and the
+    previous pass raised the effective count of independent constraints
+    (rows plus two per solved control).  A regular problem solves every
+    control on its first pass, where its primary rows fold to zero.  After
+    a flat-count pass a feedback that is still solvable is folded in before
+    the loop exits, without a new constraint level.  At the end the
+    coisotropic columns are stripped from the reported constraint sets.
 
-    With ``full_reclassify`` every pass rebuilds the class split from the
-    whole accumulated constraint set instead of bracketing new rows against
-    retained first-class rows only; the final answer must not depend on it.
-
-    Raises NonConvergence if the loop exceeds 2(n + m) + 2 passes, which
+    Raises InvalidTolerance unless ``tol`` is finite and positive, a
+    ValidationError subclass for inconsistent problem data, and
+    NonConvergence if the loop exceeds 2(n + m) + 2 passes, which
     consistent linear data cannot do.
     """
-    validate(problem)
+    check_tol(tol)
     n, m = problem.n, problem.m
     two_n = 2 * n
     init = initial_matrices(problem)
@@ -254,123 +248,60 @@ def reduce(
     sr = independent_rows(np.hstack([init.s1, -init.r1]), tol)
     s = sr[:, :two_n]
     rk = -sr[:, two_n:]
-    state = StepState(init.g0, init.z0, s, rk, 0, m, p_hess=-init.r1)
+    state = StepState(init.g0, init.z0, s, rk, m, p_hess=-init.r1)
     jg_residuals = [_jg_residual(state.g)]
 
     feed_blocks: list[np.ndarray] = []
     sel_blocks: list[np.ndarray] = []
     nofeed = np.eye(m)
 
-    # constraint stack on the extended space: zero-order rows, then primaries
+    # constraint set on the extended space: zero-order rows, then primaries
     zero_order = np.hstack([np.zeros((m, two_n + m)), np.eye(m)])
     phi = ConstraintMatrix(np.vstack([zero_order, _constraint_rows(state)]), n, m)
     split = split_first_second(phi, tol)
-    phi1 = phi.with_rows(split.first_class)
-    phi2 = phi.with_rows(split.second_class)
-
-    counts = [phi1.n_rows + phi2.n_rows]
-    class_counts = [(phi1.n_rows, phi2.n_rows)]
+    counts = [phi.n_rows]
+    class_counts = [(split.n_first, split.n_second)]
     feedback_ranks: list[int] = []
 
-    if rank_tol(state.rk, tol) == m:
-        # regular problem: solve every control at once, nothing survives
-        state, feed, v_rot, r = step(state, tol)
-        feed_blocks.append(feed)
-        sel_blocks.append(v_rot.T[:r])
-        nofeed = empty_matrix(m)
-        rfeed = m
-        feedback_ranks.append(m)
-        index_k = 1
-        phi1 = ConstraintMatrix(empty_matrix(two_n), n, 0)
-        phi2 = ConstraintMatrix(empty_matrix(two_n), n, 0)
-        jg_residuals.append(_jg_residual(state.g))
-    else:
-        rfeed = 0
-        index_k = 0
-        cap = 2 * (n + m) + 2
-        increased = True
-        prev_count = counts[0]
-        while rfeed < m and increased:
-            if index_k >= cap:
-                raise NonConvergence(
-                    f"constraint iteration exceeded {cap} passes; "
-                    "check the tolerance against the problem scaling"
-                )
-            index_k += 1
-            state, feed, v_rot, r = step(state, tol)
-            feedback_ranks.append(r)
-            if r > 0:
-                feed_blocks.append(feed)
-                sel_blocks.append(v_rot.T[:r] @ nofeed)
-                nofeed = (v_rot.T @ nofeed)[r:]
-                rfeed += r
-                phi1 = apply_feedback_to_constraints(phi1, v_rot, feed, r, tol)
-                phi2 = apply_feedback_to_constraints(phi2, v_rot, feed, r, tol)
-            jg_residuals.append(_jg_residual(state.g))
-
-            new_rows = _constraint_rows(state)
-            if full_reclassify:
-                pool = np.vstack([phi1.rows, phi2.rows, new_rows])
-                phi = ConstraintMatrix(
-                    independent_rows(equilibrate_rows(pool, tol), tol), n, state.m_cur
-                )
-                split = split_first_second(phi, tol)
-                phi1 = phi.with_rows(split.first_class)
-                phi2 = phi.with_rows(split.second_class)
-            else:
-                # new rows are appended below the retained first-class rows;
-                # second-class rows only ever accumulate
-                stack = np.vstack([phi1.rows, new_rows])
-                phi = ConstraintMatrix(
-                    independent_rows(equilibrate_rows(stack, tol), tol), n, state.m_cur
-                )
-                split = split_first_second(phi, tol)
-                phi1 = phi.with_rows(split.first_class)
-                phi2 = phi.with_rows(
-                    independent_rows(
-                        equilibrate_rows(
-                            np.vstack([phi2.rows, split.second_class]), tol
-                        ),
-                        tol,
-                    )
-                )
-            # feedback folds can spread dependencies across the two class
-            # sets, so the effective count uses the rank of their union
-            union = independent_rows(
-                equilibrate_rows(np.vstack([phi1.rows, phi2.rows]), tol), tol
-            ).shape[0]
-            count = union + 2 * rfeed
-            counts.append(count)
-            class_counts.append((phi1.n_rows, phi2.n_rows))
-            increased = count > prev_count
-            prev_count = count
-
-        # a flat-count exit can leave a solvable control block behind
-        if rfeed < m and rank_tol(state.rk, tol) > 0:
-            state, feed, v_rot, r = step(state, tol)
-            feedback_ranks.append(r)
+    rfeed = 0
+    index_k = 0
+    cap = 2 * (n + m) + 2
+    increased = True
+    while rfeed < m:
+        nxt, feed, v_rot, r = step(state, tol)
+        if r == 0 and not increased:
+            break  # flat count and nothing left to solve
+        state = nxt
+        feedback_ranks.append(r)
+        if r > 0:
             feed_blocks.append(feed)
             sel_blocks.append(v_rot.T[:r] @ nofeed)
             nofeed = (v_rot.T @ nofeed)[r:]
             rfeed += r
-            phi1 = apply_feedback_to_constraints(phi1, v_rot, feed, r, tol)
-            phi2 = apply_feedback_to_constraints(phi2, v_rot, feed, r, tol)
-            jg_residuals.append(_jg_residual(state.g))
+            phi = apply_feedback_to_constraints(phi, v_rot, feed, r, tol)
+        jg_residuals.append(_jg_residual(state.g))
+        if not increased:
+            break  # after a flat count, fold in what is solvable, add no level
+        if index_k >= cap:
+            raise NonConvergence(
+                f"constraint iteration exceeded {cap} passes; "
+                "check the tolerance against the problem scaling"
+            )
+        index_k += 1
+        stack = np.vstack([phi.rows, _constraint_rows(state)])
+        phi = phi.with_rows(independent_rows(equilibrate_rows(stack, tol), tol))
+        split = split_first_second(phi, tol)
+        # the split recombines the independent rows orthogonally, so the
+        # class counts add up to phi.n_rows
+        counts.append(phi.n_rows + 2 * rfeed)
+        class_counts.append((split.n_first, split.n_second))
+        increased = counts[-1] > counts[-2]
 
-    m_res = m - rfeed
-
-    # final class split of the surviving set; rp is the bracket-matrix rank
-    final = ConstraintMatrix(
-        independent_rows(
-            equilibrate_rows(np.vstack([phi1.rows, phi2.rows]), tol), tol
-        ),
-        n,
-        m_res,
-    )
-    split = split_first_second(final, tol)
-    phi1 = final.with_rows(split.first_class)
-    phi2 = final.with_rows(split.second_class)
-    rp = rank_tol(poisson_brackets(final, tol), tol)
+    # final class split; rp, the rank of the bracket matrix, is the
+    # second-class row count
+    split = split_first_second(phi, tol)
+    phi1 = phi.with_rows(split.first_class)
+    phi2 = phi.with_rows(split.second_class)
 
     feedtot = np.vstack(feed_blocks) if feed_blocks else empty_matrix(two_n)
     feedsel = np.vstack(sel_blocks) if sel_blocks else empty_matrix(m)
@@ -378,9 +309,8 @@ def reduce(
     g, z = state.g, state.z
     return ReductionResult(
         index_k=index_k,
-        m_res=m_res,
-        rp=rp,
-        feed_blocks=tuple(feed_blocks),
+        m_res=m - rfeed,
+        rp=split.n_second,
         feedtot=feedtot,
         feedsel=feedsel,
         nofeed=nofeed,

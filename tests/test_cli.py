@@ -74,6 +74,14 @@ class TestCmdReduce:
         assert main(["reduce", path]) == 2
         assert "symmetric" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["reduce", "oracle"])
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_bad_tolerance_exit_2(self, singular_file, capsys, command, tol):
+        assert main([command, singular_file, f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance" in captured.err
+
 
 class TestCmdOracle:
     def test_family2_agreement(self, tmp_path, capsys):

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import lqreduce
 from lqreduce import (
     DimensionMismatch,
     EmptySubspace,
@@ -126,6 +131,27 @@ class TestSubspaceAngle:
     def test_orthogonal_lines(self):
         assert_allclose(subspace_angle([[1.0, 0.0]], [[0.0, 1.0]], TOL), np.pi / 2)
 
+    @pytest.mark.parametrize(
+        "theta",
+        [1e-12, 1e-9, 1e-6, 0.5, np.pi / 4 - 1e-3, np.pi / 4 + 1e-3, 1.2, np.pi / 2],
+    )
+    def test_closed_form_angle(self, theta):
+        # the two lines meet at theta, on both sides of the pi/4 switch
+        # between the sine and the cosine formula
+        got = subspace_angle(
+            [[1.0, 0.0, 0.0]], [[np.cos(theta), np.sin(theta), 0.0]], TOL
+        )
+        assert_allclose(got, theta, rtol=1e-8)
+
+    def test_rank_mismatch_takes_smaller_rank(self):
+        # a plane against a line: one principal angle, that of the line
+        # against its projection onto the plane
+        theta = 0.3
+        plane = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+        line = [[np.cos(theta), 0.0, np.sin(theta)]]
+        assert_allclose(subspace_angle(plane, line, TOL), theta, rtol=1e-8)
+        assert_allclose(subspace_angle(line, plane, TOL), theta, rtol=1e-8)
+
     def test_tiny_angle_resolved(self):
         # exact angle is arctan(1e-8); must be resolved well below the
         # saturation floor of a cosine-only formula
@@ -170,6 +196,16 @@ class TestEquilibrateRows:
         m = rng.standard_normal((3, 5)) * np.array([[1e3], [1.0], [1e-3]])
         out = equilibrate_rows(m, TOL)
         assert subspace_angle(m, out, TOL) < 1e-12
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(lqreduce.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import lqreduce, sys; "
+        "assert not any(m.startswith('scipy') for m in sys.modules)"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_symplectic_matrix_properties():

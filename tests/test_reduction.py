@@ -3,9 +3,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lqreduce import (
+    InvalidTolerance,
     LQProblem,
     StepState,
+    gen_exp1,
+    gen_exp2,
+    perturb,
     rank_tol,
+    recursive_reduce,
     reduce,
     step,
     subspace_angle,
@@ -31,7 +36,6 @@ class TestStep:
             z=np.array([[1.0], [0.0]]),
             s=np.array([[0.0, 1.0]]),
             rk=np.array([[0.0]]),
-            k=0,
             m_cur=1,
             p_hess=np.zeros((1, 1)),
         )
@@ -50,7 +54,6 @@ class TestStep:
             z=rng.standard_normal((4, 2)),
             s=rng.standard_normal((2, 4)),
             rk=np.eye(2),
-            k=0,
             m_cur=2,
             p_hess=-np.eye(2),
         )
@@ -66,7 +69,6 @@ class TestStep:
             z=np.zeros((4, 2)),
             s=np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]),
             rk=np.diag([1.0, 0.0]),
-            k=0,
             m_cur=2,
             p_hess=np.zeros((2, 2)),
         )
@@ -163,16 +165,23 @@ class TestReduceSingular:
             assert rank_tol(basis, TOL) == m
             assert_allclose(basis @ basis.T, np.eye(m), atol=1e-10)
 
-    def test_full_reclassify_agrees(self, rng):
-        for _ in range(15):
-            prob = random_problem(
-                rng, int(rng.integers(2, 6)), int(rng.integers(1, 4)), singular_r=True
-            )
-            a = reduce(prob, TOL)
-            b = reduce(prob, TOL, full_reclassify=True)
-            assert (a.index_k, a.m_res, a.rp) == (b.index_k, b.m_res, b.rp)
-            if a.phi_first.shape[0] and b.phi_first.shape[0]:
-                assert subspace_angle(a.phi_first, b.phi_first, TOL) < 1e-8
+    def test_residual_controls_match_oracle(self, rng):
+        # structural cross-check: the reference algorithm's final rows leave
+        # exactly the residual controls free that the reduction reports
+        for _ in range(25):
+            m = int(rng.integers(1, 4))
+            prob = random_problem(rng, int(rng.integers(2, 6)), m, singular_r=True)
+            res = reduce(prob, TOL)
+            rows = recursive_reduce(prob, TOL).final_constraints
+            assert m - rank_tol(rows[:, 2 * prob.n :], TOL) == res.m_res
+
+    def test_perturbed_family1_takes_no_extra_pass(self):
+        # a perturbation at 1e-10 once made this draw take spurious passes
+        # with odd second-class counts
+        res = reduce(perturb(gen_exp1(160, 80, 40, seed=1), 1e-10, seed=100), TOL)
+        assert (res.index_k, res.m_res, res.rp) == (3, 40, 80)
+        assert all(second % 2 == 0 for _, second in res.class_counts)
+        assert res.rp == res.phi_second.shape[0]
 
     def test_reduced_field_blocks_consistent(self, rng):
         prob = random_problem(rng, 4, 2, singular_r=True)
@@ -202,3 +211,10 @@ class TestValidationPropagation:
         )
         with pytest.raises(Exception):
             reduce(prob, TOL)
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(InvalidTolerance):
+            reduce(gen_exp2(4), tol)
+        with pytest.raises(InvalidTolerance):
+            recursive_reduce(gen_exp2(4), tol)

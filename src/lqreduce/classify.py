@@ -37,7 +37,7 @@ class ClassifiedConstraints:
         return self.second_class.shape[0]
 
 
-def poisson_brackets(phi: ConstraintMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:
+def poisson_brackets(phi: ConstraintMatrix) -> np.ndarray:
     """Antisymmetric matrix of pairwise canonical brackets of the rows.
 
     With the (x, p, u, v) block layout the bracket of rows i and j is
@@ -65,7 +65,7 @@ def split_first_second(
     combinations v' phi; the orthonormal completion w (from the same SVD)
     gives the second-class combinations w' phi.
     """
-    poi = poisson_brackets(phi, tol)
+    poi = poisson_brackets(phi)
     ker, compl = numerical_ker(poi, tol)
     first = ker.T @ phi.rows
     second = compl.T @ phi.rows
@@ -74,6 +74,6 @@ def split_first_second(
 
 def second_class_bracket(phi: ConstraintMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Bracket matrix of the second-class combinations alone (invertible 2s x 2s)."""
-    poi = poisson_brackets(phi, tol)
+    poi = poisson_brackets(phi)
     _, compl = numerical_ker(poi, tol)
     return compl.T @ poi @ compl

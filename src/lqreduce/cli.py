@@ -9,6 +9,7 @@ JSON on stdout; sweeps are CSV.  Exit codes: 0 success, 2 input error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -143,6 +144,7 @@ def _cmd_oracle(args) -> int:
         "index_k": result.index_k,
         "oracle_index_k": ref.index_k,
         "m_res": result.m_res,
+        "oracle_m_res": ref.m_res,
         "rp": result.rp,
         "oracle_constraint_rows": int(ref.final_constraints.shape[0]),
         "angle": angle_out,
@@ -164,21 +166,7 @@ def _cmd_experiment(args) -> int:
         args.family, args.n, deltas, seed=args.seed, tol=args.tol, r=args.r, l=args.l
     )
     if args.format == "json":
-        doc = [
-            {
-                "n": rec.n,
-                "delta": rec.delta,
-                "steps_exact": rec.steps_exact,
-                "steps": rec.steps,
-                "m": rec.m,
-                "m1": rec.m1,
-                "rp": rec.rp,
-                "rp1": rec.rp1,
-                "alpha": rec.alpha,
-            }
-            for rec in records
-        ]
-        print(json.dumps(doc, indent=2))
+        print(json.dumps([dataclasses.asdict(rec) for rec in records], indent=2))
     else:
         sys.stdout.write(render_csv(records, args.family, args.n, args.seed, args.tol))
     return 0

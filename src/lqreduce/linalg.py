@@ -44,6 +44,11 @@ def empty_matrix(cols: int) -> np.ndarray:
     return np.zeros((0, cols))
 
 
+def asymmetry(m: np.ndarray) -> float:
+    """Relative asymmetry ||m - m'||_F / (1 + ||m||_F) of a square matrix."""
+    return float(np.linalg.norm(m - m.T) / (1.0 + np.linalg.norm(m)))
+
+
 def rank_tol(m, tol: float = DEFAULT_TOL) -> int:
     """Number of singular values of ``m`` strictly greater than ``tol``.
 

@@ -20,7 +20,7 @@ from .errors import (
     DimensionMismatch,
     NonFiniteEntry,
 )
-from .linalg import symplectic_matrix
+from .linalg import asymmetry
 
 _SYM_RTOL = 1e-12
 
@@ -106,10 +106,6 @@ class InitialMatrices:
     r1: np.ndarray
 
 
-def _asymmetry(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m - m.T) / (1.0 + np.linalg.norm(m)))
-
-
 def validate(problem: LQProblem) -> None:
     """Raise a ValidationError subclass if the problem data is inconsistent.
 
@@ -130,9 +126,9 @@ def validate(problem: LQProblem) -> None:
         actual = getattr(problem, label).shape
         if actual != shape:
             raise DimensionMismatch(f"matrix {label} has shape {actual}, expected {shape}")
-    if _asymmetry(problem.Q) > _SYM_RTOL:
+    if asymmetry(problem.Q) > _SYM_RTOL:
         raise AsymmetricQ("state-cost matrix Q is not symmetric")
-    if _asymmetry(problem.R) > _SYM_RTOL:
+    if asymmetry(problem.R) > _SYM_RTOL:
         raise AsymmetricR("control-cost matrix R is not symmetric")
 
 
@@ -176,5 +172,4 @@ __all__ = [
     "validate",
     "pontryagin_hamiltonian",
     "initial_matrices",
-    "symplectic_matrix",
 ]

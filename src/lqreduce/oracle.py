@@ -22,6 +22,7 @@ from .linalg import (
     equilibrate_rows,
     independent_rows,
     numerical_ker,
+    rank_tol,
     subspace_angle,
 )
 from .model import LQProblem, initial_matrices
@@ -30,10 +31,16 @@ from .reduction import ReductionResult
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Final constraint rows over (x, p, u) and the recursive index."""
+    """Final constraint rows over (x, p, u) and the recursive index.
+
+    m_res counts the controls the final rows leave free,
+    m - rank(final_constraints[:, 2n:]); it is the oracle's side of the
+    reduction's residual control count.
+    """
 
     final_constraints: np.ndarray
     index_k: int
+    m_res: int
     n: int
     m: int
 
@@ -67,7 +74,13 @@ def recursive_reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> OracleResu
             equilibrate_rows(np.vstack([rows, candidates]), tol), tol
         )
         if stacked.shape[0] == rows.shape[0]:
-            return OracleResult(final_constraints=rows, index_k=index_k, n=n, m=m)
+            return OracleResult(
+                final_constraints=rows,
+                index_k=index_k,
+                m_res=m - rank_tol(rows[:, two_n:], tol),
+                n=n,
+                m=m,
+            )
         rows = stacked
         index_k += 1
     raise NonConvergence(f"recursive constraint chain exceeded {cap} passes")

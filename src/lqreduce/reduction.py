@@ -11,8 +11,9 @@ and the iteration stops once the count of independent constraints
 (including those consumed by feedback, two per solved control) stabilizes
 or every control is solved.
 
-The drift G stays Hamiltonian throughout: J G is symmetric at every
-iteration, which the reducer records as a residual trace.
+The loop holds the Hessian blocks of the running quadratic Hamiltonian
+rather than its vector field G = -J M, so J G = M is symmetric by
+construction; the reducer still records its asymmetry as a residual trace.
 """
 
 from __future__ import annotations
@@ -30,12 +31,11 @@ from .constraints import (
 from .errors import NonConvergence
 from .linalg import (
     DEFAULT_TOL,
+    asymmetry,
     check_tol,
     empty_matrix,
     equilibrate_rows,
     independent_rows,
-    rank_tol,
-    symplectic_matrix,
 )
 from .model import LQProblem, initial_matrices
 
@@ -44,16 +44,16 @@ from .model import LQProblem, initial_matrices
 class StepState:
     """Per-iteration matrices of the reduction.
 
-    g/z define the current vector field (x; p)' = g (x; p) + z u on the
-    remaining m_cur controls; s/rk are the coefficients of the current
-    constraint level s (x; p) - rk u = 0.  p_hess is the control Hessian
-    d2H/du2 of the running Hamiltonian (initially -R), needed so that each
-    feedback substitution produces the exact Hamiltonian field of the
-    restricted Hamiltonian and J g stays symmetric at every iteration.
+    hess, w and p_hess are the Hessian blocks of the running Hamiltonian
+    H = z'(hess)z/2 + z'(w)u + u'(p_hess)u/2 over z = (x; p) and the
+    remaining m_cur controls, where (x; p)' = G (x; p) + Z u is the field
+    they define: hess = J G (2n x 2n, symmetric by construction), w = J Z
+    (2n x m_cur) and p_hess = d2H/du2 (initially -R).  s/rk are the
+    coefficients of the current constraint level s (x; p) - rk u = 0.
     """
 
-    g: np.ndarray
-    z: np.ndarray
+    hess: np.ndarray
+    w: np.ndarray
     s: np.ndarray
     rk: np.ndarray
     m_cur: int
@@ -83,7 +83,10 @@ class ReductionResult:
         ax, ap, qx, qp: n x n blocks of the reduced drift,
             xdot = ax x + ap p + bu u_res, pdot = qx x + qp p + nu u_res.
         bu, nu: n x m_res control blocks (zero-width when all solved).
-        jg_residuals: per-iteration ||J G - (J G)'||_F / (1 + ||G||_F).
+        jg_residuals: per-iteration ||J G - (J G)'||_F / (1 + ||G||_F),
+            read off the Hessian J G that the loop holds.  The loop keeps
+            it symmetric by construction; only the rounding asymmetry that
+            validation allows in Q can show before the first feedback.
         constraint_counts: per-pass effective count of independent
             constraints (rows found plus two per solved control).
         class_counts: per-pass (first-class, second-class) row counts.
@@ -153,62 +156,49 @@ class ReductionResult:
         )
 
 
-def _jg_residual(g: np.ndarray) -> float:
-    j = symplectic_matrix(g.shape[0] // 2)
-    jg = j @ g
-    return float(
-        np.linalg.norm(jg - jg.T, "fro") / (1.0 + np.linalg.norm(g, "fro"))
-    )
-
-
 def step(
     state: StepState, tol: float = DEFAULT_TOL
 ) -> tuple[StepState, np.ndarray, np.ndarray, int]:
-    """One iteration of the matrix recursion.
+    """One iteration of the matrix recursion on the Hessian blocks.
 
-    Returns ``(state', feed, v_rot, r)`` where r = rank of the current
-    control coefficients rk.  For r > 0 the SVD rk = U Sigma V' splits the
-    rotated controls: the first r satisfy (V' u)[:r] = feed (x; p) with
-    feed = Sigma^{-1} (U' s)[:r], and the cokernel rows s_c = (U' s)[r:]
-    are differentiated along the updated flow: s' = s_c g', rk' = -s_c z'.
-    For r = 0 the update degenerates to s' = s g, rk' = -s z with no
+    Returns ``(state', feed, v_rot, r)`` where r is the number of singular
+    values of the current control coefficients rk above ``tol``.  For r > 0
+    the SVD rk = U Sigma V' splits the rotated controls: the first r satisfy
+    (V' u)[:r] = feed (x; p) with feed = Sigma^{-1} (U' s)[:r], and the
+    cokernel rows s_c = (U' s)[r:] are differentiated along the updated
+    flow.  For r = 0 the rows s are differentiated as they are, with no
     feedback and v_rot the identity.
 
-    The updated field is the Hamiltonian field of the restricted
-    Hamiltonian, not the bare substitution g + (z V)[:, :r] feed: writing
-    J g = M and J z = W for the quadratic Hamiltonian
-    H = z'Mz/2 + z'Wu + u'Pu/2 (z = (x; p), P = p_hess), eliminating the
-    solved controls gives M' = M + W~ F + F'W~' + F'P11 F and
-    W'' = W' + F'P12 in rotated control blocks.  The two fields agree on
-    the constraint subspace (they differ by multiples of already-found
-    constraints) but only this one keeps J g' symmetric at every level.
+    Eliminating the solved controls from the quadratic Hamiltonian
+    H = z'Mz/2 + z'Wu + u'Pu/2 (z = (x; p), M = hess, W = w, P = p_hess)
+    gives, in rotated control blocks, M' = M + W1 F + F'W1' + F'P11 F,
+    W' = W2 + F'P12 and P' = P22.  Its field z' = -J (M' z + W' u) agrees
+    with the bare substitution of the feedback on the constraint subspace
+    (they differ by multiples of already-found constraints).  A row c
+    acting on z therefore has the time derivative sf (M' z + W' u) with
+    sf = -c J, a signed swap of its x and p columns: s' = sf M' and
+    rk' = -sf W'.
     """
-    r = rank_tol(state.rk, tol)
-    two_n = state.g.shape[0]
-    if r == 0:
-        s_new = state.s @ state.g
-        rk_new = -(state.s @ state.z)
-        new_state = StepState(
-            state.g, state.z, s_new, rk_new, state.m_cur, state.p_hess
-        )
-        return new_state, np.zeros((0, two_n)), np.eye(state.m_cur), 0
     u, sig, vt = np.linalg.svd(state.rk, full_matrices=True)
-    feed = (u[:, :r].T @ state.s) / sig[:r, None]
-    v_rot = vt.T
-    zv = state.z @ v_rot
-    p_rot = v_rot.T @ state.p_hess @ v_rot
-    j = symplectic_matrix(two_n // 2)
-    # update the (x, p) Hessian M = J g of the restricted Hamiltonian and
-    # map back; the explicit symmetrization removes rounding asymmetry only
-    wf = (j @ zv[:, :r]) @ feed
-    m_new = j @ state.g + wf + wf.T + feed.T @ (p_rot[:r, :r] @ feed)
-    g_new = -j @ ((m_new + m_new.T) / 2.0)
-    z_new = zv[:, r:] - (j @ feed.T) @ p_rot[:r, r:]
-    p_new = (p_rot[r:, r:] + p_rot[r:, r:].T) / 2.0
-    s_c = u[:, r:].T @ state.s
-    s_new = s_c @ g_new
-    rk_new = -(s_c @ z_new)
-    new_state = StepState(g_new, z_new, s_new, rk_new, state.m_cur - r, p_new)
+    r = int(np.count_nonzero(sig > tol))
+    n = state.hess.shape[0] // 2
+    hess, w, p_hess, rows = state.hess, state.w, state.p_hess, state.s
+    if r == 0:
+        feed, v_rot = np.zeros((0, 2 * n)), np.eye(state.m_cur)
+    else:
+        feed = (u[:, :r].T @ state.s) / sig[:r, None]
+        v_rot = vt.T
+        w_rot = w @ v_rot
+        p_rot = v_rot.T @ p_hess @ v_rot
+        # the explicit symmetrizations remove rounding asymmetry only
+        wf = w_rot[:, :r] @ feed
+        hess = hess + wf + wf.T + feed.T @ (p_rot[:r, :r] @ feed)
+        hess = (hess + hess.T) / 2.0
+        w = w_rot[:, r:] + feed.T @ p_rot[:r, r:]
+        p_hess = (p_rot[r:, r:] + p_rot[r:, r:].T) / 2.0
+        rows = u[:, r:].T @ state.s
+    sf = np.hstack([-rows[:, n:], rows[:, :n]])
+    new_state = StepState(hess, w, sf @ hess, -(sf @ w), state.m_cur - r, p_hess)
     return new_state, feed, v_rot, r
 
 
@@ -248,8 +238,11 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     sr = independent_rows(np.hstack([init.s1, -init.r1]), tol)
     s = sr[:, :two_n]
     rk = -sr[:, two_n:]
-    state = StepState(init.g0, init.z0, s, rk, m, p_hess=-init.r1)
-    jg_residuals = [_jg_residual(state.g)]
+    # J G0 = [[-Q, A'], [A, 0]] is a signed swap of the row blocks of G0,
+    # and J Z0 = s1' by the primary-constraint identity
+    hess0 = np.vstack([-init.g0[n:], init.g0[:n]])
+    state = StepState(hess0, init.s1.T, s, rk, m, p_hess=-init.r1)
+    jg_residuals = [asymmetry(state.hess)]
 
     feed_blocks: list[np.ndarray] = []
     sel_blocks: list[np.ndarray] = []
@@ -279,7 +272,7 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
             nofeed = (v_rot.T @ nofeed)[r:]
             rfeed += r
             phi = apply_feedback_to_constraints(phi, v_rot, feed, r, tol)
-        jg_residuals.append(_jg_residual(state.g))
+        jg_residuals.append(asymmetry(state.hess))
         if not increased:
             break  # after a flat count, fold in what is solvable, add no level
         if index_k >= cap:
@@ -306,7 +299,7 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     feedtot = np.vstack(feed_blocks) if feed_blocks else empty_matrix(two_n)
     feedsel = np.vstack(sel_blocks) if sel_blocks else empty_matrix(m)
 
-    g, z = state.g, state.z
+    hess, w = state.hess, state.w
     return ReductionResult(
         index_k=index_k,
         m_res=m - rfeed,
@@ -318,12 +311,13 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
         phi_second=strip_coisotropic(phi2, tol),
         phi_first_ext=phi1,
         phi_second_ext=phi2,
-        ax=g[:n, :n],
-        ap=g[:n, n:],
-        qx=g[n:, :n],
-        qp=g[n:, n:],
-        bu=z[:n, :],
-        nu=z[n:, :],
+        # G = -J hess and Z = -J w: the same signed swap of row blocks
+        ax=hess[n:, :n],
+        ap=hess[n:, n:],
+        qx=-hess[:n, :n],
+        qp=-hess[:n, n:],
+        bu=w[n:],
+        nu=-w[:n],
         jg_residuals=tuple(jg_residuals),
         constraint_counts=tuple(counts),
         class_counts=tuple(class_counts),

@@ -225,7 +225,7 @@ def test_criterion_8_classification_soundness(inventory):
     for res in sets:
         rows = np.vstack([res.phi_first_ext.rows, res.phi_second_ext.rows])
         phi = ConstraintMatrix(rows, res.n, res.m_res)
-        poi = poisson_brackets(phi, TOL)
+        poi = poisson_brackets(phi)
         if poi.size:
             assert np.max(np.abs(poi + poi.T)) <= 1e-15
         rank = rank_tol(poi, TOL)

@@ -22,20 +22,20 @@ class TestPoissonBrackets:
     def test_canonical_state_pair(self):
         # rows {x, p} with no control block: {x, p} = 1
         phi = cm([[1, 0], [0, 1]], n=1, m_cur=0)
-        assert_allclose(poisson_brackets(phi, TOL), [[0, 1], [-1, 0]])
+        assert_allclose(poisson_brackets(phi), [[0, 1], [-1, 0]])
 
     def test_coisotropic_commutes_with_costate(self):
         phi = cm([[0, 0, 0, 1], [0, 1, 0, 0]], n=1, m_cur=1)
-        assert_allclose(poisson_brackets(phi, TOL), np.zeros((2, 2)))
+        assert_allclose(poisson_brackets(phi), np.zeros((2, 2)))
 
     def test_control_pair_hand_expansion(self):
         # {v, -2u} = -2 {v, u} = +2 since {u, v} = 1
         phi = cm([[0, 0, 0, 1], [0, 0, -2, 0]], n=1, m_cur=1)
-        assert_allclose(poisson_brackets(phi, TOL), [[0, 2], [-2, 0]])
+        assert_allclose(poisson_brackets(phi), [[0, 2], [-2, 0]])
 
     def test_empty(self):
         phi = cm(np.zeros((0, 4)), n=1, m_cur=1)
-        assert poisson_brackets(phi, TOL).shape == (0, 0)
+        assert poisson_brackets(phi).shape == (0, 0)
 
     def test_antisymmetric_and_even_rank(self, rng):
         for _ in range(20):
@@ -43,7 +43,7 @@ class TestPoissonBrackets:
             m = int(rng.integers(0, 3))
             q = int(rng.integers(1, 2 * n + 2 * m + 1))
             phi = cm(rng.standard_normal((q, 2 * n + 2 * m)), n, m)
-            poi = poisson_brackets(phi, TOL)
+            poi = poisson_brackets(phi)
             assert_allclose(poi, -poi.T, atol=1e-15)
             assert rank_tol(poi, TOL) % 2 == 0
 
@@ -85,7 +85,7 @@ class TestSplitFirstSecond:
             m = int(rng.integers(0, 3))
             q = int(rng.integers(1, 2 * n + 2 * m + 1))
             phi = cm(rng.standard_normal((q, 2 * n + 2 * m)), n, m)
-            poi = poisson_brackets(phi, TOL)
+            poi = poisson_brackets(phi)
             ker, _ = numerical_ker(poi, TOL)
             if ker.shape[1]:
                 residuals = np.linalg.norm(ker.T @ poi, axis=1)

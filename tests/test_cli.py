@@ -108,6 +108,19 @@ class TestCmdOracle:
         assert doc["index_k"] == 5 and doc["oracle_index_k"] == 5
         assert float(doc["angle"]) < 1e-8
 
+    def test_oracle_residual_controls(self, tmp_path, capsys):
+        # family 3 solves no control; family 2 solves its only one
+        from lqreduce import gen_exp3
+
+        for p, m_res in ((gen_exp3(4), 1), (gen_exp2(4), 0)):
+            path = write_problem(
+                tmp_path / "p.json",
+                p.A.tolist(), p.B.tolist(), p.Q.tolist(), p.N.tolist(), p.R.tolist(),
+            )
+            assert main(["oracle", path]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["m_res"] == m_res and doc["oracle_m_res"] == m_res
+
 
 class TestCmdExperiment:
     def test_csv_shape_and_slope(self, capsys):

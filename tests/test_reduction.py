@@ -8,6 +8,7 @@ from lqreduce import (
     StepState,
     gen_exp1,
     gen_exp2,
+    gen_exp3,
     perturb,
     rank_tol,
     recursive_reduce,
@@ -30,10 +31,13 @@ def singular_1x1():
 
 
 class TestStep:
+    # the state holds the Hessian blocks hess = J G and w = J Z of a field
+    # (x; p)' = G (x; p) + Z u
     def test_no_feedback_update(self):
+        j = symplectic_matrix(1)
         st = StepState(
-            g=np.array([[0.0, 0.0], [1.0, 0.0]]),
-            z=np.array([[1.0], [0.0]]),
+            hess=j @ np.array([[0.0, 0.0], [1.0, 0.0]]),
+            w=j @ np.array([[1.0], [0.0]]),
             s=np.array([[0.0, 1.0]]),
             rk=np.array([[0.0]]),
             m_cur=1,
@@ -49,9 +53,10 @@ class TestStep:
 
     def test_full_rank_solves_all_controls(self, rng):
         n, m = 2, 2
+        j = symplectic_matrix(n)
         st = StepState(
-            g=np.zeros((4, 4)),
-            z=rng.standard_normal((4, 2)),
+            hess=j @ np.zeros((4, 4)),
+            w=j @ rng.standard_normal((4, 2)),
             s=rng.standard_normal((2, 4)),
             rk=np.eye(2),
             m_cur=2,
@@ -64,9 +69,10 @@ class TestStep:
         assert feed.shape == (2, 4)
 
     def test_partial_rank_splits(self):
+        j = symplectic_matrix(2)
         st = StepState(
-            g=np.zeros((4, 4)),
-            z=np.zeros((4, 2)),
+            hess=j @ np.zeros((4, 4)),
+            w=j @ np.zeros((4, 2)),
             s=np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]),
             rk=np.diag([1.0, 0.0]),
             m_cur=2,
@@ -171,9 +177,7 @@ class TestReduceSingular:
         for _ in range(25):
             m = int(rng.integers(1, 4))
             prob = random_problem(rng, int(rng.integers(2, 6)), m, singular_r=True)
-            res = reduce(prob, TOL)
-            rows = recursive_reduce(prob, TOL).final_constraints
-            assert m - rank_tol(rows[:, 2 * prob.n :], TOL) == res.m_res
+            assert recursive_reduce(prob, TOL).m_res == reduce(prob, TOL).m_res
 
     def test_perturbed_family1_takes_no_extra_pass(self):
         # a perturbation at 1e-10 once made this draw take spurious passes
@@ -193,6 +197,33 @@ class TestReduceSingular:
         assert np.linalg.norm(jg - jg.T) <= 1e-10 * (1 + np.linalg.norm(g))
         assert res.bu.shape == (n, res.m_res)
         assert res.nu.shape == (n, res.m_res)
+
+    def test_reduced_field_values(self, rng):
+        # a regular problem feeds back u = R^-1 (B'p - N'x) in full
+        for _ in range(25):
+            n = int(rng.integers(1, 7))
+            prob = random_problem(rng, n, int(rng.integers(1, 7)), spd_r=True)
+            res = reduce(prob, TOL)
+            a, b, q, nm = prob.A, prob.B, prob.Q, prob.N
+            rinv_bt = np.linalg.solve(prob.R, b.T)
+            rinv_nt = np.linalg.solve(prob.R, nm.T)
+            expected = np.block(
+                [[a - b @ rinv_nt, b @ rinv_bt], [q - nm @ rinv_nt, -a.T + nm @ rinv_bt]]
+            )
+            got = np.block([[res.ax, res.ap], [res.qx, res.qp]])
+            assert np.linalg.norm(got - expected) <= 1e-10 * (
+                1 + np.linalg.norm(expected)
+            )
+        # family 3 never feeds back, so its field is the problem data
+        prob = gen_exp3(6)
+        res = reduce(prob, TOL)
+        assert res.m_res == prob.m
+        assert_allclose(res.ax, prob.A, atol=1e-14)
+        assert_allclose(res.ap, np.zeros((6, 6)), atol=1e-14)
+        assert_allclose(res.qx, prob.Q, atol=1e-14)
+        assert_allclose(res.qp, -prob.A.T, atol=1e-14)
+        assert_allclose(res.bu, prob.B, atol=1e-14)
+        assert_allclose(res.nu, prob.N, atol=1e-14)
 
     def test_no_constraints_at_all(self):
         # B = N = R = 0: the cost ignores u entirely, every control is gauge

@@ -11,7 +11,6 @@ class split of the constraints.
 from .classify import (
     ClassifiedConstraints,
     poisson_brackets,
-    second_class_bracket,
     split_first_second,
 )
 from .constraints import (
@@ -102,7 +101,6 @@ __all__ = [
     "recursive_reduce",
     "reduce",
     "run_sweep",
-    "second_class_bracket",
     "split_first_second",
     "step",
     "strip_coisotropic",

@@ -70,10 +70,3 @@ def split_first_second(
     first = ker.T @ phi.rows
     second = compl.T @ phi.rows
     return ClassifiedConstraints(first_class=first, second_class=second)
-
-
-def second_class_bracket(phi: ConstraintMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Bracket matrix of the second-class combinations alone (invertible 2s x 2s)."""
-    poi = poisson_brackets(phi)
-    _, compl = numerical_ker(poi, tol)
-    return compl.T @ poi @ compl

@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import InsufficientData, LQReduceError, NonConvergence, ValidationError
 from .experiments import fit_loglog_slope, run_sweep
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, subspace_angle
 from .model import LQProblem
-from .oracle import compare_final_subspaces, recursive_reduce
+from .oracle import recursive_reduce
 from .reduction import ReductionResult, reduce
 
 _MATRIX_KEYS = ("A", "B", "Q", "N", "R")
@@ -94,11 +94,6 @@ def render_report(result: ReductionResult, name: str | None = None) -> dict:
     }
 
 
-def parse_report(text: str) -> dict:
-    """Inverse of ``json.dumps(render_report(...))``."""
-    return json.loads(text)
-
-
 def _format_alpha(alpha: float | None) -> str:
     if alpha is None:
         return "not_computable"
@@ -134,9 +129,10 @@ def _cmd_oracle(args) -> int:
     problem = load_problem(args.path)
     result = reduce(problem, tol=args.tol)
     ref = recursive_reduce(problem, tol=args.tol)
+    # the same rows compare_final_subspaces re-inflates, computed once
+    rows = result.final_constraints_original_controls()
     try:
-        angle = compare_final_subspaces(ref, result, tol=args.tol)
-        angle_out = angle
+        angle_out = subspace_angle(ref.final_constraints, rows, tol=args.tol)
     except LQReduceError:
         angle_out = "not computable"
     doc = {
@@ -146,6 +142,7 @@ def _cmd_oracle(args) -> int:
         "m_res": result.m_res,
         "oracle_m_res": ref.m_res,
         "rp": result.rp,
+        "constraint_rows": int(rows.shape[0]),
         "oracle_constraint_rows": int(ref.final_constraints.shape[0]),
         "angle": angle_out,
     }

@@ -13,7 +13,7 @@ or every control is solved.
 
 The loop holds the Hessian blocks of the running quadratic Hamiltonian
 rather than its vector field G = -J M, so J G = M is symmetric by
-construction; the reducer still records its asymmetry as a residual trace.
+construction.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .constraints import (
 from .errors import NonConvergence
 from .linalg import (
     DEFAULT_TOL,
-    asymmetry,
     check_tol,
     empty_matrix,
     equilibrate_rows,
@@ -56,8 +55,11 @@ class StepState:
     w: np.ndarray
     s: np.ndarray
     rk: np.ndarray
-    m_cur: int
     p_hess: np.ndarray
+
+    @property
+    def m_cur(self) -> int:
+        return self.w.shape[1]
 
 
 @dataclass(frozen=True)
@@ -83,15 +85,12 @@ class ReductionResult:
         ax, ap, qx, qp: n x n blocks of the reduced drift,
             xdot = ax x + ap p + bu u_res, pdot = qx x + qp p + nu u_res.
         bu, nu: n x m_res control blocks (zero-width when all solved).
-        jg_residuals: per-iteration ||J G - (J G)'||_F / (1 + ||G||_F),
-            read off the Hessian J G that the loop holds.  The loop keeps
-            it symmetric by construction; only the rounding asymmetry that
-            validation allows in Q can show before the first feedback.
         constraint_counts: per-pass effective count of independent
             constraints (rows found plus two per solved control).
         class_counts: per-pass (first-class, second-class) row counts.
         feedback_ranks: controls solved at each pass (aligned with the
-            entries of class_counts after the initial one).
+            entries of class_counts after the initial one; a fold after a
+            flat count adds a last rank without a class count).
     """
 
     index_k: int
@@ -110,7 +109,6 @@ class ReductionResult:
     qp: np.ndarray
     bu: np.ndarray
     nu: np.ndarray
-    jg_residuals: tuple
     constraint_counts: tuple
     class_counts: tuple
     feedback_ranks: tuple
@@ -198,7 +196,7 @@ def step(
         p_hess = (p_rot[r:, r:] + p_rot[r:, r:].T) / 2.0
         rows = u[:, r:].T @ state.s
     sf = np.hstack([-rows[:, n:], rows[:, :n]])
-    new_state = StepState(hess, w, sf @ hess, -(sf @ w), state.m_cur - r, p_hess)
+    new_state = StepState(hess, w, sf @ hess, -(sf @ w), p_hess)
     return new_state, feed, v_rot, r
 
 
@@ -241,8 +239,7 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     # J G0 = [[-Q, A'], [A, 0]] is a signed swap of the row blocks of G0,
     # and J Z0 = s1' by the primary-constraint identity
     hess0 = np.vstack([-init.g0[n:], init.g0[:n]])
-    state = StepState(hess0, init.s1.T, s, rk, m, p_hess=-init.r1)
-    jg_residuals = [asymmetry(state.hess)]
+    state = StepState(hess0, init.s1.T, s, rk, p_hess=-init.r1)
 
     feed_blocks: list[np.ndarray] = []
     sel_blocks: list[np.ndarray] = []
@@ -272,9 +269,11 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
             nofeed = (v_rot.T @ nofeed)[r:]
             rfeed += r
             phi = apply_feedback_to_constraints(phi, v_rot, feed, r, tol)
-        jg_residuals.append(asymmetry(state.hess))
         if not increased:
-            break  # after a flat count, fold in what is solvable, add no level
+            # after a flat count, fold in what is solvable and add no level;
+            # every other exit leaves the split of the final set current
+            split = split_first_second(phi, tol)
+            break
         if index_k >= cap:
             raise NonConvergence(
                 f"constraint iteration exceeded {cap} passes; "
@@ -290,9 +289,7 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
         class_counts.append((split.n_first, split.n_second))
         increased = counts[-1] > counts[-2]
 
-    # final class split; rp, the rank of the bracket matrix, is the
-    # second-class row count
-    split = split_first_second(phi, tol)
+    # rp, the rank of the bracket matrix, is the second-class row count
     phi1 = phi.with_rows(split.first_class)
     phi2 = phi.with_rows(split.second_class)
 
@@ -318,7 +315,6 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
         qp=-hess[:n, n:],
         bu=w[n:],
         nu=-w[:n],
-        jg_residuals=tuple(jg_residuals),
         constraint_counts=tuple(counts),
         class_counts=tuple(class_counts),
         feedback_ranks=tuple(feedback_ranks),

@@ -6,7 +6,6 @@ from lqreduce import (
     numerical_ker,
     poisson_brackets,
     rank_tol,
-    second_class_bracket,
     split_first_second,
     subspace_angle,
 )
@@ -90,12 +89,3 @@ class TestSplitFirstSecond:
             if ker.shape[1]:
                 residuals = np.linalg.norm(ker.T @ poi, axis=1)
                 assert np.all(residuals <= TOL * (1 + np.linalg.norm(poi, 2)))
-
-    def test_second_class_bracket_invertible(self, rng):
-        for _ in range(20):
-            n = int(rng.integers(1, 4))
-            m = int(rng.integers(0, 3))
-            q = int(rng.integers(1, 2 * n + 2 * m + 1))
-            phi = cm(rng.standard_normal((q, 2 * n + 2 * m)), n, m)
-            c = second_class_bracket(phi, TOL)
-            assert rank_tol(c, TOL) == c.shape[0]

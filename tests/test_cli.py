@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lqreduce import gen_exp2, reduce, subspace_angle
-from lqreduce.cli import main, parse_report, render_report
+from lqreduce.cli import main, render_report
 
 
 def write_problem(path, a, b, q, n, r, name=None):
@@ -121,6 +121,23 @@ class TestCmdOracle:
             doc = json.loads(capsys.readouterr().out)
             assert doc["m_res"] == m_res and doc["oracle_m_res"] == m_res
 
+    def test_oracle_constraint_rows(self, tmp_path, capsys):
+        # both row counts are printed, so a rank mismatch shows next to the angle
+        from lqreduce import gen_exp3, recursive_reduce
+
+        p = gen_exp3(4)
+        path = write_problem(
+            tmp_path / "exp3.json",
+            p.A.tolist(), p.B.tolist(), p.Q.tolist(), p.N.tolist(), p.R.tolist(),
+        )
+        assert main(["oracle", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        rows = reduce(p).final_constraints_original_controls().shape[0]
+        oracle_rows = recursive_reduce(p).final_constraints.shape[0]
+        assert doc["constraint_rows"] == rows
+        assert doc["oracle_constraint_rows"] == oracle_rows
+        assert rows == oracle_rows
+
 
 class TestCmdExperiment:
     def test_csv_shape_and_slope(self, capsys):
@@ -176,7 +193,7 @@ class TestReportRoundTrip:
         result = reduce(gen_exp2(4), 1e-6)
         doc = render_report(result, name="roundtrip")
         text = json.dumps(doc)
-        back = parse_report(text)
+        back = json.loads(text)
         assert back == doc  # exact equality, including every float
         assert back["index_k"] == result.index_k
         assert back["rp"] == result.rp

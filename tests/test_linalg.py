@@ -208,6 +208,13 @@ def test_import_loads_no_scipy():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
+def test_exports_resolve_once():
+    names = lqreduce.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        getattr(lqreduce, name)
+
+
 def test_symplectic_matrix_properties():
     j = symplectic_matrix(3)
     assert_allclose(j @ j, -np.eye(6))

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lqreduce import (
+    ConstraintMatrix,
     InvalidTolerance,
     LQProblem,
     StepState,
@@ -10,6 +11,7 @@ from lqreduce import (
     gen_exp2,
     gen_exp3,
     perturb,
+    poisson_brackets,
     rank_tol,
     recursive_reduce,
     reduce,
@@ -40,7 +42,6 @@ class TestStep:
             w=j @ np.array([[1.0], [0.0]]),
             s=np.array([[0.0, 1.0]]),
             rk=np.array([[0.0]]),
-            m_cur=1,
             p_hess=np.zeros((1, 1)),
         )
         new, feed, v_rot, r = step(st, TOL)
@@ -59,7 +60,6 @@ class TestStep:
             w=j @ rng.standard_normal((4, 2)),
             s=rng.standard_normal((2, 4)),
             rk=np.eye(2),
-            m_cur=2,
             p_hess=-np.eye(2),
         )
         new, feed, v_rot, r = step(st, TOL)
@@ -75,7 +75,6 @@ class TestStep:
             w=j @ np.zeros((4, 2)),
             s=np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]),
             rk=np.diag([1.0, 0.0]),
-            m_cur=2,
             p_hess=np.zeros((2, 2)),
         )
         new, feed, v_rot, r = step(st, TOL)
@@ -153,14 +152,6 @@ class TestReduceSingular:
                 if r == 0:
                     assert seconds[i + 1] >= seconds[i]
 
-    def test_hamiltonian_invariant(self, rng):
-        for _ in range(25):
-            prob = random_problem(
-                rng, int(rng.integers(2, 6)), int(rng.integers(1, 4)), singular_r=True
-            )
-            res = reduce(prob, TOL)
-            assert max(res.jg_residuals) <= 1e-10
-
     def test_feedback_completeness(self, rng):
         # solved combination directions plus residual selectors span R^m
         for _ in range(25):
@@ -188,15 +179,35 @@ class TestReduceSingular:
         assert res.rp == res.phi_second.shape[0]
 
     def test_reduced_field_blocks_consistent(self, rng):
-        prob = random_problem(rng, 4, 2, singular_r=True)
-        res = reduce(prob, TOL)
-        n = prob.n
-        g = np.block([[res.ax, res.ap], [res.qx, res.qp]])
-        j = symplectic_matrix(n)
-        jg = j @ g
-        assert np.linalg.norm(jg - jg.T) <= 1e-10 * (1 + np.linalg.norm(g))
-        assert res.bu.shape == (n, res.m_res)
-        assert res.nu.shape == (n, res.m_res)
+        # the reduced field is Hamiltonian: J G is symmetric
+        probs = [random_problem(rng, 4, 2, singular_r=True)]
+        probs += [
+            random_problem(
+                rng, int(rng.integers(2, 6)), int(rng.integers(1, 4)), singular_r=True
+            )
+            for _ in range(25)
+        ]
+        for prob in probs:
+            res = reduce(prob, TOL)
+            n = prob.n
+            g = np.block([[res.ax, res.ap], [res.qx, res.qp]])
+            jg = symplectic_matrix(n) @ g
+            assert np.linalg.norm(jg - jg.T) <= 1e-10 * (1 + np.linalg.norm(g))
+            assert res.bu.shape == (n, res.m_res)
+            assert res.nu.shape == (n, res.m_res)
+
+    def test_flat_count_fold_exit(self):
+        # this draw's count stays flat while a control is still solvable:
+        # the loop folds that feedback in and exits without a new level, so
+        # the final class split must be taken on the folded set
+        res = reduce(perturb(gen_exp1(8, 3, 2), 1e-6, seed=25), TOL)
+        assert res.feedback_ranks == (3, 2, 2, 1)
+        assert len(res.feedback_ranks) == len(res.class_counts) == 4
+        assert res.m_res == 0
+        rows = np.vstack([res.phi_first_ext.rows, res.phi_second_ext.rows])
+        poi = poisson_brackets(ConstraintMatrix(rows, res.n, res.m_res))
+        assert res.rp == res.phi_second.shape[0] == rank_tol(poi, TOL)
+        assert res.rp % 2 == 0
 
     def test_reduced_field_values(self, rng):
         # a regular problem feeds back u = R^-1 (B'p - N'x) in full

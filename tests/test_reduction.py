@@ -152,6 +152,17 @@ class TestReduceSingular:
                 if r == 0:
                     assert seconds[i + 1] >= seconds[i]
 
+    def test_hamiltonian_invariant(self, rng):
+        # the reduced field is Hamiltonian: J G is symmetric
+        for _ in range(25):
+            prob = random_problem(
+                rng, int(rng.integers(2, 6)), int(rng.integers(1, 4)), singular_r=True
+            )
+            res = reduce(prob, TOL)
+            g = np.block([[res.ax, res.ap], [res.qx, res.qp]])
+            jg = symplectic_matrix(prob.n) @ g
+            assert np.linalg.norm(jg - jg.T) <= 1e-10 * (1 + np.linalg.norm(g))
+
     def test_feedback_completeness(self, rng):
         # solved combination directions plus residual selectors span R^m
         for _ in range(25):
@@ -179,22 +190,15 @@ class TestReduceSingular:
         assert res.rp == res.phi_second.shape[0]
 
     def test_reduced_field_blocks_consistent(self, rng):
-        # the reduced field is Hamiltonian: J G is symmetric
-        probs = [random_problem(rng, 4, 2, singular_r=True)]
-        probs += [
-            random_problem(
-                rng, int(rng.integers(2, 6)), int(rng.integers(1, 4)), singular_r=True
-            )
-            for _ in range(25)
-        ]
-        for prob in probs:
-            res = reduce(prob, TOL)
-            n = prob.n
-            g = np.block([[res.ax, res.ap], [res.qx, res.qp]])
-            jg = symplectic_matrix(n) @ g
-            assert np.linalg.norm(jg - jg.T) <= 1e-10 * (1 + np.linalg.norm(g))
-            assert res.bu.shape == (n, res.m_res)
-            assert res.nu.shape == (n, res.m_res)
+        prob = random_problem(rng, 4, 2, singular_r=True)
+        res = reduce(prob, TOL)
+        n = prob.n
+        g = np.block([[res.ax, res.ap], [res.qx, res.qp]])
+        j = symplectic_matrix(n)
+        jg = j @ g
+        assert np.linalg.norm(jg - jg.T) <= 1e-10 * (1 + np.linalg.norm(g))
+        assert res.bu.shape == (n, res.m_res)
+        assert res.nu.shape == (n, res.m_res)
 
     def test_flat_count_fold_exit(self):
         # this draw's count stays flat while a control is still solvable:

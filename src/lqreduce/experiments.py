@@ -140,8 +140,8 @@ def perturb(
     reduction solves every control on its first pass, which is the
     breakdown mode the sweep is meant to expose.
     """
-    if delta < 0:
-        raise InvalidShape(f"need delta >= 0, got {delta}")
+    if not (np.isfinite(delta) and delta >= 0):
+        raise InvalidShape(f"need a finite delta >= 0, got {delta}")
     if delta == 0.0:
         return problem
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
@@ -179,13 +179,11 @@ def make_problem(family: int, n: int, r: int | None = None, l: int | None = None
     raise InvalidShape(f"unknown experiment family {family!r}")
 
 
-def sweep_alpha(exact: ReductionResult, perturbed: ReductionResult,
+def sweep_alpha(exact_rows: np.ndarray, perturbed: ReductionResult,
                 tol: float = DEFAULT_TOL) -> float | None:
-    """Angle between final constraint sets, or None when not computable."""
+    """Angle to the exact final constraint rows, or None when not computable."""
     try:
-        return subspace_angle(
-            exact.final_constraints(), perturbed.final_constraints(), tol
-        )
+        return subspace_angle(exact_rows, perturbed.final_constraints(), tol)
     except (DimensionMismatch, EmptySubspace):
         return None
 
@@ -205,10 +203,11 @@ def run_sweep(
     records do not depend on evaluation order.
     """
     deltas = [float(d) for d in deltas]
-    if not deltas or any(d < 0 for d in deltas):
-        raise InvalidShape("deltas must be a nonempty list of nonnegative reals")
+    if not deltas or not all(np.isfinite(d) and d >= 0 for d in deltas):
+        raise InvalidShape("deltas must be a nonempty list of finite nonnegative reals")
     problem = make_problem(family, n, r=r, l=l, seed=seed)
     exact = reduce(problem, tol)
+    exact_rows = exact.final_constraints()
     records = []
     for index, delta in enumerate(deltas):
         pert_problem = perturb(
@@ -216,7 +215,7 @@ def run_sweep(
             preserve_structure=(family == 3),
         )
         pert = reduce(pert_problem, tol)
-        alpha = sweep_alpha(exact, pert, tol)
+        alpha = sweep_alpha(exact_rows, pert, tol)
         records.append(
             ExperimentRecord(
                 n=n,

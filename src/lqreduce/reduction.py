@@ -6,10 +6,10 @@ the control coefficients R by SVD: the range part solves some rotated
 controls as linear feedback in (x, p), the cokernel part yields the next
 level of constraints, obtained by differentiating along the (feedback
 updated) flow.  Constraints are propagated on the symplectically extended
-space (x, p, u, v), classified into first and second class at every pass,
-and the iteration stops once the count of independent constraints
-(including those consumed by feedback, two per solved control) stabilizes
-or every control is solved.
+space (x, p, u, v), and the iteration stops once the count of independent
+constraints (including those consumed by feedback, two per solved control)
+stabilizes or every control is solved.  Each pass counts second-class rows
+as the rank of their Poisson brackets; only the final set is split.
 
 The loop holds the Hessian blocks of the running quadratic Hamiltonian
 rather than its vector field G = -J M, so J G = M is symmetric by
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import split_first_second
+from .classify import poisson_brackets, split_first_second
 from .constraints import (
     ConstraintMatrix,
     apply_feedback_to_constraints,
@@ -35,6 +35,7 @@ from .linalg import (
     empty_matrix,
     equilibrate_rows,
     independent_rows,
+    rank_tol,
 )
 from .model import LQProblem, initial_matrices
 
@@ -87,7 +88,8 @@ class ReductionResult:
         bu, nu: n x m_res control blocks (zero-width when all solved).
         constraint_counts: per-pass effective count of independent
             constraints (rows found plus two per solved control).
-        class_counts: per-pass (first-class, second-class) row counts.
+        class_counts: per-pass (first-class, second-class) row counts; the
+            second count is the bracket rank of that pass's constraint set.
         feedback_ranks: controls solved at each pass (aligned with the
             entries of class_counts after the initial one; a fold after a
             flat count adds a last rank without a class count).
@@ -206,6 +208,12 @@ def _constraint_rows(state: StepState) -> np.ndarray:
     return np.hstack([state.s, -state.rk, np.zeros((l, state.m_cur))])
 
 
+def _class_counts(phi: ConstraintMatrix, tol: float) -> tuple[int, int]:
+    """First- and second-class row counts; the latter is the bracket rank."""
+    second = rank_tol(poisson_brackets(phi), tol)
+    return phi.n_rows - second, second
+
+
 def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     """Reduce an LQ problem to its consistent Hamiltonian form.
 
@@ -213,13 +221,14 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     set, seeded with the zero-order constraints v = 0 and the primary
     constraints.  Each pass solves what it can of the current control
     coefficients as partial feedback and folds it into the set, stacks the
-    next constraint level onto it, and splits the whole set into first and
-    second class.  The loop runs while some control is unsolved and the
-    previous pass raised the effective count of independent constraints
-    (rows plus two per solved control).  A regular problem solves every
-    control on its first pass, where its primary rows fold to zero.  After
-    a flat-count pass a feedback that is still solvable is folded in before
-    the loop exits, without a new constraint level.  At the end the
+    next constraint level onto it, and counts its second-class rows as the
+    rank of their brackets.  The loop runs while some control is unsolved
+    and the previous pass raised the effective count of independent
+    constraints (rows plus two per solved control).  A regular problem
+    solves every control on its first pass, where its primary rows fold to
+    zero.  After a flat-count pass a feedback that is still solvable is
+    folded in before the loop exits, without a new constraint level.  Only
+    the final set is split into first and second class, and the
     coisotropic columns are stripped from the reported constraint sets.
 
     Raises InvalidTolerance unless ``tol`` is finite and positive, a
@@ -234,12 +243,10 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
 
     # independent primary rows over (x, p, u); the u coefficient is -R
     sr = independent_rows(np.hstack([init.s1, -init.r1]), tol)
-    s = sr[:, :two_n]
-    rk = -sr[:, two_n:]
     # J G0 = [[-Q, A'], [A, 0]] is a signed swap of the row blocks of G0,
     # and J Z0 = s1' by the primary-constraint identity
     hess0 = np.vstack([-init.g0[n:], init.g0[:n]])
-    state = StepState(hess0, init.s1.T, s, rk, p_hess=-init.r1)
+    state = StepState(hess0, init.s1.T, sr[:, :two_n], -sr[:, two_n:], -init.r1)
 
     feed_blocks: list[np.ndarray] = []
     sel_blocks: list[np.ndarray] = []
@@ -248,16 +255,14 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     # constraint set on the extended space: zero-order rows, then primaries
     zero_order = np.hstack([np.zeros((m, two_n + m)), np.eye(m)])
     phi = ConstraintMatrix(np.vstack([zero_order, _constraint_rows(state)]), n, m)
-    split = split_first_second(phi, tol)
     counts = [phi.n_rows]
-    class_counts = [(split.n_first, split.n_second)]
+    class_counts = [_class_counts(phi, tol)]
     feedback_ranks: list[int] = []
 
-    rfeed = 0
     index_k = 0
     cap = 2 * (n + m) + 2
     increased = True
-    while rfeed < m:
+    while state.m_cur:
         nxt, feed, v_rot, r = step(state, tol)
         if r == 0 and not increased:
             break  # flat count and nothing left to solve
@@ -267,13 +272,9 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
             feed_blocks.append(feed)
             sel_blocks.append(v_rot.T[:r] @ nofeed)
             nofeed = (v_rot.T @ nofeed)[r:]
-            rfeed += r
             phi = apply_feedback_to_constraints(phi, v_rot, feed, r, tol)
         if not increased:
-            # after a flat count, fold in what is solvable and add no level;
-            # every other exit leaves the split of the final set current
-            split = split_first_second(phi, tol)
-            break
+            break  # after a flat count, fold in what is solvable, no level
         if index_k >= cap:
             raise NonConvergence(
                 f"constraint iteration exceeded {cap} passes; "
@@ -282,14 +283,12 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
         index_k += 1
         stack = np.vstack([phi.rows, _constraint_rows(state)])
         phi = phi.with_rows(independent_rows(equilibrate_rows(stack, tol), tol))
-        split = split_first_second(phi, tol)
-        # the split recombines the independent rows orthogonally, so the
-        # class counts add up to phi.n_rows
-        counts.append(phi.n_rows + 2 * rfeed)
-        class_counts.append((split.n_first, split.n_second))
+        counts.append(phi.n_rows + 2 * (m - state.m_cur))
+        class_counts.append(_class_counts(phi, tol))
         increased = counts[-1] > counts[-2]
 
     # rp, the rank of the bracket matrix, is the second-class row count
+    split = split_first_second(phi, tol)
     phi1 = phi.with_rows(split.first_class)
     phi2 = phi.with_rows(split.second_class)
 
@@ -299,7 +298,7 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     hess, w = state.hess, state.w
     return ReductionResult(
         index_k=index_k,
-        m_res=m - rfeed,
+        m_res=state.m_cur,
         rp=split.n_second,
         feedtot=feedtot,
         feedsel=feedsel,

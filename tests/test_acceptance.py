@@ -234,6 +234,10 @@ def test_criterion_8_classification_soundness(inventory):
         rank = rank_tol(poi, TOL)
         assert rank % 2 == 0
         assert rank == res.rp
+        if len(res.feedback_ranks) < len(res.class_counts):
+            # no fold exit: the last pass's bracket-rank counts describe
+            # the set that the final split classified
+            assert res.class_counts[-1] == (res.phi_first_ext.n_rows, res.rp)
         ker, compl = numerical_ker(poi, TOL)
         if ker.shape[1]:
             residuals = np.linalg.norm(ker.T @ poi, axis=1)

@@ -179,6 +179,16 @@ class TestCmdExperiment:
     def test_bad_family_parameters_exit_2(self, capsys):
         assert main(["experiment", "--family", "1", "--n", "12"]) == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_deltas_exit_2(self, capsys, bad):
+        # the error names the argument, not the problem data
+        assert main(
+            ["experiment", "--family", "2", "--n", "4", "--deltas", f"1e-10,{bad}"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: deltas must be")
+        assert "matrix" not in err
+
     def test_json_format(self, capsys):
         assert main(
             ["experiment", "--family", "2", "--n", "10", "--deltas", "1e-10",

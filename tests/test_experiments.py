@@ -126,8 +126,9 @@ class TestPerturb:
         assert_allclose(q.Q, q.A + q.A.T)
 
     def test_negative_delta_rejected(self):
-        with pytest.raises(InvalidShape):
-            perturb(gen_exp2(3), -1.0)
+        for delta in (-1.0, np.nan, np.inf):
+            with pytest.raises(InvalidShape):
+                perturb(gen_exp2(3), delta)
 
 
 class TestRunSweep:
@@ -170,6 +171,11 @@ class TestRunSweep:
     def test_empty_deltas_rejected(self):
         with pytest.raises(InvalidShape):
             run_sweep(2, 10, [], seed=0)
+
+    def test_non_finite_deltas_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidShape, match="deltas"):
+                run_sweep(2, 4, [1e-10, bad], seed=0)
 
 
 class TestFitLoglogSlope:

@@ -23,6 +23,13 @@ from conftest import random_problem
 
 TOL = 1e-6
 
+# a known limit, pinned so the suite fails once it is lifted
+ABSOLUTE_TOL_LIMIT = pytest.mark.xfail(
+    strict=True,
+    reason="rank decisions use an absolute tolerance, so cost scaling past "
+    "about 1e5 loses second-class pairs (ROADMAP item 2)",
+)
+
 
 def regular_1x1():
     return LQProblem(A=[[0.0]], B=[[1.0]], Q=[[1.0]], N=[[0.0]], R=[[1.0]])
@@ -212,6 +219,19 @@ class TestReduceSingular:
         poi = poisson_brackets(ConstraintMatrix(rows, res.n, res.m_res))
         assert res.rp == res.phi_second.shape[0] == rank_tol(poi, TOL)
         assert res.rp % 2 == 0
+
+    @pytest.mark.parametrize(
+        "scale",
+        [1e-3, 1.0, 1e3, 1e5]
+        + [pytest.param(s, marks=ABSOLUTE_TOL_LIMIT) for s in (1e6, 1e7, 1e9)],
+    )
+    def test_cost_scaling_keeps_structure(self, scale):
+        # scaling Q, N and R by s scales the cost, not its structure; the
+        # reducer gives (3, 3, 2), (3, 3, 0), (4, 0, 0) at s = 1e6, 1e7, 1e9
+        p = gen_exp1(8, 3, 2)
+        prob = LQProblem(A=p.A, B=p.B, Q=scale * p.Q, N=scale * p.N, R=scale * p.R)
+        res = reduce(prob, TOL)
+        assert (res.index_k, res.m_res, res.rp) == (3, 3, 4)
 
     def test_reduced_field_values(self, rng):
         # a regular problem feeds back u = R^-1 (B'p - N'x) in full

@@ -44,6 +44,7 @@ from .experiments import (
 from .linalg import (
     DEFAULT_TOL,
     equilibrate_rows,
+    extend_rows,
     independent_rows,
     numerical_ker,
     rank_tol,
@@ -86,6 +87,7 @@ __all__ = [
     "apply_feedback_to_constraints",
     "compare_final_subspaces",
     "equilibrate_rows",
+    "extend_rows",
     "fit_loglog_slope",
     "gen_exp1",
     "gen_exp2",

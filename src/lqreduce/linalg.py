@@ -7,6 +7,12 @@ entries are well above the tolerance.
 
 Empty matrices (zero rows and/or columns) are first-class values: every
 routine accepts and may return them.
+
+A constraint set that grows level by level is kept as an orthonormal row
+basis that :func:`extend_rows` extends: the new rows are projected out of
+the basis and only their residual is factored, so the rank of a new level
+is the count of the residual's singular values above the threshold, not of
+the whole stack's.
 """
 
 from __future__ import annotations
@@ -49,6 +55,23 @@ def asymmetry(m: np.ndarray) -> float:
     return float(np.linalg.norm(m - m.T) / (1.0 + np.linalg.norm(m)))
 
 
+def _svd(m: np.ndarray, full_matrices: bool = True, compute_uv: bool = True):
+    """``np.linalg.svd``, retried on the transpose if LAPACK does not converge.
+
+    The divide-and-conquer routine (gesdd) fails to converge on some finite
+    matrices whose transpose it factors; the retry swaps the factors back,
+    so the result has the shapes and meaning of a direct call.
+    """
+    try:
+        return np.linalg.svd(m, full_matrices=full_matrices, compute_uv=compute_uv)
+    except np.linalg.LinAlgError:
+        out = np.linalg.svd(m.T, full_matrices=full_matrices, compute_uv=compute_uv)
+    if not compute_uv:
+        return out
+    u, s, vt = out
+    return vt.T, s, u.T
+
+
 def rank_tol(m, tol: float = DEFAULT_TOL) -> int:
     """Number of singular values of ``m`` strictly greater than ``tol``.
 
@@ -57,7 +80,7 @@ def rank_tol(m, tol: float = DEFAULT_TOL) -> int:
     m = as_matrix(m)
     if m.size == 0:
         return 0
-    s = np.linalg.svd(m, compute_uv=False)
+    s = _svd(m, compute_uv=False)
     return int(np.count_nonzero(s > tol))
 
 
@@ -71,7 +94,7 @@ def independent_rows(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     m = as_matrix(m)
     if m.size == 0:
         return empty_matrix(m.shape[1])
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    u, s, _ = _svd(m, full_matrices=False)
     r = int(np.count_nonzero(s > tol))
     if r == 0:
         return empty_matrix(m.shape[1])
@@ -98,6 +121,40 @@ def equilibrate_rows(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     return m[keep] / norms[keep, None]
 
 
+def extend_rows(basis, rows, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Append to an orthonormal row basis an orthonormal basis of what ``rows`` add.
+
+    The rows of ``basis`` must be orthonormal; they come back unchanged as
+    the first rows of the result, followed by orthonormal rows that extend
+    the span to that of ``basis`` and ``rows`` together.  ``rows`` are
+    equilibrated first (rows of norm <= tol are dropped), then projected
+    out of the basis twice: one classical Gram-Schmidt pass loses
+    orthogonality once a row is nearly in the span, two are enough
+    (Daniel, Gragg, Kaufman & Stewart 1976, Math. Comp. 30).  One SVD of
+    the residual gives the new rows, its right singular vectors for
+    singular values > tol.
+
+    Rank rule: a new direction counts when a singular value of the
+    residual exceeds tol, where a stacked factorization would compare the
+    stack's smallest singular value.  At the threshold the two agree
+    within a factor sqrt(1 + cos theta) <= sqrt(2), theta the angle
+    between the new row and the basis span.
+    """
+    basis = as_matrix(basis)
+    rows = equilibrate_rows(rows, tol)
+    if basis.shape[1] != rows.shape[1]:
+        raise DimensionMismatch(
+            f"cannot extend a basis of R^{basis.shape[1]} by rows of R^{rows.shape[1]}"
+        )
+    if rows.shape[0] == 0:
+        return basis
+    for _ in range(2):
+        rows = rows - (rows @ basis.T) @ basis
+    _, s, vt = _svd(rows, full_matrices=False)
+    r = int(np.count_nonzero(s > tol))
+    return np.vstack([basis, vt[:r]])
+
+
 def numerical_ker(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Split column-coordinate space into numerical kernel and its complement.
 
@@ -111,7 +168,7 @@ def numerical_ker(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     n = a.shape[1]
     if a.size == 0:
         return np.eye(n), np.zeros((n, 0))
-    _, s, vt = np.linalg.svd(a, full_matrices=True)
+    _, s, vt = _svd(a, full_matrices=True)
     r = int(np.count_nonzero(s > tol))
     v = vt[r:, :].T
     w = vt[:r, :].T
@@ -123,7 +180,7 @@ def row_space_basis(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     m = as_matrix(m)
     if m.size == 0:
         return empty_matrix(m.shape[1])
-    _, s, vt = np.linalg.svd(m, full_matrices=False)
+    _, s, vt = _svd(m, full_matrices=False)
     r = int(np.count_nonzero(s > tol))
     return vt[:r, :]
 
@@ -161,10 +218,10 @@ def subspace_angle(m1, m2, tol: float = DEFAULT_TOL) -> float:
     if q1.shape[0] < q2.shape[0]:
         q1, q2 = q2, q1
     cosines = q2 @ q1.T
-    sines = np.linalg.svd(q2 - cosines @ q1, compute_uv=False)
+    sines = _svd(q2 - cosines @ q1, compute_uv=False)
     if sines[0] ** 2 <= 0.5:
         return float(np.arcsin(sines[0]))
-    return float(np.arccos(np.linalg.svd(cosines, compute_uv=False)[-1]))
+    return float(np.arccos(_svd(cosines, compute_uv=False)[-1]))
 
 
 def symplectic_matrix(n: int) -> np.ndarray:

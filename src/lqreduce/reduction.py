@@ -31,9 +31,11 @@ from .constraints import (
 from .errors import NonConvergence
 from .linalg import (
     DEFAULT_TOL,
+    _svd,
     check_tol,
     empty_matrix,
     equilibrate_rows,
+    extend_rows,
     independent_rows,
     rank_tol,
 )
@@ -179,7 +181,7 @@ def step(
     sf = -c J, a signed swap of its x and p columns: s' = sf M' and
     rk' = -sf W'.
     """
-    u, sig, vt = np.linalg.svd(state.rk, full_matrices=True)
+    u, sig, vt = _svd(state.rk, full_matrices=True)
     r = int(np.count_nonzero(sig > tol))
     n = state.hess.shape[0] // 2
     hess, w, p_hess, rows = state.hess, state.w, state.p_hess, state.s
@@ -220,21 +222,24 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     One loop runs on the extended space over one independent constraint
     set, seeded with the zero-order constraints v = 0 and the primary
     constraints.  Each pass solves what it can of the current control
-    coefficients as partial feedback and folds it into the set, stacks the
-    next constraint level onto it, and counts its second-class rows as the
-    rank of their brackets.  The loop runs while some control is unsolved
-    and the previous pass raised the effective count of independent
-    constraints (rows plus two per solved control).  A regular problem
-    solves every control on its first pass, where its primary rows fold to
-    zero.  After a flat-count pass a feedback that is still solvable is
-    folded in before the loop exits, without a new constraint level.  Only
-    the final set is split into first and second class, and the
-    coisotropic columns are stripped from the reported constraint sets.
+    coefficients as partial feedback and folds it into the set, extends the
+    set, held as an orthonormal row basis, by what the next constraint
+    level adds (:func:`extend_rows` factors only the projected new rows),
+    and counts its second-class rows as the rank of their brackets.  The
+    loop runs while some control is unsolved and the previous pass raised
+    the effective count of independent constraints (rows plus two per
+    solved control).  A regular problem solves every control on its first
+    pass, where its primary rows fold to zero.  After a flat-count pass a
+    feedback that is still solvable is folded in before the loop exits,
+    without a new constraint level.  Only the final set is split into
+    first and second class, and the coisotropic columns are stripped from
+    the reported constraint sets.
 
     Raises InvalidTolerance unless ``tol`` is finite and positive, a
     ValidationError subclass for inconsistent problem data, and
-    NonConvergence if the loop exceeds 2(n + m) + 2 passes, which
-    consistent linear data cannot do.
+    NonConvergence if the loop exceeds 2(n + m) + 2 passes or the
+    effective constraint count falls, which consistent linear data cannot
+    do.
     """
     check_tol(tol)
     n, m = problem.n, problem.m
@@ -281,9 +286,16 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
                 "check the tolerance against the problem scaling"
             )
         index_k += 1
-        stack = np.vstack([phi.rows, _constraint_rows(state)])
-        phi = phi.with_rows(independent_rows(equilibrate_rows(stack, tol), tol))
+        # phi's rows are mutually orthogonal (initial set, fold output or
+        # extension), so equilibrating them yields an orthonormal basis
+        basis = equilibrate_rows(phi.rows, tol)
+        phi = phi.with_rows(extend_rows(basis, _constraint_rows(state), tol))
         counts.append(phi.n_rows + 2 * (m - state.m_cur))
+        if counts[-1] < counts[-2]:
+            raise NonConvergence(
+                f"constraint count fell from {counts[-2]} to {counts[-1]} "
+                f"at pass {index_k}; check the tolerance against the problem scaling"
+            )
         class_counts.append(_class_counts(phi, tol))
         increased = counts[-1] > counts[-2]
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lqreduce import gen_exp2, reduce, subspace_angle
+from lqreduce import gen_exp2, reduce, reduction, subspace_angle
 from lqreduce.cli import main, render_report
 
 
@@ -81,6 +81,14 @@ class TestCmdReduce:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "tolerance" in captured.err
+
+    def test_falling_constraint_count_exit_3(self, singular_file, capsys, monkeypatch):
+        # a constraint count that falls is a broken loop invariant
+        monkeypatch.setattr(reduction, "extend_rows", lambda basis, rows, tol: basis[:-1])
+        assert main(["reduce", singular_file]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "constraint count fell" in captured.err
 
 
 class TestCmdOracle:

@@ -7,10 +7,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 import lqreduce
+from lqreduce import linalg
 from lqreduce import (
     DimensionMismatch,
     EmptySubspace,
     equilibrate_rows,
+    extend_rows,
     independent_rows,
     numerical_ker,
     rank_tol,
@@ -94,6 +96,103 @@ class TestIndependentRows:
     def test_zero_collapses_to_empty(self):
         out = independent_rows(np.zeros((3, 4)), TOL)
         assert out.shape == (0, 4)
+
+
+class TestSvd:
+    @pytest.mark.parametrize(
+        "full_matrices, compute_uv",
+        [(False, True), (True, True), (True, False)],
+        ids=["thin", "full", "values"],
+    )
+    def test_retries_on_the_transpose(self, monkeypatch, rng, full_matrices, compute_uv):
+        # gesdd fails to converge on some finite matrices whose transpose it
+        # factors; fail the first call and check the swapped-back factors
+        m = rng.standard_normal((3, 5))
+        direct = np.linalg.svd(m, full_matrices=full_matrices, compute_uv=compute_uv)
+        real_svd = np.linalg.svd
+        calls = []
+
+        def flaky(a, *args, **kwargs):
+            calls.append(a.shape)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", flaky)
+        out = linalg._svd(m, full_matrices=full_matrices, compute_uv=compute_uv)
+        assert calls == [(3, 5), (5, 3)]
+        if not compute_uv:
+            assert_allclose(out, direct, atol=1e-12)
+            return
+        u, s, vt = out
+        assert [u.shape, s.shape, vt.shape] == [x.shape for x in direct]
+        assert_allclose(s, direct[1], atol=1e-12)
+        assert_allclose(u[:, :3] * s @ vt[:3], m, atol=1e-12)
+        assert_allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-12)
+        assert_allclose(vt @ vt.T, np.eye(vt.shape[0]), atol=1e-12)
+
+
+def orthonormality_error(basis):
+    return np.abs(basis @ basis.T - np.eye(basis.shape[0])).max()
+
+
+class TestExtendRows:
+    def test_keeps_basis_and_stays_orthonormal(self, rng):
+        basis = np.linalg.qr(rng.standard_normal((8, 3)))[0].T
+        rows = rng.standard_normal((4, 8)) * np.array([[1e3], [1.0], [1e-3], [5.0]])
+        out = extend_rows(basis, rows, TOL)
+        assert out.shape == (7, 8)
+        assert np.array_equal(out[:3], basis)
+        assert orthonormality_error(out) < 1e-12
+
+    def test_span_is_the_stack_span(self, rng):
+        basis = np.linalg.qr(rng.standard_normal((9, 4)))[0].T
+        rows = rng.standard_normal((3, 9))
+        out = extend_rows(basis, rows, TOL)
+        assert subspace_angle(out, np.vstack([basis, rows]), TOL) < 1e-12
+        assert subspace_angle(np.vstack([basis, rows]), out, TOL) < 1e-12
+
+    def test_rows_in_the_span_add_nothing(self, rng):
+        basis = np.linalg.qr(rng.standard_normal((6, 3)))[0].T
+        rows = rng.standard_normal((5, 3)) @ basis
+        out = extend_rows(basis, rows, TOL)
+        assert np.array_equal(out, basis)
+
+    def test_dependent_new_rows_count_once(self, rng):
+        basis = np.linalg.qr(rng.standard_normal((6, 2)))[0].T
+        row = rng.standard_normal((1, 6))
+        out = extend_rows(basis, np.vstack([row, 2.0 * row, -row]), TOL)
+        assert out.shape == (3, 6)
+
+    def test_subtolerance_rows_dropped(self):
+        basis = np.array([[1.0, 0.0, 0.0]])
+        out = extend_rows(basis, [[0.0, 1e-9, 0.0], [0.0, 0.0, 2.0]], TOL)
+        assert_allclose(np.abs(out), [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], atol=1e-15)
+
+    def test_empty_basis_or_rows(self, rng):
+        rows = rng.standard_normal((2, 5))
+        out = extend_rows(np.zeros((0, 5)), rows, TOL)
+        assert out.shape == (2, 5)
+        assert orthonormality_error(out) < 1e-12
+        assert subspace_angle(out, rows, TOL) < 1e-12
+        assert np.array_equal(extend_rows(out, np.zeros((0, 5)), TOL), out)
+        assert extend_rows(np.zeros((0, 5)), np.zeros((0, 5)), TOL).shape == (0, 5)
+
+    def test_column_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            extend_rows(np.eye(2), [[1.0, 0.0, 0.0]], TOL)
+
+    def test_long_chain_of_single_rows_stays_orthonormal(self, rng):
+        # each new row is nearly in the span, where one projection pass
+        # would lose orthogonality; the second pass keeps it at rounding
+        cols = 160
+        basis = np.zeros((0, cols))
+        for _ in range(150):
+            row = rng.standard_normal((1, basis.shape[0])) @ basis
+            row = row + 1e-4 * rng.standard_normal((1, cols))
+            basis = extend_rows(basis, row, TOL)
+        assert basis.shape == (150, cols)
+        assert orthonormality_error(basis) < 1e-12
 
 
 class TestNumericalKer:

@@ -6,6 +6,7 @@ from lqreduce import (
     compare_final_subspaces,
     gen_exp2,
     gen_exp3,
+    perturb,
     recursive_reduce,
     reduce,
     subspace_angle,
@@ -48,6 +49,13 @@ class TestRecursiveReduce:
             out = recursive_reduce(gen_exp3(n), TOL)
             assert out.index_k == n
             assert out.final_constraints.shape[0] == n
+
+    def test_svd_retry_on_long_chain(self):
+        # gesdd does not converge on a finite 128 x 241 stack of this draw;
+        # the factorization of its transpose does
+        prob = perturb(gen_exp3(120), 1e-10, seed=2880094716, preserve_structure=True)
+        out = recursive_reduce(prob, TOL)
+        assert (out.index_k, out.m_res) == (120, 1)
 
     def test_stabilization_is_genuine(self, rng):
         # one more differentiation pass of the final rows adds nothing

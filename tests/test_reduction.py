@@ -6,6 +6,7 @@ from lqreduce import (
     ConstraintMatrix,
     InvalidTolerance,
     LQProblem,
+    NonConvergence,
     StepState,
     gen_exp1,
     gen_exp2,
@@ -19,6 +20,7 @@ from lqreduce import (
     subspace_angle,
     symplectic_matrix,
 )
+from lqreduce import reduction
 from conftest import random_problem
 
 TOL = 1e-6
@@ -195,6 +197,37 @@ class TestReduceSingular:
         assert (res.index_k, res.m_res, res.rp) == (3, 40, 80)
         assert all(second % 2 == 0 for _, second in res.class_counts)
         assert res.rp == res.phi_second.shape[0]
+
+    def test_svd_retry_keeps_family1_structure(self):
+        # gesdd failed to converge on a 32 x 112 matrix of this draw's
+        # coisotropic strip once the set was kept as an orthonormal basis
+        res = reduce(perturb(gen_exp1(40, 16, 8, seed=1), 0, seed=101), TOL)
+        assert (res.index_k, res.m_res, res.rp) == (3, 16, 16)
+
+    def test_each_pass_factors_only_the_new_level(self, monkeypatch):
+        # family 3 adds one row per pass; a reduction that re-factors the
+        # whole constraint stack feeds numpy's SVD many-row inputs with
+        # 2n + 2m columns, one that extends a row basis only single rows
+        n = 40
+        real_svd = np.linalg.svd
+        shapes = []
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        res = reduce(gen_exp3(n), TOL)
+        assert res.index_k == n
+        wide = [shape for shape in shapes if shape[1] == 2 * n + 2]
+        assert wide and all(rows == 1 for rows, _ in wide)
+
+    def test_falling_count_raises(self, monkeypatch):
+        # a pass that loses a row the set already held breaks the invariant
+        # the stopping rule relies on; it must not exit as a flat count
+        monkeypatch.setattr(reduction, "extend_rows", lambda basis, rows, tol: basis[:-1])
+        with pytest.raises(NonConvergence, match="fell"):
+            reduce(gen_exp3(4), TOL)
 
     def test_reduced_field_blocks_consistent(self, rng):
         prob = random_problem(rng, 4, 2, singular_r=True)

@@ -9,7 +9,6 @@ class split of the constraints.
 """
 
 from .classify import (
-    ClassifiedConstraints,
     poisson_brackets,
     split_first_second,
 )
@@ -52,7 +51,6 @@ from .linalg import (
     symplectic_matrix,
 )
 from .model import (
-    ExtendedPoint,
     InitialMatrices,
     LQProblem,
     initial_matrices,
@@ -66,12 +64,10 @@ __all__ = [
     "DEFAULT_TOL",
     "AsymmetricQ",
     "AsymmetricR",
-    "ClassifiedConstraints",
     "ConstraintMatrix",
     "DimensionMismatch",
     "EmptySubspace",
     "ExperimentRecord",
-    "ExtendedPoint",
     "InitialMatrices",
     "InsufficientData",
     "InvalidShape",

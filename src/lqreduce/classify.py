@@ -8,33 +8,10 @@ are never evaluated pointwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .constraints import ConstraintMatrix
-from .linalg import DEFAULT_TOL, numerical_ker
-
-
-@dataclass(frozen=True)
-class ClassifiedConstraints:
-    """Result of splitting a constraint set by the kernel of its brackets.
-
-    ``first_class`` rows commute (to tolerance) with every constraint;
-    ``second_class`` rows carry an invertible bracket pairing and always
-    come in pairs.
-    """
-
-    first_class: np.ndarray
-    second_class: np.ndarray
-
-    @property
-    def n_first(self) -> int:
-        return self.first_class.shape[0]
-
-    @property
-    def n_second(self) -> int:
-        return self.second_class.shape[0]
+from .linalg import DEFAULT_TOL, numerical_ker, rank_tol
 
 
 def poisson_brackets(phi: ConstraintMatrix) -> np.ndarray:
@@ -56,17 +33,24 @@ def poisson_brackets(phi: ConstraintMatrix) -> np.ndarray:
     return (poi - poi.T) / 2.0
 
 
+def class_counts(phi: ConstraintMatrix, tol: float = DEFAULT_TOL) -> tuple[int, int]:
+    """First- and second-class row counts; the latter is the bracket rank."""
+    second = rank_tol(poisson_brackets(phi), tol)
+    return phi.n_rows - second, second
+
+
 def split_first_second(
     phi: ConstraintMatrix, tol: float = DEFAULT_TOL
-) -> ClassifiedConstraints:
-    """Split independent constraint rows into first and second class.
+) -> tuple[ConstraintMatrix, ConstraintMatrix]:
+    """Split independent constraint rows into ``(first, second)`` class.
 
     The kernel basis v of the bracket matrix gives the first-class
-    combinations v' phi; the orthonormal completion w (from the same SVD)
-    gives the second-class combinations w' phi.
+    combinations v' phi, which commute (to tolerance) with every
+    constraint; the orthonormal completion w (from the same SVD) gives the
+    second-class combinations w' phi, which carry an invertible bracket
+    pairing and so always come in pairs.  Both come back as constraint
+    sets over the coordinates of ``phi``.
     """
     poi = poisson_brackets(phi)
     ker, compl = numerical_ker(poi, tol)
-    first = ker.T @ phi.rows
-    second = compl.T @ phi.rows
-    return ClassifiedConstraints(first_class=first, second_class=second)
+    return phi.with_rows(ker.T @ phi.rows), phi.with_rows(compl.T @ phi.rows)

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DimensionMismatch, EmptySubspace, InsufficientData, InvalidShape
 from .linalg import DEFAULT_TOL, subspace_angle
 from .model import LQProblem
-from .reduction import ReductionResult, reduce
+from .reduction import reduce
 
 
 @dataclass(frozen=True)
@@ -179,15 +179,6 @@ def make_problem(family: int, n: int, r: int | None = None, l: int | None = None
     raise InvalidShape(f"unknown experiment family {family!r}")
 
 
-def sweep_alpha(exact_rows: np.ndarray, perturbed: ReductionResult,
-                tol: float = DEFAULT_TOL) -> float | None:
-    """Angle to the exact final constraint rows, or None when not computable."""
-    try:
-        return subspace_angle(exact_rows, perturbed.final_constraints(), tol)
-    except (DimensionMismatch, EmptySubspace):
-        return None
-
-
 def run_sweep(
     family: int,
     n: int,
@@ -200,8 +191,11 @@ def run_sweep(
     """Reduce the exact problem once, then once per perturbation size.
 
     Every delta derives its own perturbation seed from (seed, index), so
-    records do not depend on evaluation order.
+    records do not depend on evaluation order.  A record's alpha is None
+    when the angle is not computable.
     """
+    if seed < 0:
+        raise InvalidShape(f"seed must be a nonnegative integer, got {seed}")
     deltas = [float(d) for d in deltas]
     if not deltas or not all(np.isfinite(d) and d >= 0 for d in deltas):
         raise InvalidShape("deltas must be a nonempty list of finite nonnegative reals")
@@ -215,7 +209,10 @@ def run_sweep(
             preserve_structure=(family == 3),
         )
         pert = reduce(pert_problem, tol)
-        alpha = sweep_alpha(exact_rows, pert, tol)
+        try:
+            alpha = subspace_angle(exact_rows, pert.final_constraints(), tol)
+        except (DimensionMismatch, EmptySubspace):
+            alpha = None
         records.append(
             ExperimentRecord(
                 n=n,
@@ -236,15 +233,19 @@ def fit_loglog_slope(records) -> float:
     """Least-squares slope of log10(alpha) against log10(delta).
 
     Only computable records (finite alpha > 0, delta > 0) enter the fit;
-    fewer than two of them raise InsufficientData.
+    unless they cover at least two distinct deltas, InsufficientData is
+    raised (a fit through one abscissa has no slope).
     """
     pts = [
         (np.log10(rec.delta), np.log10(rec.alpha))
         for rec in records
         if rec.alpha is not None and rec.alpha > 0.0 and rec.delta > 0.0
     ]
-    if len(pts) < 2:
-        raise InsufficientData(f"need at least 2 computable records, got {len(pts)}")
+    distinct = len({x for x, _ in pts})
+    if distinct < 2:
+        raise InsufficientData(
+            f"need computable records at 2 distinct deltas, got {distinct}"
+        )
     xs, ys = zip(*pts)
     slope, _ = np.polyfit(xs, ys, 1)
     return float(slope)

@@ -150,9 +150,7 @@ def extend_rows(basis, rows, tol: float = DEFAULT_TOL) -> np.ndarray:
         return basis
     for _ in range(2):
         rows = rows - (rows @ basis.T) @ basis
-    _, s, vt = _svd(rows, full_matrices=False)
-    r = int(np.count_nonzero(s > tol))
-    return np.vstack([basis, vt[:r]])
+    return np.vstack([basis, row_space_basis(rows, tol)])
 
 
 def numerical_ker(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

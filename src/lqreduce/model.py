@@ -68,30 +68,6 @@ class LQProblem:
 
 
 @dataclass(frozen=True)
-class ExtendedPoint:
-    """A point (x, p, u, v) of the symplectically extended space.
-
-    ``v`` holds the coordinates conjugate to the controls; it defaults to
-    zero, which is where the original problem lives inside the extension.
-    """
-
-    x: np.ndarray
-    p: np.ndarray
-    u: np.ndarray
-    v: np.ndarray | None = None
-
-    def __post_init__(self):
-        for attr in ("x", "p", "u"):
-            object.__setattr__(
-                self, attr, np.asarray(getattr(self, attr), dtype=float).reshape(-1)
-            )
-        v = self.v
-        if v is None:
-            v = np.zeros_like(self.u)
-        object.__setattr__(self, "v", np.asarray(v, dtype=float).reshape(-1))
-
-
-@dataclass(frozen=True)
 class InitialMatrices:
     """Seed matrices of the reduction.
 
@@ -132,19 +108,20 @@ def validate(problem: LQProblem) -> None:
         raise AsymmetricR("control-cost matrix R is not symmetric")
 
 
-def pontryagin_hamiltonian(problem: LQProblem, pt: ExtendedPoint) -> float:
+def pontryagin_hamiltonian(problem: LQProblem, x, p, u) -> float:
     """Evaluate H(x, p, u) = p'(Ax + Bu) - x'Qx/2 - x'Nu - u'Ru/2.
 
-    The coisotropic coordinates of ``pt`` do not enter: the extension term
-    vanishes on v = 0 and the arbitrary extension functions are never
-    materialized.
+    ``x``, ``p`` and ``u`` are flattened to vectors of n, n and m floats.
+    The coisotropic coordinates v of the extended space do not enter: the
+    extension term vanishes on v = 0 and the arbitrary extension functions
+    are never materialized.
     """
     n, m = problem.n, problem.m
-    if pt.x.shape != (n,) or pt.p.shape != (n,) or pt.u.shape != (m,):
+    x, p, u = (np.asarray(a, dtype=float).reshape(-1) for a in (x, p, u))
+    if x.shape != (n,) or p.shape != (n,) or u.shape != (m,):
         raise DimensionMismatch(
-            f"point shapes {pt.x.shape}/{pt.p.shape}/{pt.u.shape} do not match n={n}, m={m}"
+            f"point shapes {x.shape}/{p.shape}/{u.shape} do not match n={n}, m={m}"
         )
-    x, p, u = pt.x, pt.p, pt.u
     drift = problem.A @ x + problem.B @ u
     cost = 0.5 * x @ problem.Q @ x + x @ problem.N @ u + 0.5 * u @ problem.R @ u
     return float(p @ drift - cost)
@@ -167,7 +144,6 @@ def initial_matrices(problem: LQProblem) -> InitialMatrices:
 
 __all__ = [
     "LQProblem",
-    "ExtendedPoint",
     "InitialMatrices",
     "validate",
     "pontryagin_hamiltonian",

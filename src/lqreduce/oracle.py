@@ -41,8 +41,6 @@ class OracleResult:
     final_constraints: np.ndarray
     index_k: int
     m_res: int
-    n: int
-    m: int
 
 
 def recursive_reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> OracleResult:
@@ -78,8 +76,6 @@ def recursive_reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> OracleResu
                 final_constraints=rows,
                 index_k=index_k,
                 m_res=m - rank_tol(rows[:, two_n:], tol),
-                n=n,
-                m=m,
             )
         rows = stacked
         index_k += 1

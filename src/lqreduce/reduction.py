@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import poisson_brackets, split_first_second
+from .classify import class_counts, split_first_second
 from .constraints import (
     ConstraintMatrix,
     apply_feedback_to_constraints,
@@ -37,7 +37,6 @@ from .linalg import (
     equilibrate_rows,
     extend_rows,
     independent_rows,
-    rank_tol,
 )
 from .model import LQProblem, initial_matrices
 
@@ -210,12 +209,6 @@ def _constraint_rows(state: StepState) -> np.ndarray:
     return np.hstack([state.s, -state.rk, np.zeros((l, state.m_cur))])
 
 
-def _class_counts(phi: ConstraintMatrix, tol: float) -> tuple[int, int]:
-    """First- and second-class row counts; the latter is the bracket rank."""
-    second = rank_tol(poisson_brackets(phi), tol)
-    return phi.n_rows - second, second
-
-
 def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     """Reduce an LQ problem to its consistent Hamiltonian form.
 
@@ -261,7 +254,7 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     zero_order = np.hstack([np.zeros((m, two_n + m)), np.eye(m)])
     phi = ConstraintMatrix(np.vstack([zero_order, _constraint_rows(state)]), n, m)
     counts = [phi.n_rows]
-    class_counts = [_class_counts(phi, tol)]
+    pass_classes = [class_counts(phi, tol)]
     feedback_ranks: list[int] = []
 
     index_k = 0
@@ -296,13 +289,11 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
                 f"constraint count fell from {counts[-2]} to {counts[-1]} "
                 f"at pass {index_k}; check the tolerance against the problem scaling"
             )
-        class_counts.append(_class_counts(phi, tol))
+        pass_classes.append(class_counts(phi, tol))
         increased = counts[-1] > counts[-2]
 
     # rp, the rank of the bracket matrix, is the second-class row count
-    split = split_first_second(phi, tol)
-    phi1 = phi.with_rows(split.first_class)
-    phi2 = phi.with_rows(split.second_class)
+    phi1, phi2 = split_first_second(phi, tol)
 
     feedtot = np.vstack(feed_blocks) if feed_blocks else empty_matrix(two_n)
     feedsel = np.vstack(sel_blocks) if sel_blocks else empty_matrix(m)
@@ -311,7 +302,7 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     return ReductionResult(
         index_k=index_k,
         m_res=state.m_cur,
-        rp=split.n_second,
+        rp=phi2.n_rows,
         feedtot=feedtot,
         feedsel=feedsel,
         nofeed=nofeed,
@@ -327,7 +318,7 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
         bu=w[n:],
         nu=-w[:n],
         constraint_counts=tuple(counts),
-        class_counts=tuple(class_counts),
+        class_counts=tuple(pass_classes),
         feedback_ranks=tuple(feedback_ranks),
         n=n,
         m=m,

@@ -9,6 +9,7 @@ from lqreduce import (
     split_first_second,
     subspace_angle,
 )
+from lqreduce.classify import class_counts
 
 TOL = 1e-6
 
@@ -50,22 +51,22 @@ class TestPoissonBrackets:
 class TestSplitFirstSecond:
     def test_commuting_pair_all_first_class(self):
         phi = cm([[0, 0, 0, 1], [0, 1, 0, 0]], n=1, m_cur=1)
-        out = split_first_second(phi, TOL)
-        assert out.n_first == 2 and out.n_second == 0
+        first, second = split_first_second(phi, TOL)
+        assert first.n_rows == 2 and second.n_rows == 0
 
     def test_canonical_pair_all_second_class(self):
         phi = cm([[0, 0, 0, 1], [0, 0, 1, 0]], n=1, m_cur=1)
-        out = split_first_second(phi, TOL)
-        assert out.n_first == 0 and out.n_second == 2
+        first, second = split_first_second(phi, TOL)
+        assert first.n_rows == 0 and second.n_rows == 2
 
     def test_mixed_set(self):
         # {x, p, v}: v commutes with everything, (x, p) pair up
         phi = cm([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]], n=1, m_cur=1)
-        out = split_first_second(phi, TOL)
-        assert out.n_first == 1 and out.n_second == 2
-        assert subspace_angle(out.first_class, [[0, 0, 0, 1]], TOL) < 1e-10
+        first, second = split_first_second(phi, TOL)
+        assert first.n_rows == 1 and second.n_rows == 2
+        assert subspace_angle(first.rows, [[0, 0, 0, 1]], TOL) < 1e-10
         assert subspace_angle(
-            out.second_class, [[1, 0, 0, 0], [0, 1, 0, 0]], TOL
+            second.rows, [[1, 0, 0, 0], [0, 1, 0, 0]], TOL
         ) < 1e-10
 
     def test_counts_partition_rows(self, rng):
@@ -74,9 +75,10 @@ class TestSplitFirstSecond:
             m = int(rng.integers(0, 3))
             q = int(rng.integers(1, 2 * n + 2 * m + 1))
             phi = cm(rng.standard_normal((q, 2 * n + 2 * m)), n, m)
-            out = split_first_second(phi, TOL)
-            assert out.n_first + out.n_second == q
-            assert out.n_second % 2 == 0
+            first, second = split_first_second(phi, TOL)
+            assert first.n_rows + second.n_rows == q
+            assert second.n_rows % 2 == 0
+            assert class_counts(phi, TOL) == (first.n_rows, second.n_rows)
 
     def test_first_class_kernel_residual(self, rng):
         for _ in range(20):

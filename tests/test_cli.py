@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -196,6 +197,25 @@ class TestCmdExperiment:
         err = capsys.readouterr().err
         assert err.startswith("error: deltas must be")
         assert "matrix" not in err
+
+    def test_repeated_deltas_print_no_slope(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(
+                ["experiment", "--family", "2", "--n", "4", "--deltas", "1e-8,1e-8"]
+            ) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.strip().split("\n")
+        assert len(lines) == 4  # comment, header, 2 rows
+        assert not any(line.startswith("# slope=") for line in lines)
+        assert captured.err == ""
+
+    def test_negative_seed_exit_2(self, capsys):
+        assert main(
+            ["experiment", "--family", "2", "--n", "4", "--seed", "-1"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be")
 
     def test_json_format(self, capsys):
         assert main(

@@ -177,6 +177,10 @@ class TestRunSweep:
             with pytest.raises(InvalidShape, match="deltas"):
                 run_sweep(2, 4, [1e-10, bad], seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidShape, match="seed"):
+            run_sweep(2, 4, [1e-10], seed=-1)
+
 
 class TestFitLoglogSlope:
     @staticmethod
@@ -203,3 +207,9 @@ class TestFitLoglogSlope:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
             fit_loglog_slope(self._records([(1e-10, 1e-10)]))
+
+    def test_repeated_delta_has_no_slope(self):
+        # two computable records at one delta give no abscissa spread
+        recs = self._records([(1e-8, 1e-8), (1e-8, 3e-9), (1e-7, None)])
+        with pytest.raises(InsufficientData):
+            fit_loglog_slope(recs)

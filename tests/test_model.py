@@ -6,7 +6,6 @@ from lqreduce import (
     AsymmetricQ,
     AsymmetricR,
     DimensionMismatch,
-    ExtendedPoint,
     LQProblem,
     NonFiniteEntry,
     initial_matrices,
@@ -68,25 +67,24 @@ class TestValidate:
 class TestHamiltonian:
     def test_zero_point(self):
         p = minimal_problem()
-        pt = ExtendedPoint(x=[0.0], p=[0.0], u=[0.0])
-        assert pontryagin_hamiltonian(p, pt) == 0.0
+        assert pontryagin_hamiltonian(p, x=[0.0], p=[0.0], u=[0.0]) == 0.0
 
     def test_scalar_expansion_control_cost(self):
         # H = p(Ax+Bu) - u^2/2 at (x,p,u) = (0,1,1) with A=0,B=1,R=1
         p = LQProblem(A=[[0.0]], B=[[1.0]], Q=[[0.0]], N=[[0.0]], R=[[1.0]])
-        got = pontryagin_hamiltonian(p, ExtendedPoint(x=[0.0], p=[1.0], u=[1.0]))
+        got = pontryagin_hamiltonian(p, x=[0.0], p=[1.0], u=[1.0])
         assert_allclose(got, 0.5)
 
     def test_scalar_expansion_state_cost(self):
         # H = p*x - x^2 at (1,1,0) with A=1, Q=2
         p = LQProblem(A=[[1.0]], B=[[0.0]], Q=[[2.0]], N=[[0.0]], R=[[0.0]])
-        got = pontryagin_hamiltonian(p, ExtendedPoint(x=[1.0], p=[1.0], u=[0.0]))
+        got = pontryagin_hamiltonian(p, x=[1.0], p=[1.0], u=[0.0])
         assert_allclose(got, 0.0)
 
     def test_dimension_mismatch(self):
         p = minimal_problem()
         with pytest.raises(DimensionMismatch):
-            pontryagin_hamiltonian(p, ExtendedPoint(x=[0.0, 0.0], p=[0.0], u=[0.0]))
+            pontryagin_hamiltonian(p, x=[0.0, 0.0], p=[0.0], u=[0.0])
 
 
 class TestInitialMatrices:
@@ -150,9 +148,7 @@ class TestHamiltonEquationsConsistency:
             u = rng.standard_normal(m)
 
             def ham(z):
-                return pontryagin_hamiltonian(
-                    prob, ExtendedPoint(x=z[:n], p=z[n:], u=u)
-                )
+                return pontryagin_hamiltonian(prob, x=z[:n], p=z[n:], u=u)
 
             grad = _fd_gradient(ham, np.concatenate([x, p]))
             expected = np.concatenate([grad[n:], -grad[:n]])
@@ -170,7 +166,7 @@ class TestHamiltonEquationsConsistency:
             u = rng.standard_normal(m)
 
             def ham(w):
-                return pontryagin_hamiltonian(prob, ExtendedPoint(x=x, p=p, u=w))
+                return pontryagin_hamiltonian(prob, x=x, p=p, u=w)
 
             grad_u = _fd_gradient(ham, u.copy())
             expected = init.s1 @ np.concatenate([x, p]) - init.r1 @ u

@@ -57,6 +57,19 @@ class TestRecursiveReduce:
         out = recursive_reduce(prob, TOL)
         assert (out.index_k, out.m_res) == (120, 1)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the oracle takes an extra pass on some gen_exp3(2) draws "
+        "near the rank tolerance (3 rows, m_res 0, at an angle of 7e-16)",
+    )
+    def test_family3_n2_draw_matches_reduction(self):
+        prob = perturb(gen_exp3(2), 1e-10, seed=7, preserve_structure=True)
+        res = reduce(prob, TOL)
+        assert (res.index_k, res.m_res, res.rp) == (2, 1, 0)
+        out = recursive_reduce(prob, TOL)
+        assert (out.index_k, out.m_res) == (2, 1)
+        assert out.final_constraints.shape[0] == 2
+
     def test_stabilization_is_genuine(self, rng):
         # one more differentiation pass of the final rows adds nothing
         from lqreduce import equilibrate_rows, independent_rows, initial_matrices

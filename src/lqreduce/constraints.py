@@ -17,6 +17,7 @@ from .linalg import (
     as_matrix,
     equilibrate_rows,
     independent_rows,
+    row_space_basis,
 )
 
 
@@ -78,7 +79,10 @@ def apply_feedback_to_constraints(
     ``v_rot``; the solved control columns are substituted into the (x, p)
     block; the solved coisotropic columns are dropped outright (those
     coordinates vanish on the zero-order constraints).  Rows that become
-    dependent (or zero) are removed.
+    dependent (or zero) are removed, and the set comes back as an
+    orthonormal basis of what survives (right singular vectors of the
+    equilibrated rows for singular values > tol), the form in which
+    :func:`~lqreduce.reduction.reduce` holds its constraint set.
     """
     v_rot = as_matrix(v_rot)
     feed = as_matrix(feed) if np.asarray(feed).size else np.zeros((r, 2 * phi.n))
@@ -95,9 +99,8 @@ def apply_feedback_to_constraints(
     u_rot = phi.u_block @ v_rot
     v_cois = phi.v_block @ v_rot
     xp = phi.xp + u_rot[:, :r] @ feed
-    rows = np.hstack([xp, u_rot[:, r:], v_cois[:, r:]])
-    rows = independent_rows(equilibrate_rows(rows, tol), tol)
-    return ConstraintMatrix(rows, phi.n, phi.m_cur - r)
+    rows = equilibrate_rows(np.hstack([xp, u_rot[:, r:], v_cois[:, r:]]), tol)
+    return ConstraintMatrix(row_space_basis(rows, tol), phi.n, phi.m_cur - r)
 
 
 def strip_coisotropic(phi: ConstraintMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -49,6 +49,16 @@ def _seeded_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
+def _check_seed(seed) -> None:
+    """Raise InvalidShape unless ``seed`` is a nonnegative integer.
+
+    numpy's SeedSequence takes only those; without the check a bad seed
+    surfaces as its bare ValueError or TypeError.
+    """
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise InvalidShape(f"seed must be a nonnegative integer, got {seed}")
+
+
 def gen_exp1(n: int, r: int, l: int, seed: int = 0) -> LQProblem:
     """Family 1: square control space, rank-r cost R, two feedback levels.
 
@@ -63,6 +73,7 @@ def gen_exp1(n: int, r: int, l: int, seed: int = 0) -> LQProblem:
         raise InvalidShape(f"need 0 < r <= n, got r={r}, n={n}")
     if not (0 < l <= n) or (r < n and r + l > n):
         raise InvalidShape(f"need 0 < l and r + l <= n, got r={r}, l={l}, n={n}")
+    _check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     u = _seeded_orthogonal(rng, n)
     s_vals = np.zeros(n)
@@ -142,6 +153,7 @@ def perturb(
     """
     if not (np.isfinite(delta) and delta >= 0):
         raise InvalidShape(f"need a finite delta >= 0, got {delta}")
+    _check_seed(seed)
     if delta == 0.0:
         return problem
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
@@ -194,8 +206,7 @@ def run_sweep(
     records do not depend on evaluation order.  A record's alpha is None
     when the angle is not computable.
     """
-    if seed < 0:
-        raise InvalidShape(f"seed must be a nonnegative integer, got {seed}")
+    _check_seed(seed)
     deltas = [float(d) for d in deltas]
     if not deltas or not all(np.isfinite(d) and d >= 0 for d in deltas):
         raise InvalidShape("deltas must be a nonempty list of finite nonnegative reals")

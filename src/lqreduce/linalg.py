@@ -88,8 +88,17 @@ def independent_rows(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Replace ``m`` by r mutually orthogonal rows spanning its row space.
 
     r is the numerical rank of ``m``; the rows returned are the first r rows
-    of U^T m from the SVD of m.  Rank-zero input collapses to the empty
-    matrix, so "numerically zero" and "empty" behave identically downstream.
+    of U^T m from the SVD of m, so they keep the data's scale (row i has
+    norm sigma_i).  Rank-zero input collapses to the empty matrix, so
+    "numerically zero" and "empty" behave identically downstream.
+
+    The primary rows that seed the step recursion of ``reduce`` and the
+    recursive oracle's stack take these data-scaled rows, because their
+    later rank decisions compare singular values at the data's scale.
+    ``reduce``'s own constraint set is held orthonormal instead
+    (:func:`row_space_basis`, :func:`extend_rows`); the coisotropic strip
+    and the final-constraint accessors apply this routine to equilibrated
+    rows.
     """
     m = as_matrix(m)
     if m.size == 0:

@@ -212,13 +212,15 @@ def _constraint_rows(state: StepState) -> np.ndarray:
 def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     """Reduce an LQ problem to its consistent Hamiltonian form.
 
-    One loop runs on the extended space over one independent constraint
-    set, seeded with the zero-order constraints v = 0 and the primary
-    constraints.  Each pass solves what it can of the current control
-    coefficients as partial feedback and folds it into the set, extends the
-    set, held as an orthonormal row basis, by what the next constraint
-    level adds (:func:`extend_rows` factors only the projected new rows),
-    and counts its second-class rows as the rank of their brackets.  The
+    One loop runs on the extended space over one constraint set, held as
+    an orthonormal row basis from seed to split.  The seed, the zero-order
+    constraints v = 0 and the primary constraints, is normalized once.
+    Each pass solves what it can of the current control coefficients as
+    partial feedback and folds it into the set (the fold returns an
+    orthonormal basis), extends the set by what the next constraint level
+    adds (:func:`extend_rows` factors only the projected new rows), and
+    counts its second-class rows as the rank of their brackets; pass 0 is
+    counted on the normalized seed, like every later pass.  The
     loop runs while some control is unsolved and the previous pass raised
     the effective count of independent constraints (rows plus two per
     solved control).  A regular problem solves every control on its first
@@ -250,9 +252,13 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     sel_blocks: list[np.ndarray] = []
     nofeed = np.eye(m)
 
-    # constraint set on the extended space: zero-order rows, then primaries
+    # constraint set on the extended space: zero-order rows, then primaries.
+    # The two blocks share no nonzero column and the rows of sr are
+    # sigma_i v_i' with sigma_i > tol, so normalizing them once gives the
+    # orthonormal basis that every later pass keeps
     zero_order = np.hstack([np.zeros((m, two_n + m)), np.eye(m)])
-    phi = ConstraintMatrix(np.vstack([zero_order, _constraint_rows(state)]), n, m)
+    seed = np.vstack([zero_order, _constraint_rows(state)])
+    phi = ConstraintMatrix(equilibrate_rows(seed, tol), n, m)
     counts = [phi.n_rows]
     pass_classes = [class_counts(phi, tol)]
     feedback_ranks: list[int] = []
@@ -279,10 +285,7 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
                 "check the tolerance against the problem scaling"
             )
         index_k += 1
-        # phi's rows are mutually orthogonal (initial set, fold output or
-        # extension), so equilibrating them yields an orthonormal basis
-        basis = equilibrate_rows(phi.rows, tol)
-        phi = phi.with_rows(extend_rows(basis, _constraint_rows(state), tol))
+        phi = phi.with_rows(extend_rows(phi.rows, _constraint_rows(state), tol))
         counts.append(phi.n_rows + 2 * (m - state.m_cur))
         if counts[-1] < counts[-2]:
             raise NonConvergence(

@@ -56,6 +56,19 @@ class TestApplyFeedback:
         )
         assert out.n_rows == 0
 
+    def test_output_is_orthonormal(self, rng):
+        # the fold hands reduce an orthonormal basis, whatever the scale of
+        # the rows it folds
+        n, m_cur, r = 3, 3, 1
+        scales = np.array([[1e-3], [1.0], [10.0], [1e3], [1.0]])
+        rows = scales * rng.standard_normal((5, 2 * n + 2 * m_cur))
+        v_rot, _ = np.linalg.qr(rng.standard_normal((m_cur, m_cur)))
+        feed = rng.standard_normal((r, 2 * n))
+        out = apply_feedback_to_constraints(cm(rows, n, m_cur), v_rot, feed, r, TOL)
+        assert out.n_rows == 5
+        gram = out.rows @ out.rows.T
+        assert np.linalg.norm(gram - np.eye(out.n_rows)) <= 1e-12
+
     def test_shape_errors(self):
         phi = cm([[0, 0, 1, 0]], n=1, m_cur=1)
         with pytest.raises(DimensionMismatch):

@@ -59,6 +59,10 @@ class TestGenExp1:
         with pytest.raises(InvalidShape):
             gen_exp1(8, 5, 4)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidShape, match="seed must be a nonnegative integer, got -1"):
+            gen_exp1(6, 3, 2, seed=-1)
+
     def test_deterministic(self):
         a = gen_exp1(6, 3, 2, seed=7)
         b = gen_exp1(6, 3, 2, seed=7)
@@ -129,6 +133,10 @@ class TestPerturb:
         for delta in (-1.0, np.nan, np.inf):
             with pytest.raises(InvalidShape):
                 perturb(gen_exp2(3), delta)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidShape, match="seed must be a nonnegative integer, got -1"):
+            perturb(gen_exp2(4), 1e-8, seed=-1)
 
 
 class TestRunSweep:

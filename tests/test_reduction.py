@@ -8,6 +8,7 @@ from lqreduce import (
     LQProblem,
     NonConvergence,
     StepState,
+    extend_rows,
     gen_exp1,
     gen_exp2,
     gen_exp3,
@@ -31,6 +32,10 @@ ABSOLUTE_TOL_LIMIT = pytest.mark.xfail(
     reason="rank decisions use an absolute tolerance, so cost scaling past "
     "about 1e5 loses second-class pairs (ROADMAP item 2)",
 )
+
+
+def orthonormality_error(rows):
+    return np.linalg.norm(rows @ rows.T - np.eye(rows.shape[0]))
 
 
 def regular_1x1():
@@ -228,6 +233,42 @@ class TestReduceSingular:
         monkeypatch.setattr(reduction, "extend_rows", lambda basis, rows, tol: basis[:-1])
         with pytest.raises(NonConvergence, match="fell"):
             reduce(gen_exp3(4), TOL)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pass0_classified_like_later_passes(self, seed):
+        # every pass classifies an orthonormal basis, pass 0 included; on
+        # brackets of primary rows at their data scale a perturbation at the
+        # tolerance moved this draw's pass-0 split away from the exact one
+        exact = reduce(gen_exp1(24, 9, 7, seed=seed), TOL)
+        assert exact.class_counts[0] == (30, 18)
+        res = reduce(perturb(gen_exp1(24, 9, 7, seed=seed), 1e-6, seed=seed), TOL)
+        assert res.class_counts[0] == exact.class_counts[0]
+
+    def test_constraint_set_orthonormal_from_seed_to_split(self, monkeypatch, rng):
+        # reduce hands extend_rows its constraint set as it holds it, with no
+        # re-normalization, so the set must be an orthonormal basis at every
+        # pass: after the seed, after each fold and after each extension
+        bases = []
+
+        def recording(basis, rows, tol):
+            bases.append(basis)
+            return extend_rows(basis, rows, tol)
+
+        monkeypatch.setattr(reduction, "extend_rows", recording)
+        problems = [
+            random_problem(
+                rng, int(rng.integers(2, 9)), int(rng.integers(1, 5)), singular_r=True
+            )
+            for _ in range(25)
+        ]
+        problems += [gen_exp1(16, 6, 4, seed=1), gen_exp2(12), gen_exp3(10)]
+        problems.append(perturb(gen_exp1(8, 3, 2), 1e-6, seed=25))  # fold exit
+        for prob in problems:
+            res = reduce(prob, TOL)
+            for phi in (res.phi_first_ext, res.phi_second_ext):
+                assert orthonormality_error(phi.rows) <= 1e-12
+        assert len(bases) > len(problems)
+        assert max(orthonormality_error(basis) for basis in bases) <= 1e-12
 
     def test_reduced_field_blocks_consistent(self, rng):
         prob = random_problem(rng, 4, 2, singular_r=True)

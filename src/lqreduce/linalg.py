@@ -75,11 +75,17 @@ def _svd(m: np.ndarray, full_matrices: bool = True, compute_uv: bool = True):
 def rank_tol(m, tol: float = DEFAULT_TOL) -> int:
     """Number of singular values of ``m`` strictly greater than ``tol``.
 
-    An empty matrix has rank 0.
+    An empty matrix has rank 0.  Since sigma_max <= ||m||_F, a Frobenius
+    norm <= tol gives rank 0 without an SVD, the same answer the singular
+    values would give.  A NaN norm, or one that overflows to inf, fails
+    that test and takes the SVD.
     """
     m = as_matrix(m)
     if m.size == 0:
         return 0
+    with np.errstate(over="ignore"):
+        if np.linalg.norm(m) <= tol:
+            return 0
     s = _svd(m, compute_uv=False)
     return int(np.count_nonzero(s > tol))
 

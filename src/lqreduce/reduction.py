@@ -9,7 +9,12 @@ updated) flow.  Constraints are propagated on the symplectically extended
 space (x, p, u, v), and the iteration stops once the count of independent
 constraints (including those consumed by feedback, two per solved control)
 stabilizes or every control is solved.  Each pass counts second-class rows
-as the rank of their Poisson brackets; only the final set is split.
+as the rank of their Poisson brackets; only the final set is split.  The
+bracket matrix is carried from pass to pass and bordered by the brackets of
+each pass's new rows; a feedback fold changes coordinates, so the count after
+it rebuilds the matrix in full.  Rank 0 is decided from the matrix's
+Frobenius norm without an SVD, which covers every pass of a chain whose
+brackets vanish.
 
 The loop holds the Hessian blocks of the running quadratic Hamiltonian
 rather than its vector field G = -J M, so J G = M is symmetric by
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import class_counts, split_first_second
+from .classify import class_counts, extend_brackets, split_first_second
 from .constraints import (
     ConstraintMatrix,
     apply_feedback_to_constraints,
@@ -220,15 +225,19 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     orthonormal basis), extends the set by what the next constraint level
     adds (:func:`extend_rows` factors only the projected new rows), and
     counts its second-class rows as the rank of their brackets; pass 0 is
-    counted on the normalized seed, like every later pass.  The
-    loop runs while some control is unsolved and the previous pass raised
-    the effective count of independent constraints (rows plus two per
-    solved control).  A regular problem solves every control on its first
-    pass, where its primary rows fold to zero.  After a flat-count pass a
-    feedback that is still solvable is folded in before the loop exits,
-    without a new constraint level.  Only the final set is split into
-    first and second class, and the coisotropic columns are stripped from
-    the reported constraint sets.
+    counted on the normalized seed, like every later pass.  The bracket
+    matrix is carried between folds, where each pass adds only the brackets
+    of its new rows (:func:`extend_brackets`), and rebuilt at the first
+    count after a fold; a bracket matrix of Frobenius norm <= tol counts
+    rank 0 without an SVD.  The loop runs while some control is unsolved
+    and the previous pass raised the effective count of independent
+    constraints (rows plus two per solved control).  A regular problem
+    solves every control on its first pass, where its primary rows fold to
+    zero.  After a flat-count pass a feedback that is still solvable is
+    folded in before the loop exits, without a new constraint level.  Only
+    the final set is split into first and second class, from a bracket
+    matrix built afresh, and the coisotropic columns are stripped from the
+    reported constraint sets.
 
     Raises InvalidTolerance unless ``tol`` is finite and positive, a
     ValidationError subclass for inconsistent problem data, and
@@ -260,7 +269,8 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     seed = np.vstack([zero_order, _constraint_rows(state)])
     phi = ConstraintMatrix(equilibrate_rows(seed, tol), n, m)
     counts = [phi.n_rows]
-    pass_classes = [class_counts(phi, tol)]
+    poi = extend_brackets(None, phi)
+    pass_classes = [class_counts(poi, tol)]
     feedback_ranks: list[int] = []
 
     index_k = 0
@@ -277,6 +287,7 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
             sel_blocks.append(v_rot.T[:r] @ nofeed)
             nofeed = (v_rot.T @ nofeed)[r:]
             phi = apply_feedback_to_constraints(phi, v_rot, feed, r, tol)
+            poi = None  # new coordinates; the next count rebuilds the brackets
         if not increased:
             break  # after a flat count, fold in what is solvable, no level
         if index_k >= cap:
@@ -292,7 +303,8 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
                 f"constraint count fell from {counts[-2]} to {counts[-1]} "
                 f"at pass {index_k}; check the tolerance against the problem scaling"
             )
-        pass_classes.append(class_counts(phi, tol))
+        poi = extend_brackets(poi, phi)
+        pass_classes.append(class_counts(poi, tol))
         increased = counts[-1] > counts[-2]
 
     # rp, the rank of the bracket matrix, is the second-class row count

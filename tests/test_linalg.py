@@ -48,6 +48,51 @@ class TestRankTol:
             assert rank_tol(qn @ a, TOL) == rank_tol(a, TOL)
             assert rank_tol(a @ qm, TOL) == rank_tol(a, TOL)
 
+    # rank 0 is decided from the Frobenius norm before any SVD; near the
+    # threshold the decision must stay the plain singular-value count
+
+    @staticmethod
+    def svd_count(m, tol):
+        return int(np.count_nonzero(np.linalg.svd(m, compute_uv=False) > tol))
+
+    def test_norm_exactly_at_tol(self):
+        m = np.diag([TOL, 0.0])
+        assert np.linalg.norm(m) == TOL
+        assert rank_tol(m, TOL) == self.svd_count(m, TOL) == 0
+
+    def test_norm_above_tol_with_every_singular_value_below(self, monkeypatch):
+        m = np.diag([0.8, 0.8]) * TOL
+        assert np.linalg.norm(m) > TOL
+        assert self.svd_count(m, TOL) == 0
+        calls = []
+        real_svd = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        assert rank_tol(m, TOL) == 0
+        assert calls == [(2, 2)]
+
+    @pytest.mark.parametrize(
+        "sigma, rank", [(TOL * (1 + 1e-9), 1), (TOL * (1 - 1e-9), 0)]
+    )
+    def test_rank_one_at_the_threshold(self, rng, sigma, rank):
+        u = rng.standard_normal(4)
+        v = rng.standard_normal(3)
+        m = sigma * np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v))
+        assert rank_tol(m, TOL) == self.svd_count(m, TOL) == rank
+
+    def test_nan_input_still_fails_in_the_svd(self):
+        # a NaN norm fails the zero test, so the SVD sees the NaN as before
+        with pytest.raises(np.linalg.LinAlgError):
+            rank_tol([[np.nan, 0.0], [0.0, 1.0]], TOL)
+
+    def test_overflowing_norm_takes_the_svd_without_warning(self):
+        # the Frobenius norm of these entries overflows to inf
+        assert rank_tol([[1e200, 1e200], [1e200, 0.0]], TOL) == 2
+
 
 def gram_schmidt_rows(m, drop_tol=1e-10):
     """Independent row-space oracle used to cross-check independent_rows."""

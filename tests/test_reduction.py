@@ -21,7 +21,7 @@ from lqreduce import (
     subspace_angle,
     symplectic_matrix,
 )
-from lqreduce import reduction
+from lqreduce import classify, reduction
 from conftest import random_problem
 
 TOL = 1e-6
@@ -226,6 +226,65 @@ class TestReduceSingular:
         assert res.index_k == n
         wide = [shape for shape in shapes if shape[1] == 2 * n + 2]
         assert wide and all(rows == 1 for rows, _ in wide)
+
+    def test_bracket_matrix_built_once_per_fold(self, monkeypatch):
+        # the bracket matrix is carried between folds and only bordered by
+        # each pass's new rows; family 3 solves no control and its brackets
+        # vanish, so the only full bracket matrices are pass 0's and the
+        # split's, and the only square SVD of more than 2 rows is the split's
+        prob = perturb(gen_exp3(40), 1e-10, seed=0, preserve_structure=True)
+        real_svd = np.linalg.svd
+        real_brackets = classify.poisson_brackets
+        square, built = [], []
+
+        def recording_svd(a, *args, **kwargs):
+            rows, cols = np.shape(a)
+            if rows == cols > 2:
+                square.append(rows)
+            return real_svd(a, *args, **kwargs)
+
+        def recording_brackets(phi):
+            built.append(phi.n_rows)
+            return real_brackets(phi)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        monkeypatch.setattr(classify, "poisson_brackets", recording_brackets)
+        res = reduce(prob, TOL)
+        folds = sum(r > 0 for r in res.feedback_ranks)
+        assert res.index_k == 40
+        assert len(built) == 1 + folds + 1
+        q = res.phi_first_ext.n_rows + res.phi_second_ext.n_rows
+        assert square == [q]
+
+    def test_carried_bracket_matrix_is_the_fresh_one(self, monkeypatch, rng):
+        # every count sees the brackets of the set it counts: bordered by
+        # the new rows between folds, rebuilt in full after one
+        seen = []
+
+        def recording(poi, phi):
+            out = classify.extend_brackets(poi, phi)
+            seen.append((poi is None, phi, out))
+            return out
+
+        monkeypatch.setattr(reduction, "extend_brackets", recording)
+        # folds at passes 1 and 3, so both counts after them rebuild
+        res = reduce(gen_exp1(24, 9, 6), TOL)
+        assert res.feedback_ranks == (9, 0, 6)
+        assert [rebuilt for rebuilt, _, _ in seen] == [True, True, False, True]
+        problems = [
+            random_problem(
+                rng, int(rng.integers(2, 9)), int(rng.integers(1, 5)), singular_r=True
+            )
+            for _ in range(25)
+        ]
+        problems.append(perturb(gen_exp3(25), 1e-10, seed=0, preserve_structure=True))
+        for prob in problems:
+            reduce(prob, TOL)
+        for _, phi, poi in seen:
+            fresh = poisson_brackets(phi)
+            bound = 1e-13 * max(1.0, np.linalg.norm(fresh))
+            assert np.linalg.norm(poi - fresh) <= bound
+        assert sum(not rebuilt for rebuilt, _, _ in seen) > 25
 
     def test_falling_count_raises(self, monkeypatch):
         # a pass that loses a row the set already held breaks the invariant

@@ -1,9 +1,12 @@
 """Structure snapshot: `reduce`'s counts on a fixed inventory of problems.
 
 For each problem the snapshot holds (index_k, m_res, rp, constraint_counts,
-class_counts, feedback_ranks).  The inventory covers seeded random singular
-problems, families 1-3 perturbed below the rank tolerance, and tiny
-perturbations of family 3 at n = 2.  Perturbations at or above the
+class_counts, feedback_ranks) and the row counts of the stripped sets
+phi_first and phi_second and of final_constraints_original_controls(); the
+coisotropic strip depends on the basis it is given, so a change of basis
+inside `reduce` can move those counts alone.  The inventory covers seeded
+random singular problems, families 1-3 perturbed below the rank tolerance,
+and tiny perturbations of family 3 at n = 2.  Perturbations at or above the
 tolerance are left out: there the structure breaks down by design.
 
 A change to `reduce` that is meant to keep the structure must leave every
@@ -59,6 +62,9 @@ def structure(res):
         list(res.constraint_counts),
         [list(c) for c in res.class_counts],
         list(res.feedback_ranks),
+        res.phi_first.shape[0],
+        res.phi_second.shape[0],
+        res.final_constraints_original_controls().shape[0],
     ]
 
 

@@ -98,10 +98,10 @@ def independent_rows(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     norm sigma_i).  Rank-zero input collapses to the empty matrix, so
     "numerically zero" and "empty" behave identically downstream.
 
-    The primary rows that seed the step recursion of ``reduce`` and the
-    recursive oracle's stack take these data-scaled rows, because their
-    later rank decisions compare singular values at the data's scale.
-    ``reduce``'s own constraint set is held orthonormal instead
+    The primary rows that seed the step recursion of ``reduce`` take these
+    data-scaled rows, because its later rank decisions compare singular
+    values at the data's scale.  The constraint sets of ``reduce`` and of
+    the recursive oracle are held orthonormal instead
     (:func:`row_space_basis`, :func:`extend_rows`); the coisotropic strip
     and the final-constraint accessors apply this routine to equilibrated
     rows.

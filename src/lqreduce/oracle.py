@@ -1,17 +1,25 @@
 """Plain recursive constraints algorithm, used as an independent reference.
 
 No feedback, no symplectic extension: the dynamics G0, Z0 are never
-modified.  At each pass the full accumulated constraint set over (x, p, u)
-is differentiated along the flow with a free control derivative; the
-conditions that no choice of control derivative can absorb (the left null
-space of the stacked control coefficients) become the next constraints.
-The two algorithms find the same final subspace, which is what
-:func:`compare_final_subspaces` measures.
+modified.  The constraints over (x, p, u) are differentiated along the flow
+with a free control derivative; the combinations that no choice of control
+derivative can absorb (those whose u-block vanishes) become the next
+constraints (Rabier & Rheinboldt 1994, J. Differential Equations 109).
+
+The constraint set is held as one orthonormal row basis that each pass
+extends (:func:`~lqreduce.linalg.extend_rows`).  A zero-u combination of
+rows held before the last pass was differentiated on an earlier pass, so
+each pass differentiates only the new zero-u combinations: those of the
+rows it added and of the rows whose u-block has full row rank.  Candidates
+come from unit rows, so they are judged at the scale of what was
+differentiated.  The two algorithms find the same final subspace, which is
+what :func:`compare_final_subspaces` measures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -19,19 +27,24 @@ from .errors import NonConvergence
 from .linalg import (
     DEFAULT_TOL,
     check_tol,
-    equilibrate_rows,
-    independent_rows,
+    empty_matrix,
+    extend_rows,
     numerical_ker,
     rank_tol,
+    row_space_basis,
     subspace_angle,
 )
 from .model import LQProblem, initial_matrices
-from .reduction import ReductionResult
+
+if TYPE_CHECKING:
+    from .reduction import ReductionResult
 
 
 @dataclass(frozen=True)
 class OracleResult:
     """Final constraint rows over (x, p, u) and the recursive index.
+
+    The rows of final_constraints are orthonormal.
 
     m_res counts the controls the final rows leave free,
     m - rank(final_constraints[:, 2n:]); it is the oracle's side of the
@@ -58,26 +71,28 @@ def recursive_reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> OracleResu
     init = initial_matrices(problem)
     g0, z0 = init.g0, init.z0
 
-    rows = independent_rows(np.hstack([init.s1, -init.r1]), tol)
+    rows = row_space_basis(np.hstack([init.s1, -init.r1]), tol)
     index_k = 1 if rows.shape[0] else 0
+    # piv: rows of the span whose u-block has full row rank; new: the rows
+    # the last pass added.  Every other row of the span has a zero u-block
+    # and was differentiated on an earlier pass.
+    piv, new = empty_matrix(rows.shape[1]), rows
     cap = 2 * n + m + 2
     for _ in range(cap):
-        s_all = rows[:, :two_n]
-        p_all = rows[:, two_n:]
-        # conditions not absorbable by any control derivative
-        ker, _ = numerical_ker(p_all.T, tol)
-        w = ker.T
-        candidates = w @ np.hstack([s_all @ g0, s_all @ z0])
-        stacked = independent_rows(
-            equilibrate_rows(np.vstack([rows, candidates]), tol), tol
-        )
-        if stacked.shape[0] == rows.shape[0]:
+        block = np.vstack([piv, new])
+        # combinations no control derivative can absorb
+        ker, compl = numerical_ker(block[:, two_n:].T, tol)
+        zero_u = ker.T @ block[:, :two_n]
+        piv = compl.T @ block
+        held = rows.shape[0]
+        rows = extend_rows(rows, np.hstack([zero_u @ g0, zero_u @ z0]), tol)
+        new = rows[held:]
+        if new.shape[0] == 0:
             return OracleResult(
                 final_constraints=rows,
                 index_k=index_k,
                 m_res=m - rank_tol(rows[:, two_n:], tol),
             )
-        rows = stacked
         index_k += 1
     raise NonConvergence(f"recursive constraint chain exceeded {cap} passes")
 

@@ -147,6 +147,22 @@ class TestCmdOracle:
         assert doc["oracle_constraint_rows"] == oracle_rows
         assert rows == oracle_rows
 
+    def test_oracle_family3_n2_draw_matches(self, tmp_path, capsys):
+        # a tiny draw near the rank tolerance, where a full-stack oracle took
+        # a spurious extra pass
+        from lqreduce import gen_exp3, perturb
+
+        p = perturb(gen_exp3(2), 1e-10, seed=7, preserve_structure=True)
+        path = write_problem(
+            tmp_path / "exp3.json",
+            p.A.tolist(), p.B.tolist(), p.Q.tolist(), p.N.tolist(), p.R.tolist(),
+        )
+        assert main(["oracle", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["oracle_index_k"] == doc["index_k"]
+        assert doc["oracle_m_res"] == doc["m_res"]
+        assert doc["oracle_constraint_rows"] == doc["constraint_rows"]
+
 
 class TestCmdExperiment:
     def test_csv_shape_and_slope(self, capsys):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InsufficientData, LQReduceError, NonConvergence, ValidationError
 from .experiments import fit_loglog_slope, run_sweep
-from .linalg import DEFAULT_TOL, subspace_angle
+from .linalg import DEFAULT_TOL, principal_angle
 from .model import LQProblem
 from .oracle import recursive_reduce
 from .reduction import ReductionResult, reduce
@@ -129,10 +129,11 @@ def _cmd_oracle(args) -> int:
     problem = load_problem(args.path)
     result = reduce(problem, tol=args.tol)
     ref = recursive_reduce(problem, tol=args.tol)
-    # the same rows compare_final_subspaces re-inflates, computed once
+    # the same orthonormal rows compare_final_subspaces re-inflates,
+    # computed once; both sides are orthonormal, so neither is re-factored
     rows = result.final_constraints_original_controls()
     try:
-        angle_out = subspace_angle(ref.final_constraints, rows, tol=args.tol)
+        angle_out = principal_angle(ref.final_constraints, rows)
     except LQReduceError:
         angle_out = "not computable"
     doc = {

@@ -103,8 +103,8 @@ def independent_rows(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     values at the data's scale.  The constraint sets of ``reduce`` and of
     the recursive oracle are held orthonormal instead
     (:func:`row_space_basis`, :func:`extend_rows`); the coisotropic strip
-    and the final-constraint accessors apply this routine to equilibrated
-    rows.
+    and ``ReductionResult.final_constraints`` apply this routine to
+    equilibrated rows.
     """
     m = as_matrix(m)
     if m.size == 0:
@@ -198,34 +198,33 @@ def row_space_basis(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     return vt[:r, :]
 
 
-def subspace_angle(m1, m2, tol: float = DEFAULT_TOL) -> float:
-    """Largest principal angle between the row spaces of ``m1`` and ``m2``.
+def principal_angle(q1, q2) -> float:
+    """Largest principal angle between the spans of two orthonormal row sets.
 
-    Returns an angle in [0, pi/2]; 0 exactly when the row spaces coincide
-    (within ``tol``).  When the ranks differ, the angle is taken over the
-    min(rank1, rank2) principal angle pairs, matching how perturbed and
-    exact constraint sets of different sizes are compared.
+    The rows of ``q1`` and of ``q2`` must each be orthonormal; nothing is
+    re-factored, so no rank is decided here.  Returns an angle in
+    [0, pi/2].  When the row counts differ, the angle is taken over the
+    min(rows1, rows2) principal angle pairs.
 
     Computed with the combined sine/cosine recipe of Knyazev & Argentati
     (2002, SIAM J. Sci. Comput. 23(6)): the sines, singular values of the
     smaller basis minus its projection onto the larger one, resolve angles
     far below 1e-8 where a pure arccos of cosines saturates; the cosines,
     singular values of the cross products of the bases, are accurate for
-    angles above pi/4.
+    angles above pi/4.  Only the sines are factored unless the angle
+    exceeds pi/4.
 
     Raises:
-        DimensionMismatch: column counts differ (the two matrices live in
+        DimensionMismatch: column counts differ (the two sets live in
             different coordinate spaces, so no angle exists).
-        EmptySubspace: either argument has numerical rank 0.
+        EmptySubspace: either set has no rows.
     """
-    m1 = as_matrix(m1)
-    m2 = as_matrix(m2)
-    if m1.shape[1] != m2.shape[1]:
+    q1 = as_matrix(q1)
+    q2 = as_matrix(q2)
+    if q1.shape[1] != q2.shape[1]:
         raise DimensionMismatch(
-            f"cannot compare subspaces of R^{m1.shape[1]} and R^{m2.shape[1]}"
+            f"cannot compare subspaces of R^{q1.shape[1]} and R^{q2.shape[1]}"
         )
-    q1 = row_space_basis(m1, tol)
-    q2 = row_space_basis(m2, tol)
     if q1.shape[0] == 0 or q2.shape[0] == 0:
         raise EmptySubspace("subspace angle against a rank-zero matrix")
     if q1.shape[0] < q2.shape[0]:
@@ -235,6 +234,35 @@ def subspace_angle(m1, m2, tol: float = DEFAULT_TOL) -> float:
     if sines[0] ** 2 <= 0.5:
         return float(np.arcsin(sines[0]))
     return float(np.arccos(_svd(cosines, compute_uv=False)[-1]))
+
+
+def subspace_angle(m1, m2, tol: float = DEFAULT_TOL) -> float:
+    """Largest principal angle between the row spaces of ``m1`` and ``m2``.
+
+    Returns an angle in [0, pi/2]; 0 exactly when the row spaces coincide
+    (within ``tol``).  When the ranks differ, the angle is taken over the
+    min(rank1, rank2) principal angle pairs, matching how perturbed and
+    exact constraint sets of different sizes are compared.
+
+    Each argument is reduced to an orthonormal basis of its row space at
+    ``tol`` (:func:`row_space_basis`) and the two bases are handed to
+    :func:`principal_angle`.  This is the route for rows of any scale;
+    callers that already hold orthonormal rows call
+    :func:`principal_angle` and skip the two factorizations.
+
+    Raises:
+        DimensionMismatch: column counts differ (the two matrices live in
+            different coordinate spaces, so no angle exists).
+        EmptySubspace: either argument has numerical rank 0.
+    """
+    m1 = as_matrix(m1)
+    m2 = as_matrix(m2)
+    # checked before factoring: sweeps compare sets of different widths
+    if m1.shape[1] != m2.shape[1]:
+        raise DimensionMismatch(
+            f"cannot compare subspaces of R^{m1.shape[1]} and R^{m2.shape[1]}"
+        )
+    return principal_angle(row_space_basis(m1, tol), row_space_basis(m2, tol))
 
 
 def symplectic_matrix(n: int) -> np.ndarray:

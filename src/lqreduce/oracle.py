@@ -30,9 +30,9 @@ from .linalg import (
     empty_matrix,
     extend_rows,
     numerical_ker,
+    principal_angle,
     rank_tol,
     row_space_basis,
-    subspace_angle,
 )
 from .model import LQProblem, initial_matrices
 
@@ -97,18 +97,21 @@ def recursive_reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> OracleResu
     raise NonConvergence(f"recursive constraint chain exceeded {cap} passes")
 
 
-def compare_final_subspaces(
-    a: OracleResult, b: ReductionResult, tol: float = DEFAULT_TOL
-) -> float:
+def compare_final_subspaces(a: OracleResult, b: ReductionResult) -> float:
     """Largest principal angle between the two final constraint subspaces.
 
     The reduction result is re-inflated to (x, p, u) coordinates (residual
     controls pulled back through nofeed, solved controls re-expressed as
-    feedback relations) and compared against the oracle rows.
+    feedback relations) and compared against the oracle rows.  Both sides
+    are orthonormal row sets, so only the reconstruction is factored, at
+    the reduction's own tolerance, and the angle is taken with
+    :func:`~lqreduce.linalg.principal_angle`; no rank is decided here.
+    The result agrees to rounding with
+    :func:`~lqreduce.linalg.subspace_angle` of the same two row sets.
 
     Raises DimensionMismatch when the reconstructions live in spaces of
     different dimension, and EmptySubspace when either side carries no
     constraints: both map to a "not computable" comparison.
     """
     reconstructed = b.final_constraints_original_controls()
-    return subspace_angle(a.final_constraints, reconstructed, tol)
+    return principal_angle(a.final_constraints, reconstructed)

@@ -17,8 +17,8 @@ Frobenius norm without an SVD, which covers every pass of a chain whose
 brackets vanish.
 
 The loop holds the Hessian blocks of the running quadratic Hamiltonian
-rather than its vector field G = -J M, so J G = M is symmetric by
-construction.
+rather than its vector field G = -J M, so J G = M is symmetric to
+rounding.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .linalg import (
     equilibrate_rows,
     extend_rows,
     independent_rows,
+    row_space_basis,
 )
 from .model import LQProblem, initial_matrices
 
@@ -53,7 +54,7 @@ class StepState:
     hess, w and p_hess are the Hessian blocks of the running Hamiltonian
     H = z'(hess)z/2 + z'(w)u + u'(p_hess)u/2 over z = (x; p) and the
     remaining m_cur controls, where (x; p)' = G (x; p) + Z u is the field
-    they define: hess = J G (2n x 2n, symmetric by construction), w = J Z
+    they define: hess = J G (2n x 2n, symmetric to rounding), w = J Z
     (2n x m_cur) and p_hess = d2H/du2 (initially -R).  s/rk are the
     coefficients of the current constraint level s (x; p) - rk u = 0.
     """
@@ -144,7 +145,9 @@ class ReductionResult:
         Residual-control columns are pulled back through nofeed and the
         feedback relations feedsel . u - feedtot . (x; p) = 0 are appended,
         so the rows cut out the same subspace of R^{2n+m} that the plain
-        recursive algorithm finds.
+        recursive algorithm finds.  The rows returned are orthonormal: the
+        right singular vectors of the equilibrated stack for singular
+        values > tol, the same rank decision as :meth:`final_constraints`.
         """
         two_n = 2 * self.n
         blocks = []
@@ -157,7 +160,7 @@ class ReductionResult:
             blocks.append(np.hstack([-self.feedtot, self.feedsel]))
         if not blocks:
             return empty_matrix(two_n + self.m)
-        return independent_rows(
+        return row_space_basis(
             equilibrate_rows(np.vstack(blocks), self.tol), self.tol
         )
 
@@ -178,12 +181,14 @@ def step(
     Eliminating the solved controls from the quadratic Hamiltonian
     H = z'Mz/2 + z'Wu + u'Pu/2 (z = (x; p), M = hess, W = w, P = p_hess)
     gives, in rotated control blocks, M' = M + W1 F + F'W1' + F'P11 F,
-    W' = W2 + F'P12 and P' = P22.  Its field z' = -J (M' z + W' u) agrees
-    with the bare substitution of the feedback on the constraint subspace
-    (they differ by multiples of already-found constraints).  A row c
-    acting on z therefore has the time derivative sf (M' z + W' u) with
-    sf = -c J, a signed swap of its x and p columns: s' = sf M' and
-    rk' = -sf W'.
+    W' = W2 + F'P12 and P' = P22.  M' is formed as one rank-2r product
+    M + [K, F'] [F; K'] with K = W1 + F'P11/2, which also averages P11's
+    rounding asymmetry out of it, so M' is symmetric to rounding.  Its
+    field z' = -J (M' z + W' u) agrees with the bare substitution of the
+    feedback on the constraint subspace (they differ by multiples of
+    already-found constraints).  A row c acting on z therefore has the
+    time derivative sf (M' z + W' u) with sf = -c J, a signed swap of its
+    x and p columns: s' = sf M' and rk' = -sf W'.
     """
     u, sig, vt = _svd(state.rk, full_matrices=True)
     r = int(np.count_nonzero(sig > tol))
@@ -196,10 +201,9 @@ def step(
         v_rot = vt.T
         w_rot = w @ v_rot
         p_rot = v_rot.T @ p_hess @ v_rot
-        # the explicit symmetrizations remove rounding asymmetry only
-        wf = w_rot[:, :r] @ feed
-        hess = hess + wf + wf.T + feed.T @ (p_rot[:r, :r] @ feed)
-        hess = (hess + hess.T) / 2.0
+        # K F + F'K' = W1 F + F'W1' + F'(P11 + P11')/2 F
+        k = w_rot[:, :r] + (feed.T @ p_rot[:r, :r]) / 2.0
+        hess = hess + np.hstack([k, feed.T]) @ np.vstack([feed, k.T])
         w = w_rot[:, r:] + feed.T @ p_rot[:r, r:]
         p_hess = (p_rot[r:, r:] + p_rot[r:, r:].T) / 2.0
         rows = u[:, r:].T @ state.s

@@ -205,7 +205,7 @@ def test_criterion_7_oracle_equivalence():
         m = int(rng.integers(1, 5))
         prob = random_problem(rng, n, m, singular_r=True)
         angle = compare_final_subspaces(
-            recursive_reduce(prob, TOL), reduce(prob, TOL), TOL
+            recursive_reduce(prob, TOL), reduce(prob, TOL)
         )
         worst = max(worst, angle)
         assert angle < 1e-8, f"trial {trial}: angle {angle:.2e}"

@@ -302,7 +302,12 @@ class TestSubspaceAngle:
         got = subspace_angle([[1.0, 0.0]], [[1.0, 1e-8]], TOL)
         assert_allclose(got, np.arctan(1e-8), rtol=1e-12)
 
-    def test_dimension_mismatch(self):
+    def test_dimension_mismatch(self, monkeypatch):
+        # raised before either argument is factored
+        def no_svd(*args, **kwargs):
+            raise AssertionError("factored a matrix of the wrong width")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
         with pytest.raises(DimensionMismatch):
             subspace_angle([[1.0, 0.0]], [[1.0, 0.0, 0.0]], TOL)
 

@@ -126,7 +126,13 @@ class TestRecursiveReduce:
             )
             if got != want:
                 moved[label] = (got, want)
-            worst = max(worst, compare_final_subspaces(out, res, TOL))
+            angle = compare_final_subspaces(out, res)
+            # the orthonormal-row route agrees with the public reference
+            reference = subspace_angle(
+                out.final_constraints, res.final_constraints_original_controls(), TOL
+            )
+            assert abs(angle - reference) <= 1e-12, label
+            worst = max(worst, angle)
         assert moved == {}
         assert worst <= 1e-6
 
@@ -135,13 +141,13 @@ class TestCompareFinalSubspaces:
     def test_regular_same_problem(self, rng):
         prob = random_problem(rng, 3, 2, spd_r=True)
         assert compare_final_subspaces(
-            recursive_reduce(prob, TOL), reduce(prob, TOL), TOL
+            recursive_reduce(prob, TOL), reduce(prob, TOL)
         ) < 1e-10
 
     def test_singular_same_problem(self):
         prob = LQProblem(A=[[0.0]], B=[[1.0]], Q=[[1.0]], N=[[0.0]], R=[[0.0]])
         assert compare_final_subspaces(
-            recursive_reduce(prob, TOL), reduce(prob, TOL), TOL
+            recursive_reduce(prob, TOL), reduce(prob, TOL)
         ) < 1e-8
 
     def test_dimension_mismatch_raised(self, rng):
@@ -150,7 +156,7 @@ class TestCompareFinalSubspaces:
         p1 = random_problem(rng, 2, 1, spd_r=True)
         p2 = random_problem(rng, 2, 2, spd_r=True)
         with pytest.raises(DimensionMismatch):
-            compare_final_subspaces(recursive_reduce(p1, TOL), reduce(p2, TOL), TOL)
+            compare_final_subspaces(recursive_reduce(p1, TOL), reduce(p2, TOL))
 
     def test_mismatched_problems_detected(self):
         # orthogonal primary constraints: p1 = 0 versus p2 = 0
@@ -158,7 +164,7 @@ class TestCompareFinalSubspaces:
         p1 = LQProblem(A=np.zeros((2, 2)), B=[[1.0], [0.0]], **common)
         p2 = LQProblem(A=np.zeros((2, 2)), B=[[0.0], [1.0]], **common)
         angle = compare_final_subspaces(
-            recursive_reduce(p1, TOL), reduce(p2, TOL), TOL
+            recursive_reduce(p1, TOL), reduce(p2, TOL)
         )
         assert angle > 0.1
 
@@ -168,13 +174,37 @@ class TestCompareFinalSubspaces:
                 rng, int(rng.integers(2, 7)), int(rng.integers(1, 5)), singular_r=True
             )
             angle = compare_final_subspaces(
-                recursive_reduce(prob, TOL), reduce(prob, TOL), TOL
+                recursive_reduce(prob, TOL), reduce(prob, TOL)
             )
             assert angle < 1e-8
 
     def test_known_families_agree(self):
         for prob in (gen_exp2(5), gen_exp3(5)):
             angle = compare_final_subspaces(
-                recursive_reduce(prob, TOL), reduce(prob, TOL), TOL
+                recursive_reduce(prob, TOL), reduce(prob, TOL)
             )
             assert angle < 1e-8
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda: perturb(gen_exp1(24, 9, 6), 1e-8, seed=3),
+            lambda: perturb(gen_exp3(40), 1e-10, seed=0, preserve_structure=True),
+        ],
+        ids=["family1", "family3"],
+    )
+    def test_factors_only_the_reconstruction(self, draw, monkeypatch):
+        # both row sets are orthonormal, so the comparison factors the
+        # reconstruction and the sines, never either set a second time
+        prob = draw()
+        out, res = recursive_reduce(prob, TOL), reduce(prob, TOL)
+        real_svd = np.linalg.svd
+        calls = []
+
+        def recording(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        assert compare_final_subspaces(out, res) < 1e-6
+        assert len(calls) == 2

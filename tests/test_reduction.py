@@ -82,6 +82,28 @@ class TestStep:
         assert new.s.shape == (0, 4)
         assert feed.shape == (2, 4)
 
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_fold_matches_four_term_update(self, r, rng):
+        # M' = M + W1 F + F'W1' + F'P11 F, symmetrized, is the fold's update;
+        # P is given a small asymmetric part that both forms average out
+        n, m = 5, 4
+        a = rng.standard_normal((2 * n, 2 * n))
+        p_hess = rng.standard_normal((m, m))
+        st = StepState(
+            hess=a + a.T,
+            w=rng.standard_normal((2 * n, m)),
+            s=rng.standard_normal((m, 2 * n)),
+            rk=rng.standard_normal((m, r)) @ rng.standard_normal((r, m)),
+            p_hess=p_hess + p_hess.T + 1e-3 * p_hess,
+        )
+        new, feed, v_rot, got_r = step(st, TOL)
+        assert got_r == r
+        w1 = (st.w @ v_rot)[:, :r]
+        p11 = (v_rot.T @ st.p_hess @ v_rot)[:r, :r]
+        want = st.hess + w1 @ feed + feed.T @ w1.T + feed.T @ p11 @ feed
+        want = (want + want.T) / 2.0
+        assert np.linalg.norm(new.hess - want) <= 1e-13 * np.linalg.norm(want)
+
     def test_partial_rank_splits(self):
         j = symplectic_matrix(2)
         st = StepState(
@@ -176,6 +198,31 @@ class TestReduceSingular:
             g = np.block([[res.ax, res.ap], [res.qx, res.qp]])
             jg = symplectic_matrix(prob.n) @ g
             assert np.linalg.norm(jg - jg.T) <= 1e-10 * (1 + np.linalg.norm(g))
+
+    @pytest.mark.parametrize(
+        "base", [lambda: gen_exp1(160, 80, 40), lambda: gen_exp2(640)],
+        ids=["family1", "family2"],
+    )
+    def test_large_folded_field_is_hamiltonian(self, base):
+        # the folds leave J G symmetric to rounding on large problems
+        prob = perturb(base(), 1e-10, seed=0)
+        res = reduce(prob, TOL)
+        assert sum(res.feedback_ranks) > 0
+        g = np.block([[res.ax, res.ap], [res.qx, res.qp]])
+        jg = symplectic_matrix(prob.n) @ g
+        assert np.linalg.norm(jg - jg.T) <= 1e-13 * (1 + np.linalg.norm(g))
+
+    def test_original_control_rows_are_orthonormal(self, rng):
+        problems = [
+            random_problem(rng, 4, 3, singular_r=True),
+            perturb(gen_exp1(24, 9, 6), 1e-8, seed=3),
+            perturb(gen_exp2(30), 1e-10, seed=0),
+            perturb(gen_exp3(40), 1e-10, seed=0, preserve_structure=True),
+        ]
+        for prob in problems:
+            rows = reduce(prob, TOL).final_constraints_original_controls()
+            assert rows.shape[0] > 0
+            assert orthonormality_error(rows) <= 1e-12
 
     def test_feedback_completeness(self, rng):
         # solved combination directions plus residual selectors span R^m

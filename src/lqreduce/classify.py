@@ -9,8 +9,9 @@ A set that only grows by appended rows keeps its bracket matrix as the
 leading block of the next one, so :func:`extend_brackets` computes only the
 brackets of the new rows; a change of coordinates (a feedback fold) needs a
 full rebuild.  Counting classes takes the rank of that matrix, and rank 0 is
-decided from its Frobenius norm without an SVD.  The final split builds its
-matrix afresh and takes its kernel from one SVD.
+decided from its Frobenius norm without an SVD.  The final split takes the
+same matrix, the one the last count saw, and its kernel from one SVD, so
+split and count read one matrix with one rank rule.
 """
 
 from __future__ import annotations
@@ -90,17 +91,20 @@ def class_counts(poi: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[int, int]:
 
 
 def split_first_second(
-    phi: ConstraintMatrix, tol: float = DEFAULT_TOL
+    phi: ConstraintMatrix, poi: np.ndarray, tol: float = DEFAULT_TOL
 ) -> tuple[ConstraintMatrix, ConstraintMatrix]:
     """Split independent constraint rows into ``(first, second)`` class.
 
-    The kernel basis v of the bracket matrix gives the first-class
-    combinations v' phi, which commute (to tolerance) with every
-    constraint; the orthonormal completion w (from the same SVD) gives the
-    second-class combinations w' phi, which carry an invertible bracket
-    pairing and so always come in pairs.  Both come back as constraint
-    sets over the coordinates of ``phi``.
+    ``poi`` is the bracket matrix of the rows of ``phi``, as
+    :func:`poisson_brackets` or :func:`extend_brackets` returns it; the
+    split does not rebuild it, so the second-class count is the rank
+    :func:`class_counts` reads from the same matrix.  The kernel basis v of
+    ``poi`` gives the first-class combinations v' phi, which commute (to
+    tolerance) with every constraint; the orthonormal completion w (from
+    the same SVD) gives the second-class combinations w' phi, which carry
+    an invertible bracket pairing and so always come in pairs.  Both come
+    back as constraint sets over the coordinates of ``phi``; orthonormal
+    rows of ``phi`` give orthonormal rows in both.
     """
-    poi = poisson_brackets(phi)
     ker, compl = numerical_ker(poi, tol)
     return phi.with_rows(ker.T @ phi.rows), phi.with_rows(compl.T @ phi.rows)

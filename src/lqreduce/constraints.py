@@ -83,6 +83,16 @@ def apply_feedback_to_constraints(
     orthonormal basis of what survives (right singular vectors of the
     equilibrated rows for singular values > tol), the form in which
     :func:`~lqreduce.reduction.reduce` holds its constraint set.
+
+    Unlike :func:`strip_coisotropic`, the fold equilibrates before its rank
+    decision: substituting the feedback leaves rows that are neither
+    orthonormal nor of comparable norm (their (x, p) part grows with the
+    feedback gain), so their unscaled singular values mix that gain into
+    the decision.  Without the equilibration, counts move away from the
+    exact problem's: the last constraint count of
+    ``perturb(gen_exp1(16, 6, 4, seed=3), 1e-6, seed=3)`` goes from 45 to
+    46, and that of ``gen_exp1(8, 3, 2)`` with its cost scaled by 1e9 from
+    23 to 24.
     """
     v_rot = as_matrix(v_rot)
     feed = as_matrix(feed) if np.asarray(feed).size else np.zeros((r, 2 * phi.n))
@@ -109,6 +119,13 @@ def strip_coisotropic(phi: ConstraintMatrix, tol: float = DEFAULT_TOL) -> np.nda
     Drops the coisotropic columns and re-independentizes; rows that were
     pure v-coordinate directions vanish.  Returns a plain matrix with
     2n + m_cur columns.
+
+    The rows of ``phi`` are orthonormal (``reduce`` holds its set that way
+    and splits it with orthogonal transforms), so the singular values of
+    the projection are the same in any basis of the span of ``phi``, and
+    the rank decision, made on the projection as it is, does not depend on
+    which basis it was handed.  Rescaling the projected rows to unit norm
+    first, as the fold does, would make the count depend on that basis.
     """
     kept = phi.rows[:, : 2 * phi.n + phi.m_cur]
-    return independent_rows(equilibrate_rows(kept, tol), tol)
+    return independent_rows(kept, tol)

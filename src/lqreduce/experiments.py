@@ -179,11 +179,17 @@ def sweep_child_seed(seed: int, index: int) -> int:
 
 def make_problem(family: int, n: int, r: int | None = None, l: int | None = None,
                  seed: int = 0) -> LQProblem:
-    """Build the exact problem of one family; family 1 needs r and l."""
+    """Build the exact problem of one family; family 1 needs r and l.
+
+    Families 2 and 3 take no r or l: a value given for either raises
+    InvalidShape rather than being ignored.
+    """
     if family == 1:
         if r is None or l is None:
             raise InvalidShape("family 1 needs the rank r and truncation l")
         return gen_exp1(n, r, l, seed)
+    if family in (2, 3) and (r is not None or l is not None):
+        raise InvalidShape(f"family {family} takes no r or l, got r={r}, l={l}")
     if family == 2:
         return gen_exp2(n)
     if family == 3:

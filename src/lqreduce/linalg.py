@@ -2,8 +2,10 @@
 
 All rank decisions in this package are made against an *absolute* threshold
 on singular values (count of sigma > tol), mirroring MATLAB-style
-``rank(A, tol)``.  Problems should therefore be scaled so that meaningful
-entries are well above the tolerance.
+``rank(A, tol)``.  That comparison is written once, here; code outside this
+module decides ranks through :func:`rank_tol`, :func:`rank_svd` and the
+routines built on them.  Problems should therefore be scaled so that
+meaningful entries are well above the tolerance.
 
 Empty matrices (zero rows and/or columns) are first-class values: every
 routine accepts and may return them.
@@ -19,10 +21,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySubspace, InvalidTolerance
+from .errors import DimensionMismatch, EmptySubspace, InvalidTolerance, NonConvergence
 
 #: Default singular-value threshold used by the whole package.
 DEFAULT_TOL = 1e-6
+
+# entries up to this size square to at most 1e300, so no row norm overflows
+_LARGE_ENTRY = 1e150
 
 
 def check_tol(tol) -> None:
@@ -60,12 +65,22 @@ def _svd(m: np.ndarray, full_matrices: bool = True, compute_uv: bool = True):
 
     The divide-and-conquer routine (gesdd) fails to converge on some finite
     matrices whose transpose it factors; the retry swaps the factors back,
-    so the result has the shapes and meaning of a direct call.
+    so the result has the shapes and meaning of a direct call.  A finite
+    matrix on which both calls fail raises NonConvergence; a non-finite one
+    keeps numpy's LinAlgError, since no factorization of it exists.
     """
     try:
         return np.linalg.svd(m, full_matrices=full_matrices, compute_uv=compute_uv)
     except np.linalg.LinAlgError:
-        out = np.linalg.svd(m.T, full_matrices=full_matrices, compute_uv=compute_uv)
+        try:
+            out = np.linalg.svd(m.T, full_matrices=full_matrices, compute_uv=compute_uv)
+        except np.linalg.LinAlgError as exc:
+            if not np.all(np.isfinite(m)):
+                raise
+            raise NonConvergence(
+                f"SVD of a finite {m.shape[0]} x {m.shape[1]} matrix did not "
+                "converge, nor that of its transpose"
+            ) from exc
     if not compute_uv:
         return out
     u, s, vt = out
@@ -86,8 +101,24 @@ def rank_tol(m, tol: float = DEFAULT_TOL) -> int:
     with np.errstate(over="ignore"):
         if np.linalg.norm(m) <= tol:
             return 0
-    s = _svd(m, compute_uv=False)
+    return _count_above(_svd(m, compute_uv=False), tol)
+
+
+def _count_above(s: np.ndarray, tol: float) -> int:
+    """Numerical rank from singular values: the count of sigma > tol."""
     return int(np.count_nonzero(s > tol))
+
+
+def rank_svd(m: np.ndarray, tol: float = DEFAULT_TOL, full_matrices: bool = False):
+    """SVD ``(u, s, vt)`` of a non-empty 2-d array ``m`` and its numerical rank r.
+
+    Returns ``(u, s, vt, r)`` with r the count of singular values > tol,
+    so the first r rows of vt span the numerical row space and the rest
+    its kernel.  Every rank decision that needs the singular vectors goes
+    through here.
+    """
+    u, s, vt = _svd(m, full_matrices=full_matrices)
+    return u, s, vt, _count_above(s, tol)
 
 
 def independent_rows(m, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -102,15 +133,15 @@ def independent_rows(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     data-scaled rows, because its later rank decisions compare singular
     values at the data's scale.  The constraint sets of ``reduce`` and of
     the recursive oracle are held orthonormal instead
-    (:func:`row_space_basis`, :func:`extend_rows`); the coisotropic strip
-    and ``ReductionResult.final_constraints`` apply this routine to
-    equilibrated rows.
+    (:func:`row_space_basis`, :func:`extend_rows`).  The coisotropic strip
+    applies this routine to the projection of orthonormal rows as it is,
+    which makes its rank decision independent of the basis it is handed;
+    ``ReductionResult.final_constraints`` applies it to equilibrated rows.
     """
     m = as_matrix(m)
     if m.size == 0:
         return empty_matrix(m.shape[1])
-    u, s, _ = _svd(m, full_matrices=False)
-    r = int(np.count_nonzero(s > tol))
+    u, _, _, r = rank_svd(m, tol)
     if r == 0:
         return empty_matrix(m.shape[1])
     return u[:, :r].T @ m
@@ -125,13 +156,36 @@ def equilibrate_rows(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     but it makes subsequent independence decisions at an absolute
     threshold scale-free: without it, constraint rows of very different
     magnitudes let perturbation noise cross the threshold.
+
+    A row with an entry above 1e150 could overflow its squared norm and be
+    divided by inf to zero.  Such a row is first scaled by the power of two
+    nearest its largest entry, and the threshold with it; the scaling is
+    exact, so the decision and the unit row are those of exact arithmetic.
+    Every other row is normalized as it is.
+
+    Raises NonConvergence if an entry is inf or NaN: such rows come from a
+    product that overflowed double precision, and a NaN row would otherwise
+    fail the norm test and vanish without a trace.
     """
     m = as_matrix(m)
     if m.size == 0:
         return empty_matrix(m.shape[1])
+    threshold = tol
+    top = np.abs(m).max()
+    if not top <= _LARGE_ENTRY:  # NaN fails this comparison as well
+        if not np.isfinite(top):
+            raise NonConvergence(
+                "constraint rows with non-finite coefficients: a product "
+                "overflowed double precision; rescale the problem data"
+            )
+        peak = np.max(np.abs(m), axis=1)
+        _, exponent = np.frexp(np.where(peak > _LARGE_ENTRY, peak, 1.0))
+        shift = 1 - exponent
+        m = np.ldexp(m, shift[:, None])
+        threshold = np.ldexp(tol, shift)
     norms = np.linalg.norm(m, axis=1)
-    keep = norms > tol
-    if not np.any(keep):
+    keep = norms > threshold
+    if not keep.any():
         return empty_matrix(m.shape[1])
     return m[keep] / norms[keep, None]
 
@@ -154,6 +208,9 @@ def extend_rows(basis, rows, tol: float = DEFAULT_TOL) -> np.ndarray:
     stack's smallest singular value.  At the threshold the two agree
     within a factor sqrt(1 + cos theta) <= sqrt(2), theta the angle
     between the new row and the basis span.
+
+    Raises NonConvergence, from :func:`equilibrate_rows`, if ``rows`` hold
+    an inf or NaN: a constraint level whose coefficients overflowed.
     """
     basis = as_matrix(basis)
     rows = equilibrate_rows(rows, tol)
@@ -181,8 +238,7 @@ def numerical_ker(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     n = a.shape[1]
     if a.size == 0:
         return np.eye(n), np.zeros((n, 0))
-    _, s, vt = _svd(a, full_matrices=True)
-    r = int(np.count_nonzero(s > tol))
+    _, _, vt, r = rank_svd(a, tol, full_matrices=True)
     v = vt[r:, :].T
     w = vt[:r, :].T
     return v, w
@@ -193,8 +249,7 @@ def row_space_basis(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     m = as_matrix(m)
     if m.size == 0:
         return empty_matrix(m.shape[1])
-    _, s, vt = _svd(m, full_matrices=False)
-    r = int(np.count_nonzero(s > tol))
+    _, _, vt, r = rank_svd(m, tol)
     return vt[:r, :]
 
 

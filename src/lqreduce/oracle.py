@@ -63,7 +63,9 @@ def recursive_reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> OracleResu
     independent rows, the primary constraints included; a regular problem
     therefore has index 1.
 
-    Raises InvalidTolerance unless ``tol`` is finite and positive.
+    Raises InvalidTolerance unless ``tol`` is finite and positive, and
+    NonConvergence if the chain exceeds 2n + m + 2 passes or a new
+    constraint level overflows to non-finite coefficients.
     """
     check_tol(tol)
     n, m = problem.n, problem.m
@@ -85,7 +87,11 @@ def recursive_reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> OracleResu
         zero_u = ker.T @ block[:, :two_n]
         piv = compl.T @ block
         held = rows.shape[0]
-        rows = extend_rows(rows, np.hstack([zero_u @ g0, zero_u @ z0]), tol)
+        # an overflowing product leaves inf or NaN in the new level, which
+        # extend_rows rejects with NonConvergence
+        with np.errstate(over="ignore", invalid="ignore"):
+            level = np.hstack([zero_u @ g0, zero_u @ z0])
+        rows = extend_rows(rows, level, tol)
         new = rows[held:]
         if new.shape[0] == 0:
             return OracleResult(

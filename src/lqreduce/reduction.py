@@ -14,7 +14,9 @@ bracket matrix is carried from pass to pass and bordered by the brackets of
 each pass's new rows; a feedback fold changes coordinates, so the count after
 it rebuilds the matrix in full.  Rank 0 is decided from the matrix's
 Frobenius norm without an SVD, which covers every pass of a chain whose
-brackets vanish.
+brackets vanish.  The final split takes the carried matrix too, so the
+reported rp is the last pass's second-class count whenever that pass did
+not fold.
 
 The loop holds the Hessian blocks of the running quadratic Hamiltonian
 rather than its vector field G = -J M, so J G = M is symmetric to
@@ -36,12 +38,12 @@ from .constraints import (
 from .errors import NonConvergence
 from .linalg import (
     DEFAULT_TOL,
-    _svd,
     check_tol,
     empty_matrix,
     equilibrate_rows,
     extend_rows,
     independent_rows,
+    rank_svd,
     row_space_basis,
 )
 from .model import LQProblem, initial_matrices
@@ -190,8 +192,7 @@ def step(
     time derivative sf (M' z + W' u) with sf = -c J, a signed swap of its
     x and p columns: s' = sf M' and rk' = -sf W'.
     """
-    u, sig, vt = _svd(state.rk, full_matrices=True)
-    r = int(np.count_nonzero(sig > tol))
+    u, sig, vt, r = rank_svd(state.rk, tol, full_matrices=True)
     n = state.hess.shape[0] // 2
     hess, w, p_hess, rows = state.hess, state.w, state.p_hess, state.s
     if r == 0:
@@ -239,15 +240,16 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     solves every control on its first pass, where its primary rows fold to
     zero.  After a flat-count pass a feedback that is still solvable is
     folded in before the loop exits, without a new constraint level.  Only
-    the final set is split into first and second class, from a bracket
-    matrix built afresh, and the coisotropic columns are stripped from the
+    the final set is split into first and second class, from the bracket
+    matrix the last count read (rebuilt only when that last fold changed
+    coordinates), and the coisotropic columns are stripped from the
     reported constraint sets.
 
     Raises InvalidTolerance unless ``tol`` is finite and positive, a
     ValidationError subclass for inconsistent problem data, and
-    NonConvergence if the loop exceeds 2(n + m) + 2 passes or the
-    effective constraint count falls, which consistent linear data cannot
-    do.
+    NonConvergence if the loop exceeds 2(n + m) + 2 passes, the effective
+    constraint count falls, which consistent linear data cannot do, or a
+    new constraint level overflows to non-finite coefficients.
     """
     check_tol(tol)
     n, m = problem.n, problem.m
@@ -281,7 +283,10 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     cap = 2 * (n + m) + 2
     increased = True
     while state.m_cur:
-        nxt, feed, v_rot, r = step(state, tol)
+        # an overflowing product leaves inf or NaN in the new level, which
+        # extend_rows rejects with NonConvergence
+        with np.errstate(over="ignore", invalid="ignore"):
+            nxt, feed, v_rot, r = step(state, tol)
         if r == 0 and not increased:
             break  # flat count and nothing left to solve
         state = nxt
@@ -311,8 +316,11 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
         pass_classes.append(class_counts(poi, tol))
         increased = counts[-1] > counts[-2]
 
-    # rp, the rank of the bracket matrix, is the second-class row count
-    phi1, phi2 = split_first_second(phi, tol)
+    # rp, the rank of the bracket matrix, is the second-class row count;
+    # the carried matrix is stale only when the last pass folded
+    if poi is None:
+        poi = extend_brackets(None, phi)
+    phi1, phi2 = split_first_second(phi, poi, tol)
 
     feedtot = np.vstack(feed_blocks) if feed_blocks else empty_matrix(two_n)
     feedsel = np.vstack(sel_blocks) if sel_blocks else empty_matrix(m)

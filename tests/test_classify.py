@@ -51,18 +51,18 @@ class TestPoissonBrackets:
 class TestSplitFirstSecond:
     def test_commuting_pair_all_first_class(self):
         phi = cm([[0, 0, 0, 1], [0, 1, 0, 0]], n=1, m_cur=1)
-        first, second = split_first_second(phi, TOL)
+        first, second = split_first_second(phi, poisson_brackets(phi), TOL)
         assert first.n_rows == 2 and second.n_rows == 0
 
     def test_canonical_pair_all_second_class(self):
         phi = cm([[0, 0, 0, 1], [0, 0, 1, 0]], n=1, m_cur=1)
-        first, second = split_first_second(phi, TOL)
+        first, second = split_first_second(phi, poisson_brackets(phi), TOL)
         assert first.n_rows == 0 and second.n_rows == 2
 
     def test_mixed_set(self):
         # {x, p, v}: v commutes with everything, (x, p) pair up
         phi = cm([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]], n=1, m_cur=1)
-        first, second = split_first_second(phi, TOL)
+        first, second = split_first_second(phi, poisson_brackets(phi), TOL)
         assert first.n_rows == 1 and second.n_rows == 2
         assert subspace_angle(first.rows, [[0, 0, 0, 1]], TOL) < 1e-10
         assert subspace_angle(
@@ -75,7 +75,7 @@ class TestSplitFirstSecond:
             m = int(rng.integers(0, 3))
             q = int(rng.integers(1, 2 * n + 2 * m + 1))
             phi = cm(rng.standard_normal((q, 2 * n + 2 * m)), n, m)
-            first, second = split_first_second(phi, TOL)
+            first, second = split_first_second(phi, poisson_brackets(phi), TOL)
             assert first.n_rows + second.n_rows == q
             assert second.n_rows % 2 == 0
             counts = class_counts(poisson_brackets(phi), TOL)

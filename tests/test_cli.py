@@ -91,6 +91,25 @@ class TestCmdReduce:
         assert captured.out == ""
         assert "constraint count fell" in captured.err
 
+    # A = diag(1e200, 1) puts coefficients near 1e400 in the third
+    # constraint level, and B = N = (1e300, 1)' in the second; neither is
+    # representable
+    @pytest.mark.parametrize("command", ["reduce", "oracle"])
+    @pytest.mark.parametrize(
+        "b, nm", [([[1.0], [1.0]], [[0.0], [0.0]]), ([[1e300], [1.0]], [[1e300], [1.0]])],
+        ids=["large-drift", "large-control"],
+    )
+    def test_overflowing_level_exit_3(self, tmp_path, capsys, command, b, nm):
+        path = write_problem(
+            tmp_path / "overflow.json", [[1e200, 0.0], [0.0, 1.0]], b,
+            [[1.0, 0.0], [0.0, 1.0]], nm, [[0.0]],
+        )
+        assert main([command, path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: constraint rows with non-finite")
+        assert captured.err.count("\n") == 1
+
 
 class TestCmdOracle:
     def test_family2_agreement(self, tmp_path, capsys):
@@ -203,6 +222,15 @@ class TestCmdExperiment:
 
     def test_bad_family_parameters_exit_2(self, capsys):
         assert main(["experiment", "--family", "1", "--n", "12"]) == 2
+
+    @pytest.mark.parametrize("family", ["2", "3"])
+    @pytest.mark.parametrize("flags", [["--r", "3"], ["--l", "9"], ["--r", "3", "--l", "9"]])
+    def test_family1_flags_on_other_families_exit_2(self, capsys, family, flags):
+        # families 2 and 3 take no r or l, so a value given is an input error
+        assert main(["experiment", "--family", family, "--n", "4", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: family {family} takes no r or l")
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_deltas_exit_2(self, capsys, bad):

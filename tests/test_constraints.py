@@ -6,6 +6,9 @@ from lqreduce import (
     ConstraintMatrix,
     DimensionMismatch,
     apply_feedback_to_constraints,
+    gen_exp1,
+    perturb,
+    reduce,
     strip_coisotropic,
     subspace_angle,
 )
@@ -97,3 +100,18 @@ class TestStripCoisotropic:
     def test_empty_stays_empty(self):
         phi = cm(np.zeros((0, 4)), n=1, m_cur=1)
         assert strip_coisotropic(phi, TOL).shape == (0, 3)
+
+    def test_strip_is_basis_free(self):
+        # phi_first_ext is an orthonormal basis picked from a clustered
+        # bracket kernel; rescaling its rows before the rank decision made
+        # the stripped count depend on that pick (10 rows here, 9 rotated)
+        res = reduce(perturb(gen_exp1(24, 9, 6, seed=3), 1e-8, seed=3), TOL)
+        phi = res.phi_first_ext
+        ref = strip_coisotropic(phi, TOL)
+        assert ref.shape[0] == 9
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            q, _ = np.linalg.qr(rng.standard_normal((phi.n_rows, phi.n_rows)))
+            out = strip_coisotropic(phi.with_rows(q @ phi.rows), TOL)
+            assert out.shape[0] == ref.shape[0]
+            assert subspace_angle(out, ref, TOL) <= 1e-12

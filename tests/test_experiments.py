@@ -10,6 +10,7 @@ from lqreduce import (
     gen_exp1,
     gen_exp2,
     gen_exp3,
+    make_problem,
     perturb,
     rank_tol,
     recursive_reduce,
@@ -96,6 +97,15 @@ class TestGenExp3:
     def test_invalid(self):
         with pytest.raises(InvalidShape):
             gen_exp3(1)
+
+
+class TestMakeProblem:
+    @pytest.mark.parametrize("family", [2, 3])
+    def test_r_or_l_rejected_outside_family1(self, family):
+        for r, l in ((3, None), (None, 9), (3, 9)):
+            with pytest.raises(InvalidShape, match="takes no r or l"):
+                make_problem(family, 4, r=r, l=l)
+        assert make_problem(family, 4, r=None, l=None).n == 4
 
 
 class TestPerturb:

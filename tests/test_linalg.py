@@ -11,6 +11,7 @@ from lqreduce import linalg
 from lqreduce import (
     DimensionMismatch,
     EmptySubspace,
+    NonConvergence,
     equilibrate_rows,
     extend_rows,
     independent_rows,
@@ -176,9 +177,42 @@ class TestSvd:
         assert_allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-12)
         assert_allclose(vt @ vt.T, np.eye(vt.shape[0]), atol=1e-12)
 
+    def test_finite_input_failing_twice_raises_nonconvergence(self, monkeypatch):
+        # a finite matrix LAPACK cannot factor either way is a convergence
+        # failure of the package's own, not a bare numpy error
+        calls = []
+
+        def failing(a, *args, **kwargs):
+            calls.append(a.shape)
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        with pytest.raises(NonConvergence, match="did not converge"):
+            linalg._svd(np.ones((2, 3)))
+        assert calls == [(2, 3), (3, 2)]
+
+    def test_non_finite_input_keeps_linalg_error(self):
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            linalg._svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        assert not isinstance(info.value, NonConvergence)
+
 
 def orthonormality_error(basis):
     return np.abs(basis @ basis.T - np.eye(basis.shape[0])).max()
+
+
+class TestRankSvd:
+    @pytest.mark.parametrize("full_matrices", [False, True])
+    def test_rank_and_factors(self, rng, full_matrices):
+        m = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 4))
+        u, s, vt, r = linalg.rank_svd(m, TOL, full_matrices=full_matrices)
+        assert r == rank_tol(m, TOL) == 2
+        assert u.shape == ((5, 5) if full_matrices else (5, 4))
+        assert_allclose(u[:, :r] * s[:r] @ vt[:r], m, atol=1e-12)
+
+    def test_threshold_is_strict(self):
+        _, _, _, r = linalg.rank_svd(np.diag([1.0, TOL]), TOL)
+        assert r == 1
 
 
 class TestExtendRows:
@@ -222,6 +256,13 @@ class TestExtendRows:
         assert subspace_angle(out, rows, TOL) < 1e-12
         assert np.array_equal(extend_rows(out, np.zeros((0, 5)), TOL), out)
         assert extend_rows(np.zeros((0, 5)), np.zeros((0, 5)), TOL).shape == (0, 5)
+
+    def test_overflowing_row_extends_the_basis(self):
+        # a constraint level of huge coefficients is a real level
+        basis = np.array([[0.0, 0.0, 1.0]])
+        out = extend_rows(basis, [[1e200, 1e200, 0.0]], TOL)
+        assert out.shape == (2, 3)
+        assert_allclose(np.abs(out[1]), [2 ** -0.5, 2 ** -0.5, 0.0], atol=1e-15)
 
     def test_column_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -345,6 +386,21 @@ class TestEquilibrateRows:
         m = rng.standard_normal((3, 5)) * np.array([[1e3], [1.0], [1e-3]])
         out = equilibrate_rows(m, TOL)
         assert subspace_angle(m, out, TOL) < 1e-12
+
+    def test_row_whose_squared_norm_overflows_is_kept(self):
+        # the squared norm of (1e200, 1e200) overflows; divided by it
+        # unscaled, the row would come out zero with a RuntimeWarning
+        out = equilibrate_rows([[1e200, 1e200], [0.0, 0.0], [3e-300, 4e-300]], TOL)
+        assert_allclose(out, [[2 ** -0.5, 2 ** -0.5]], rtol=1e-15)
+        # the threshold is scaled with the row, so it still decides
+        out = equilibrate_rows([[1e200, 1e200], [1e160, 0.0]], 1e170)
+        assert out.shape == (1, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_raises(self, bad):
+        # a NaN row fails the norm test, so it would vanish without a trace
+        with pytest.raises(NonConvergence, match="non-finite"):
+            equilibrate_rows([[1.0, 0.0], [bad, 1.0]], TOL)
 
 
 def test_import_loads_no_scipy():

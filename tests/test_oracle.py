@@ -3,6 +3,7 @@ import pytest
 
 from lqreduce import (
     LQProblem,
+    NonConvergence,
     compare_final_subspaces,
     gen_exp1,
     gen_exp2,
@@ -51,6 +52,16 @@ class TestRecursiveReduce:
             out = recursive_reduce(gen_exp3(n), TOL)
             assert out.index_k == n
             assert out.final_constraints.shape[0] == n
+
+    def test_overflowing_level_raises(self):
+        # the oracle differentiates unit rows, so its level overflows only
+        # when the data does: 1.5e308 + 1.5e308 in the primary's derivative
+        prob = LQProblem(
+            A=[[1.5e308, 1.5e308], [0.0, 1.0]], B=[[1.0], [1.0]], Q=np.eye(2),
+            N=[[0.0], [0.0]], R=[[0.0]],
+        )
+        with pytest.raises(NonConvergence, match="non-finite"):
+            recursive_reduce(prob, TOL)
 
     def test_svd_retry_on_long_chain(self):
         # a 120-pass chain whose full stack, 128 x 241, gesdd does not

@@ -276,9 +276,10 @@ class TestReduceSingular:
 
     def test_bracket_matrix_built_once_per_fold(self, monkeypatch):
         # the bracket matrix is carried between folds and only bordered by
-        # each pass's new rows; family 3 solves no control and its brackets
-        # vanish, so the only full bracket matrices are pass 0's and the
-        # split's, and the only square SVD of more than 2 rows is the split's
+        # each pass's new rows, and the split takes it from the last count;
+        # family 3 solves no control and its brackets vanish, so the only
+        # full bracket matrix is pass 0's, and the only square SVD of more
+        # than 2 rows is the split's
         prob = perturb(gen_exp3(40), 1e-10, seed=0, preserve_structure=True)
         real_svd = np.linalg.svd
         real_brackets = classify.poisson_brackets
@@ -299,7 +300,7 @@ class TestReduceSingular:
         res = reduce(prob, TOL)
         folds = sum(r > 0 for r in res.feedback_ranks)
         assert res.index_k == 40
-        assert len(built) == 1 + folds + 1
+        assert len(built) == 1 + folds
         q = res.phi_first_ext.n_rows + res.phi_second_ext.n_rows
         assert square == [q]
 
@@ -332,6 +333,54 @@ class TestReduceSingular:
             bound = 1e-13 * max(1.0, np.linalg.norm(fresh))
             assert np.linalg.norm(poi - fresh) <= bound
         assert sum(not rebuilt for rebuilt, _, _ in seen) > 25
+
+    @pytest.mark.parametrize(
+        "prob, last_pass_folds",
+        [
+            (gen_exp1(24, 9, 6), False),
+            (perturb(gen_exp1(8, 3, 2), 1e-6, seed=25), True),
+        ],
+        ids=["folds-inside", "fold-exit"],
+    )
+    def test_split_rebuilds_brackets_only_after_a_last_fold(
+        self, monkeypatch, prob, last_pass_folds
+    ):
+        # each fold costs one full build of the bracket matrix: at the next
+        # count, or at the split when the fold is the loop's exit (no count
+        # follows it); otherwise the split reuses the last count's matrix
+        built = []
+        real_brackets = classify.poisson_brackets
+
+        def recording_brackets(phi):
+            built.append(phi.n_rows)
+            return real_brackets(phi)
+
+        monkeypatch.setattr(classify, "poisson_brackets", recording_brackets)
+        res = reduce(prob, TOL)
+        folds = sum(r > 0 for r in res.feedback_ranks)
+        # a fold exit adds a feedback rank without a class count
+        assert (len(res.feedback_ranks) == len(res.class_counts)) == last_pass_folds
+        assert len(built) == 1 + folds
+        if last_pass_folds:
+            assert built[-1] == res.phi_first_ext.n_rows + res.phi_second_ext.n_rows
+
+    def test_overflowing_level_raises(self):
+        # reduce differentiates its levels at the data's scale: with a drift
+        # entry of 1e200 the third level's coefficients reach about 1e400
+        prob = LQProblem(
+            A=np.diag([1e200, 1.0]), B=[[1.0], [1.0]], Q=np.eye(2),
+            N=[[0.0], [0.0]], R=[[0.0]],
+        )
+        with pytest.raises(NonConvergence, match="non-finite"):
+            reduce(prob, TOL)
+        # at 1e100 the same chain is representable: the secondary level
+        # x1 + x2 - 1e100 p1 - p2 = 0 is kept and solves the control
+        prob = LQProblem(
+            A=np.diag([1e100, 1.0]), B=[[1.0], [1.0]], Q=np.eye(2),
+            N=[[0.0], [0.0]], R=[[0.0]],
+        )
+        res = reduce(prob, TOL)
+        assert (res.index_k, res.m_res, res.constraint_counts) == (2, 0, (2, 3, 3))
 
     def test_falling_count_raises(self, monkeypatch):
         # a pass that loses a row the set already held breaks the invariant

@@ -2,9 +2,10 @@
 
 For each problem the snapshot holds (index_k, m_res, rp, constraint_counts,
 class_counts, feedback_ranks) and the row counts of the stripped sets
-phi_first and phi_second and of final_constraints_original_controls(); the
-coisotropic strip depends on the basis it is given, so a change of basis
-inside `reduce` can move those counts alone.  The inventory covers seeded
+phi_first and phi_second and of final_constraints_original_controls().  The
+coisotropic strip decides its rank on orthonormal rows as they are, so those
+counts do not depend on the basis `reduce` hands it; they move only when
+the spans do.  The inventory covers seeded
 random singular problems, families 1-3 perturbed below the rank tolerance,
 and tiny perturbations of family 3 at n = 2.  Perturbations at or above the
 tolerance are left out: there the structure breaks down by design.
@@ -79,6 +80,33 @@ def test_structure_matches_snapshot():
     moved = {label: (expected[label], got[label])
              for label in got if got[label] != expected[label]}
     assert moved == {}
+
+
+def test_split_reads_the_last_count():
+    # the split takes the bracket matrix of the last count, so unless the
+    # loop exits on a fold (one more feedback rank than class counts after
+    # pass 0) rp is that count's second-class number
+    for label, entry in json.loads(SNAPSHOT.read_text()).items():
+        _, _, rp, _, pass_classes, ranks = entry[:6]
+        if len(ranks) < len(pass_classes):
+            assert rp == pass_classes[-1][1], label
+
+
+def test_family1_strip_keeps_exact_counts_below_tol():
+    # well below the tolerance a perturbation must not move the stripped
+    # sets' row counts; a basis-dependent strip moved them at n=24, 1e-8
+    expected = json.loads(SNAPSHOT.read_text())
+    checked = 0
+    for label, entry in expected.items():
+        if not label.startswith("family1/"):
+            continue
+        _, n, delta, seed = label.split("/")
+        if not 0 < float(delta[len("delta="):]) <= 1e-8:
+            continue
+        exact = expected[f"family1/{n}/delta=0/{seed}"]
+        assert entry[6:8] == exact[6:8], label
+        checked += 1
+    assert checked == 36
 
 
 if __name__ == "__main__":

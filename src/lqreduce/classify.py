@@ -5,20 +5,23 @@ All constraints handled here are linear in the canonical coordinates
 classification reduces to the kernel of one antisymmetric matrix.  Brackets
 are never evaluated pointwise.
 
-A set that only grows by appended rows keeps its bracket matrix as the
-leading block of the next one, so :func:`extend_brackets` computes only the
-brackets of the new rows; a change of coordinates (a feedback fold) needs a
-full rebuild.  Counting classes takes the rank of that matrix, and rank 0 is
-decided from its Frobenius norm without an SVD.  The final split takes the
-same matrix, the one the last count saw, and its kernel from one SVD, so
-split and count read one matrix with one rank rule.
+The loop of ``reduce`` holds rows with a zero v block and leaves the
+zero-order rows v = 0 implied; :func:`extend_brackets` returns the matrix of
+the set with those rows first.  A set that only grows by appended rows keeps
+its bracket matrix as the leading block of the next one, so
+:func:`extend_brackets` computes only the brackets of the new rows; a change
+of coordinates (a feedback fold) needs a full rebuild.  Counting classes
+takes the rank of that matrix, and rank 0 is decided from its Frobenius
+norm without an SVD.  The final split takes the same matrix, the one the
+last count saw, and its kernel from one SVD, so split and count read one
+matrix with one rank rule.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .constraints import ConstraintMatrix
+from .constraints import ConstraintMatrix, with_zero_order
 from .linalg import DEFAULT_TOL, numerical_ker, rank_tol
 
 
@@ -56,20 +59,28 @@ def poisson_brackets(phi: ConstraintMatrix) -> np.ndarray:
 
 
 def extend_brackets(poi: np.ndarray | None, phi: ConstraintMatrix) -> np.ndarray:
-    """Bracket matrix of ``phi``, bordering ``poi``, that of its leading rows.
+    """Bracket matrix of the zero-order rows and ``phi``, bordering ``poi``.
 
-    When the rows of ``phi`` extend a set whose bracket matrix is ``poi``
-    (k x k), that matrix is the leading block of the new one, so only the
-    brackets of the t new rows with all q rows are computed, in O(t q n)
-    rather than O(q^2 n).  Their t x t block is antisymmetrized as in
-    :func:`poisson_brackets` and the k x t block is its mirror.  ``poi``
+    The rows of ``phi`` have a zero v block, and the matrix is that of the
+    set :func:`~lqreduce.constraints.with_zero_order` makes of them: the
+    m_cur zero-order rows e_v first, then the rows of ``phi``.  With U the
+    u block of ``phi`` and P0 its own brackets, it reads [[0, -U'], [U, P0]].
+    When the rows of ``phi`` extend a set whose matrix is ``poi`` (k x k),
+    that matrix is its leading block, so only the border of the t new rows
+    is computed, [U_new | their brackets with the rows of ``phi``], in
+    O(t q n) rather than O(q^2 n).  Their t x t block is antisymmetrized as
+    in :func:`poisson_brackets` and the k x t block is its mirror.  ``poi``
     None, as after a feedback fold changes coordinates, builds the matrix
-    in full with :func:`poisson_brackets`.
+    in full with :func:`poisson_brackets` on the set with its zero-order
+    rows.
     """
     if poi is None:
-        return poisson_brackets(phi)
-    k, q = poi.shape[0], phi.n_rows
-    border = _brackets(phi.rows[k:], phi)
+        return poisson_brackets(with_zero_order(phi))
+    k = poi.shape[0]
+    held = k - phi.m_cur  # rows of phi that poi covers
+    # a row's bracket with e_v is its u block
+    border = np.hstack([phi.u_block[held:], _brackets(phi.rows[held:], phi)])
+    q = border.shape[1]
     corner = border[:, k:]
     out = np.empty((q, q))
     out[:k, :k] = poi

@@ -65,6 +65,19 @@ class ConstraintMatrix:
         return ConstraintMatrix(rows, self.n, self.m_cur)
 
 
+def with_zero_order(phi: ConstraintMatrix) -> ConstraintMatrix:
+    """``phi`` with the zero-order constraints v = 0 placed before its rows.
+
+    One row e_v per remaining control, so the result has phi.m_cur more
+    rows.  :func:`~lqreduce.reduction.reduce` holds only rows with a zero v
+    block and leaves these implied; its full bracket builds and its class
+    split take the set this returns.
+    """
+    m = phi.m_cur
+    zero_order = np.hstack([np.zeros((m, 2 * phi.n + m)), np.eye(m)])
+    return phi.with_rows(np.vstack([zero_order, phi.rows]))
+
+
 def apply_feedback_to_constraints(
     phi: ConstraintMatrix,
     v_rot: np.ndarray,

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySubspace, InsufficientData, InvalidShape
-from .linalg import DEFAULT_TOL, subspace_angle
+from .errors import EmptySubspace, InsufficientData, InvalidShape
+from .linalg import DEFAULT_TOL, principal_angle, row_space_basis
 from .model import LQProblem
 from .reduction import reduce
 
@@ -210,7 +210,9 @@ def run_sweep(
 
     Every delta derives its own perturbation seed from (seed, index), so
     records do not depend on evaluation order.  A record's alpha is None
-    when the angle is not computable.
+    when the angle is not computable.  The exact final rows are factored
+    once, so each delta factors only its own rows; the angle is the one
+    :func:`~lqreduce.linalg.subspace_angle` gives, bit for bit.
     """
     _check_seed(seed)
     deltas = [float(d) for d in deltas]
@@ -218,7 +220,7 @@ def run_sweep(
         raise InvalidShape("deltas must be a nonempty list of finite nonnegative reals")
     problem = make_problem(family, n, r=r, l=l, seed=seed)
     exact = reduce(problem, tol)
-    exact_rows = exact.final_constraints()
+    exact_basis = row_space_basis(exact.final_constraints(), tol)
     records = []
     for index, delta in enumerate(deltas):
         pert_problem = perturb(
@@ -226,10 +228,14 @@ def run_sweep(
             preserve_structure=(family == 3),
         )
         pert = reduce(pert_problem, tol)
-        try:
-            alpha = subspace_angle(exact_rows, pert.final_constraints(), tol)
-        except (DimensionMismatch, EmptySubspace):
-            alpha = None
+        pert_rows = pert.final_constraints()
+        alpha = None
+        # sets of different widths have no angle; checked before factoring
+        if pert_rows.shape[1] == exact_basis.shape[1]:
+            try:
+                alpha = principal_angle(exact_basis, row_space_basis(pert_rows, tol))
+            except EmptySubspace:
+                pass
         records.append(
             ExperimentRecord(
                 n=n,

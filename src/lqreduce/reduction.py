@@ -8,8 +8,11 @@ level of constraints, obtained by differentiating along the (feedback
 updated) flow.  Constraints are propagated on the symplectically extended
 space (x, p, u, v), and the iteration stops once the count of independent
 constraints (including those consumed by feedback, two per solved control)
-stabilizes or every control is solved.  Each pass counts second-class rows
-as the rank of their Poisson brackets; only the final set is split.  The
+stabilizes or every control is solved.  The zero-order constraints v = 0,
+one per remaining control, are implied rather than held: every held row has
+a zero v block, so they enter only the count, the bracket matrix (as its
+leading rows) and the final split.  Each pass counts second-class rows as
+the rank of their Poisson brackets; only the final set is split.  The
 bracket matrix is carried from pass to pass and bordered by the brackets of
 each pass's new rows; a feedback fold changes coordinates, so the count after
 it rebuilds the matrix in full.  Rank 0 is decided from the matrix's
@@ -34,6 +37,7 @@ from .constraints import (
     ConstraintMatrix,
     apply_feedback_to_constraints,
     strip_coisotropic,
+    with_zero_order,
 )
 from .errors import NonConvergence
 from .linalg import (
@@ -96,7 +100,8 @@ class ReductionResult:
             xdot = ax x + ap p + bu u_res, pdot = qx x + qp p + nu u_res.
         bu, nu: n x m_res control blocks (zero-width when all solved).
         constraint_counts: per-pass effective count of independent
-            constraints (rows found plus two per solved control).
+            constraints: the rows held, plus one zero-order row v = 0 per
+            remaining control, plus two per solved control.
         class_counts: per-pass (first-class, second-class) row counts; the
             second count is the bracket rank of that pass's constraint set.
         feedback_ranks: controls solved at each pass (aligned with the
@@ -223,24 +228,33 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     """Reduce an LQ problem to its consistent Hamiltonian form.
 
     One loop runs on the extended space over one constraint set, held as
-    an orthonormal row basis from seed to split.  The seed, the zero-order
-    constraints v = 0 and the primary constraints, is normalized once.
+    an orthonormal row basis from seed to split.  The seed, the primary
+    constraints, is normalized once.  The zero-order constraints v = 0 are
+    not held: every held row has a zero v block (new levels are written
+    with one, and a fold rotates the v coordinates among themselves), so
+    the m_cur zero-order rows are implied.  They add m_cur to each count,
+    stand first in the bracket matrix, which reads [[0, -U'], [U, P0]]
+    with U the u block of the held rows and P0 their own brackets, and are
+    materialized once, before the split.
+
     Each pass solves what it can of the current control coefficients as
     partial feedback and folds it into the set (the fold returns an
     orthonormal basis), extends the set by what the next constraint level
     adds (:func:`extend_rows` factors only the projected new rows), and
     counts its second-class rows as the rank of their brackets; pass 0 is
     counted on the normalized seed, like every later pass.  The bracket
-    matrix is carried between folds, where each pass adds only the brackets
-    of its new rows (:func:`extend_brackets`), and rebuilt at the first
-    count after a fold; a bracket matrix of Frobenius norm <= tol counts
-    rank 0 without an SVD.  The loop runs while some control is unsolved
-    and the previous pass raised the effective count of independent
-    constraints (rows plus two per solved control).  A regular problem
-    solves every control on its first pass, where its primary rows fold to
-    zero.  After a flat-count pass a feedback that is still solvable is
-    folded in before the loop exits, without a new constraint level.  Only
-    the final set is split into first and second class, from the bracket
+    matrix is carried between folds, where each pass borders it with
+    [U_new | brackets of its new rows with the held ones]
+    (:func:`extend_brackets`); the first count after a fold rebuilds it
+    in full on the set with its zero-order rows.  A bracket matrix of
+    Frobenius norm <= tol counts rank 0 without an SVD.  The loop runs
+    while some control is unsolved and the previous pass raised the
+    effective count of independent constraints (rows plus two per solved
+    control).  A regular problem solves every control on its first pass,
+    where its primary rows fold to zero.  After a flat-count pass a
+    feedback that is still solvable is folded in before the loop exits,
+    without a new constraint level.  Only the final set, zero-order rows
+    included, is split into first and second class, from the bracket
     matrix the last count read (rebuilt only when that last fold changed
     coordinates), and the coisotropic columns are stripped from the
     reported constraint sets.
@@ -267,14 +281,13 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     sel_blocks: list[np.ndarray] = []
     nofeed = np.eye(m)
 
-    # constraint set on the extended space: zero-order rows, then primaries.
-    # The two blocks share no nonzero column and the rows of sr are
-    # sigma_i v_i' with sigma_i > tol, so normalizing them once gives the
-    # orthonormal basis that every later pass keeps
-    zero_order = np.hstack([np.zeros((m, two_n + m)), np.eye(m)])
-    seed = np.vstack([zero_order, _constraint_rows(state)])
-    phi = ConstraintMatrix(equilibrate_rows(seed, tol), n, m)
-    counts = [phi.n_rows]
+    # constraint set on the extended space, seeded with the primary rows;
+    # the rows of sr are sigma_i v_i' with sigma_i > tol, so normalizing them
+    # once gives the orthonormal basis that every later pass keeps.  The
+    # zero-order rows v = 0, one per remaining control, are implied: they
+    # enter the counts and the bracket matrix, and are added at the split
+    phi = ConstraintMatrix(equilibrate_rows(_constraint_rows(state), tol), n, m)
+    counts = [m + phi.n_rows]
     poi = extend_brackets(None, phi)
     pass_classes = [class_counts(poi, tol)]
     feedback_ranks: list[int] = []
@@ -306,7 +319,8 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
             )
         index_k += 1
         phi = phi.with_rows(extend_rows(phi.rows, _constraint_rows(state), tol))
-        counts.append(phi.n_rows + 2 * (m - state.m_cur))
+        # held rows, implied zero-order rows, two per solved control
+        counts.append(phi.n_rows + state.m_cur + 2 * (m - state.m_cur))
         if counts[-1] < counts[-2]:
             raise NonConvergence(
                 f"constraint count fell from {counts[-2]} to {counts[-1]} "
@@ -320,7 +334,7 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     # the carried matrix is stale only when the last pass folded
     if poi is None:
         poi = extend_brackets(None, phi)
-    phi1, phi2 = split_first_second(phi, poi, tol)
+    phi1, phi2 = split_first_second(with_zero_order(phi), poi, tol)
 
     feedtot = np.vstack(feed_blocks) if feed_blocks else empty_matrix(two_n)
     feedsel = np.vstack(sel_blocks) if sel_blocks else empty_matrix(m)

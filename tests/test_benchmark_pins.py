@@ -10,6 +10,8 @@ import json
 from importlib import import_module
 from pathlib import Path
 
+from lqreduce import gen_exp1
+
 SPEC = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
@@ -32,3 +34,36 @@ def test_pinned_functions_are_public_functions_of_their_module():
                 and not function.startswith("_")):
             missing.append(f"{module_name}.{function}")
     assert missing == []
+
+
+# pinned layers inside `reduce`; a traced run reads 0 for one it stops calling
+REDUCE_LAYERS = [
+    ("classify", "poisson_brackets"),
+    ("classify", "split_first_second"),
+    ("constraints", "apply_feedback_to_constraints"),
+    ("constraints", "strip_coisotropic"),
+    ("reduction", "step"),
+]
+
+
+def test_reduce_still_calls_its_pinned_layers(monkeypatch):
+    # like the tracer, rebind a counting wrapper under every lqreduce name
+    # bound to each function, so calls through import sites are seen
+    assert set(REDUCE_LAYERS) <= set(_pinned_functions())
+    modules = [import_module(f"lqreduce.{name}")
+               for name in ("classify", "constraints", "reduction")]
+    calls = {pin: 0 for pin in REDUCE_LAYERS}
+    for pin in REDUCE_LAYERS:
+        original = getattr(import_module(f"lqreduce.{pin[0]}"), pin[1])
+
+        def counting(*args, _pin=pin, _fn=original, **kwargs):
+            calls[_pin] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            for attr, obj in list(vars(module).items()):
+                if obj is original:
+                    monkeypatch.setattr(module, attr, counting)
+    res = import_module("lqreduce.reduction").reduce(gen_exp1(24, 9, 6), 1e-6)
+    assert res.feedback_ranks == (9, 0, 6)
+    assert {pin: count for pin, count in calls.items() if count == 0} == {}

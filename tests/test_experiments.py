@@ -16,7 +16,9 @@ from lqreduce import (
     recursive_reduce,
     reduce,
     run_sweep,
+    subspace_angle,
 )
+from lqreduce.experiments import sweep_child_seed
 
 TOL = 1e-6
 
@@ -198,6 +200,37 @@ class TestRunSweep:
     def test_negative_seed_rejected(self):
         with pytest.raises(InvalidShape, match="seed"):
             run_sweep(2, 4, [1e-10], seed=-1)
+
+    @pytest.mark.parametrize(
+        "family, n, r, l", [(1, 8, 3, 2), (3, 6, None, None)], ids=["family1", "family3"]
+    )
+    def test_exact_rows_factored_once(self, monkeypatch, family, n, r, l):
+        # the sweep factors the exact final rows once, not once per delta,
+        # and gets every angle subspace_angle gets, bit for bit
+        deltas = [0.0, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8]
+        calls = []
+        real_svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        recs = run_sweep(family, n, deltas, seed=3, r=r, l=l)
+        sweep_calls = len(calls)
+        calls.clear()
+        problem = make_problem(family, n, r=r, l=l, seed=3)
+        exact_rows = reduce(problem, TOL).final_constraints()
+        alphas = []
+        for index, delta in enumerate(deltas):
+            pert = reduce(
+                perturb(problem, delta, seed=sweep_child_seed(3, index),
+                        preserve_structure=(family == 3)),
+                TOL,
+            )
+            alphas.append(subspace_angle(exact_rows, pert.final_constraints(), TOL))
+        assert [rec.alpha for rec in recs] == alphas
+        assert len(calls) - sweep_calls == len(deltas) - 1
 
 
 class TestFitLoglogSlope:

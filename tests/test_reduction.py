@@ -8,6 +8,7 @@ from lqreduce import (
     LQProblem,
     NonConvergence,
     StepState,
+    apply_feedback_to_constraints,
     extend_rows,
     gen_exp1,
     gen_exp2,
@@ -22,6 +23,8 @@ from lqreduce import (
     symplectic_matrix,
 )
 from lqreduce import classify, reduction
+from lqreduce.constraints import with_zero_order
+from lqreduce.linalg import principal_angle
 from conftest import random_problem
 
 TOL = 1e-6
@@ -305,8 +308,9 @@ class TestReduceSingular:
         assert square == [q]
 
     def test_carried_bracket_matrix_is_the_fresh_one(self, monkeypatch, rng):
-        # every count sees the brackets of the set it counts: bordered by
-        # the new rows between folds, rebuilt in full after one
+        # every count sees the brackets of the set it counts, the implied
+        # zero-order rows first: bordered by the new rows between folds,
+        # rebuilt in full after one
         seen = []
 
         def recording(poi, phi):
@@ -329,10 +333,66 @@ class TestReduceSingular:
         for prob in problems:
             reduce(prob, TOL)
         for _, phi, poi in seen:
-            fresh = poisson_brackets(phi)
+            fresh = poisson_brackets(with_zero_order(phi))
             bound = 1e-13 * max(1.0, np.linalg.norm(fresh))
             assert np.linalg.norm(poi - fresh) <= bound
         assert sum(not rebuilt for rebuilt, _, _ in seen) > 25
+
+    def test_fold_factors_no_zero_order_row(self, monkeypatch):
+        # the zero-order rows v = 0 are implied, not held: every row the fold
+        # factors has a zero v block, and it gets the count's q rows less
+        # the m_cur zero-order ones
+        folded = []
+
+        def recording(phi, v_rot, feed, r, tol):
+            folded.append(phi)
+            return apply_feedback_to_constraints(phi, v_rot, feed, r, tol)
+
+        monkeypatch.setattr(reduction, "apply_feedback_to_constraints", recording)
+        prob = gen_exp1(24, 9, 6)
+        res = reduce(prob, TOL)
+        assert res.feedback_ranks == (9, 0, 6)
+        folds = [i for i, r in enumerate(res.feedback_ranks) if r > 0]
+        assert len(folded) == len(folds) == 2
+        for phi, i in zip(folded, folds):
+            solved = sum(res.feedback_ranks[:i])
+            m_cur = prob.m - solved
+            q = res.constraint_counts[i] - 2 * solved
+            assert phi.m_cur == m_cur
+            assert phi.n_rows == q - m_cur
+            assert np.linalg.norm(phi.v_block) <= 1e-14
+
+    def test_split_sets_span_every_zero_order_direction(self, rng):
+        # the zero-order rows are added back once, before the split, so the
+        # final sets over (x, p, u_res, v_res) contain every e_v direction
+        problems = []
+        for i in range(25):
+            p = random_problem(
+                rng, int(rng.integers(2, 9)), int(rng.integers(1, 5)), singular_r=True
+            )
+            if i % 2:
+                # the last control enters neither B, N nor R: a gauge control
+                b, nm = p.B.copy(), p.N.copy()
+                b[:, -1] = nm[:, -1] = 0.0
+                p = LQProblem(A=p.A, B=b, Q=p.Q, N=nm, R=p.R)
+            problems.append(p)
+        problems += [
+            perturb(gen_exp1(16, 6, 4, seed=1), 1e-10, seed=1),
+            gen_exp2(12),
+            perturb(gen_exp3(10), 1e-10, seed=1, preserve_structure=True),
+            perturb(gen_exp1(8, 3, 2), 1e-6, seed=25),  # fold exit
+        ]
+        checked = 0
+        for prob in problems:
+            res = reduce(prob, TOL)
+            if res.m_res == 0:
+                continue
+            width = 2 * prob.n + 2 * res.m_res
+            e_v = np.eye(width)[width - res.m_res :]
+            final = np.vstack([res.phi_first_ext.rows, res.phi_second_ext.rows])
+            assert principal_angle(e_v, final) <= 1e-12
+            checked += 1
+        assert checked >= 10
 
     @pytest.mark.parametrize(
         "prob, last_pass_folds",

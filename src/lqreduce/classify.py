@@ -14,7 +14,11 @@ of coordinates (a feedback fold) needs a full rebuild.  Counting classes
 takes the rank of that matrix, and rank 0 is decided from its Frobenius
 norm without an SVD.  The final split takes the same matrix, the one the
 last count saw, and its kernel from one SVD, so split and count read one
-matrix with one rank rule.
+matrix with one rank rule.  A matrix of rank 0 has nothing to split:
+``reduce`` then takes every row as first class without calling
+:func:`split_first_second`, and :func:`~lqreduce.linalg.numerical_ker`
+returns the whole space as the kernel of a matrix of Frobenius norm
+<= tol without an SVD.
 """
 
 from __future__ import annotations

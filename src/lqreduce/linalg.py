@@ -4,8 +4,14 @@ All rank decisions in this package are made against an *absolute* threshold
 on singular values (count of sigma > tol), mirroring MATLAB-style
 ``rank(A, tol)``.  That comparison is written once, here; code outside this
 module decides ranks through :func:`rank_tol`, :func:`rank_svd` and the
-routines built on them.  Problems should therefore be scaled so that
-meaningful entries are well above the tolerance.
+routines built on them.  So is the one test that decides rank 0 without
+an SVD, ``||m||_F <= tol`` (:func:`negligible`), which bounds every
+singular value.  Problems should therefore be scaled so that meaningful
+entries are well above the tolerance.
+
+Every factorization goes through one seam, ``_svd``.  A single row is
+factored there without LAPACK, sigma = ||row||, and its rank is still the
+count of sigma > tol that every other factorization gets.
 
 Empty matrices (zero rows and/or columns) are first-class values: every
 routine accepts and may return them.
@@ -28,6 +34,8 @@ DEFAULT_TOL = 1e-6
 
 # entries up to this size square to at most 1e300, so no row norm overflows
 _LARGE_ENTRY = 1e150
+# a sum of squares above this owes nothing that matters to subnormal terms
+_SMALL_SQUARE = 1e-200
 
 
 def check_tol(tol) -> None:
@@ -63,12 +71,26 @@ def asymmetry(m: np.ndarray) -> float:
 def _svd(m: np.ndarray, full_matrices: bool = True, compute_uv: bool = True):
     """``np.linalg.svd``, retried on the transpose if LAPACK does not converge.
 
+    A single row needs no LAPACK call when its values, its thin factors or
+    its 1 x 1 factors are asked for: sigma = ||row||, u = [[1]] and
+    vt = row / sigma.  A full vt of a wider row, and a row whose sum of
+    squares is zero, NaN, overflowing or below 1e-200, take the LAPACK
+    route, so every error and the accuracy of tiny rows stay LAPACK's.
+
     The divide-and-conquer routine (gesdd) fails to converge on some finite
     matrices whose transpose it factors; the retry swaps the factors back,
     so the result has the shapes and meaning of a direct call.  A finite
     matrix on which both calls fail raises NonConvergence; a non-finite one
     keeps numpy's LinAlgError, since no factorization of it exists.
     """
+    if m.shape[0] == 1 and (m.shape[1] == 1 or not (full_matrices and compute_uv)):
+        with np.errstate(over="ignore"):
+            squares = m[0] @ m[0]
+        if _SMALL_SQUARE < squares < np.inf:  # NaN fails this comparison as well
+            sigma = np.sqrt(squares)
+            if not compute_uv:
+                return np.array([sigma])
+            return np.ones((1, 1)), np.array([sigma]), m / sigma
     try:
         return np.linalg.svd(m, full_matrices=full_matrices, compute_uv=compute_uv)
     except np.linalg.LinAlgError:
@@ -87,20 +109,27 @@ def _svd(m: np.ndarray, full_matrices: bool = True, compute_uv: bool = True):
     return vt.T, s, u.T
 
 
+def negligible(m, tol: float = DEFAULT_TOL) -> bool:
+    """Whether ``||m||_F <= tol``, which makes the rank of ``m`` 0 without an SVD.
+
+    Since sigma_max <= ||m||_F, every singular value is then <= tol, the
+    answer the singular values would give.  An empty matrix is negligible.
+    A NaN norm, or one that overflows to inf, is not, so such a matrix
+    goes on to its SVD.
+    """
+    with np.errstate(over="ignore"):
+        return bool(np.linalg.norm(m) <= tol)
+
+
 def rank_tol(m, tol: float = DEFAULT_TOL) -> int:
     """Number of singular values of ``m`` strictly greater than ``tol``.
 
-    An empty matrix has rank 0.  Since sigma_max <= ||m||_F, a Frobenius
-    norm <= tol gives rank 0 without an SVD, the same answer the singular
-    values would give.  A NaN norm, or one that overflows to inf, fails
-    that test and takes the SVD.
+    A :func:`negligible` matrix, the empty one included, has rank 0
+    without an SVD.
     """
     m = as_matrix(m)
-    if m.size == 0:
+    if negligible(m, tol):
         return 0
-    with np.errstate(over="ignore"):
-        if np.linalg.norm(m) <= tol:
-            return 0
     return _count_above(_svd(m, compute_uv=False), tol)
 
 
@@ -232,11 +261,12 @@ def numerical_ker(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     the kernel of ``a`` at tolerance ``tol`` (right singular vectors for
     singular values <= tol) and the columns of ``w`` complete them to an
     orthonormal basis of R^cols.  ``v`` has cols - r columns and ``w`` has r,
-    with r the numerical rank.
+    with r the numerical rank.  A :func:`negligible` matrix, the empty one
+    included, gives ``(I, empty)`` without an SVD.
     """
     a = as_matrix(a)
     n = a.shape[1]
-    if a.size == 0:
+    if negligible(a, tol):
         return np.eye(n), np.zeros((n, 0))
     _, _, vt, r = rank_svd(a, tol, full_matrices=True)
     v = vt[r:, :].T

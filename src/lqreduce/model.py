@@ -71,12 +71,16 @@ class LQProblem:
 class InitialMatrices:
     """Seed matrices of the reduction.
 
-    g0 is the 2n x 2n drift block of the Hamilton equations, z0 the 2n x m
-    control block, and (s1, r1) the coefficients of the primary constraints
-    dH/du = s1 (x; p) - r1 u.  They satisfy s1 = -z0' J.
+    hess0 = J G0 = [[-Q, A'], [A, 0]] is the 2n x 2n Hessian of the
+    Hamiltonian in (x; p), where G0 = -J hess0 = [[A, 0], [Q, -A']] is the
+    drift block of the Hamilton equations (x; p)' = G0 (x; p) + z0 u.  Both
+    reduction routes differentiate along hess0, so G0 is never built.  z0
+    is the 2n x m control block and (s1, r1) the coefficients of the
+    primary constraints dH/du = s1 (x; p) - r1 u.  They satisfy
+    s1 = -z0' J.
     """
 
-    g0: np.ndarray
+    hess0: np.ndarray
     z0: np.ndarray
     s1: np.ndarray
     r1: np.ndarray
@@ -128,18 +132,22 @@ def pontryagin_hamiltonian(problem: LQProblem, x, p, u) -> float:
 
 
 def initial_matrices(problem: LQProblem) -> InitialMatrices:
-    """Build G0, Z0 and the primary-constraint coefficients S1, R1.
+    """Build hess0 = J G0, Z0 and the primary-constraint coefficients S1, R1.
 
-    G0 = [[A, 0], [Q, -A']], Z0 = [B; N], S1 = [-N' | B'] and R1 = R.  The
-    identity S1 = -Z0' J holds exactly by construction.
+    hess0 = [[-Q, A'], [A, 0]], Z0 = [B; N], S1 = [-N' | B'] and R1 = R.
+    hess0 is written block by block into one array.  The identity
+    S1 = -Z0' J holds exactly by construction.
     """
     validate(problem)
     n = problem.n
-    g0 = np.block([[problem.A, np.zeros((n, n))], [problem.Q, -problem.A.T]])
+    hess0 = np.zeros((2 * n, 2 * n))
+    np.negative(problem.Q, out=hess0[:n, :n])
+    hess0[:n, n:] = problem.A.T
+    hess0[n:, :n] = problem.A
     z0 = np.vstack([problem.B, problem.N])
     s1 = np.hstack([-problem.N.T, problem.B.T])
     r1 = problem.R.copy()
-    return InitialMatrices(g0=g0, z0=z0, s1=s1, r1=r1)
+    return InitialMatrices(hess0=hess0, z0=z0, s1=s1, r1=r1)
 
 
 __all__ = [

@@ -71,7 +71,7 @@ def recursive_reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> OracleResu
     n, m = problem.n, problem.m
     two_n = 2 * n
     init = initial_matrices(problem)
-    g0, z0 = init.g0, init.z0
+    hess0, z0 = init.hess0, init.z0
 
     rows = row_space_basis(np.hstack([init.s1, -init.r1]), tol)
     index_k = 1 if rows.shape[0] else 0
@@ -87,10 +87,12 @@ def recursive_reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> OracleResu
         zero_u = ker.T @ block[:, :two_n]
         piv = compl.T @ block
         held = rows.shape[0]
-        # an overflowing product leaves inf or NaN in the new level, which
-        # extend_rows rejects with NonConvergence
+        # zero_u G0 = sf hess0 with sf = -zero_u J, a signed swap of the x
+        # and p columns.  An overflowing product leaves inf or NaN in the
+        # new level, which extend_rows rejects with NonConvergence
+        sf = np.hstack([-zero_u[:, n:], zero_u[:, :n]])
         with np.errstate(over="ignore", invalid="ignore"):
-            level = np.hstack([zero_u @ g0, zero_u @ z0])
+            level = np.hstack([sf @ hess0, zero_u @ z0])
         rows = extend_rows(rows, level, tol)
         new = rows[held:]
         if new.shape[0] == 0:

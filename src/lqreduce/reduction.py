@@ -19,11 +19,14 @@ it rebuilds the matrix in full.  Rank 0 is decided from the matrix's
 Frobenius norm without an SVD, which covers every pass of a chain whose
 brackets vanish.  The final split takes the carried matrix too, so the
 reported rp is the last pass's second-class count whenever that pass did
-not fold.
+not fold.  When that matrix has rank 0, as on every chain whose brackets
+vanish, nothing is factored at the split: every row is first class, and
+the held rows' (x, p, u) blocks are the stripped set.
 
 The loop holds the Hessian blocks of the running quadratic Hamiltonian
 rather than its vector field G = -J M, so J G = M is symmetric to
-rounding.
+rounding.  It starts from hess0 = J G0, which
+:func:`~lqreduce.model.initial_matrices` builds block by block.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .linalg import (
     equilibrate_rows,
     extend_rows,
     independent_rows,
+    negligible,
     rank_svd,
     row_space_basis,
 )
@@ -257,7 +261,11 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     included, is split into first and second class, from the bracket
     matrix the last count read (rebuilt only when that last fold changed
     coordinates), and the coisotropic columns are stripped from the
-    reported constraint sets.
+    reported constraint sets.  A matrix of rank 0, read from the last
+    count or, after a rebuild, from its Frobenius norm
+    (:func:`~lqreduce.linalg.negligible`), is not factored: the whole set
+    is first class, and its stripped rows are the held rows' (x, p, u)
+    blocks, which are orthonormal, since the e_v rows project to zero.
 
     Raises InvalidTolerance unless ``tol`` is finite and positive, a
     ValidationError subclass for inconsistent problem data, and
@@ -272,10 +280,8 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
 
     # independent primary rows over (x, p, u); the u coefficient is -R
     sr = independent_rows(np.hstack([init.s1, -init.r1]), tol)
-    # J G0 = [[-Q, A'], [A, 0]] is a signed swap of the row blocks of G0,
-    # and J Z0 = s1' by the primary-constraint identity
-    hess0 = np.vstack([-init.g0[n:], init.g0[:n]])
-    state = StepState(hess0, init.s1.T, sr[:, :two_n], -sr[:, two_n:], -init.r1)
+    # J Z0 = s1' by the primary-constraint identity
+    state = StepState(init.hess0, init.s1.T, sr[:, :two_n], -sr[:, two_n:], -init.r1)
 
     feed_blocks: list[np.ndarray] = []
     sel_blocks: list[np.ndarray] = []
@@ -331,10 +337,23 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
         increased = counts[-1] > counts[-2]
 
     # rp, the rank of the bracket matrix, is the second-class row count;
-    # the carried matrix is stale only when the last pass folded
+    # the carried matrix is the one the last count read, and it is stale
+    # only when the last pass folded
     if poi is None:
         poi = extend_brackets(None, phi)
-    phi1, phi2 = split_first_second(with_zero_order(phi), poi, tol)
+        rank_zero = negligible(poi, tol)
+    else:
+        rank_zero = pass_classes[-1][1] == 0
+    ext = with_zero_order(phi)
+    if rank_zero:
+        # every row is first class; the projection onto (x, p, u) of any
+        # orthonormal basis of the set has singular values 1 and 0 only,
+        # so the strip would keep the held rows' blocks, orthonormal already
+        phi1, phi2 = ext, ext.with_rows(empty_matrix(ext.rows.shape[1]))
+        first = phi.rows[:, : two_n + phi.m_cur]
+    else:
+        phi1, phi2 = split_first_second(ext, poi, tol)
+        first = strip_coisotropic(phi1, tol)
 
     feedtot = np.vstack(feed_blocks) if feed_blocks else empty_matrix(two_n)
     feedsel = np.vstack(sel_blocks) if sel_blocks else empty_matrix(m)
@@ -347,7 +366,7 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
         feedtot=feedtot,
         feedsel=feedsel,
         nofeed=nofeed,
-        phi_first=strip_coisotropic(phi1, tol),
+        phi_first=first,
         phi_second=strip_coisotropic(phi2, tol),
         phi_first_ext=phi1,
         phi_second_ext=phi2,

@@ -95,6 +95,17 @@ class TestRankTol:
         assert rank_tol([[1e200, 1e200], [1e200, 0.0]], TOL) == 2
 
 
+class TestNegligible:
+    def test_frobenius_norm_at_most_tol(self):
+        assert linalg.negligible(np.diag([TOL, 0.0]), TOL)
+        assert not linalg.negligible(np.diag([0.8, 0.8]) * TOL, TOL)
+        assert linalg.negligible(np.zeros((0, 3)), TOL)
+
+    def test_nan_and_overflowing_norms_are_not_negligible(self):
+        assert not linalg.negligible(np.array([[np.nan, 0.0]]), TOL)
+        assert not linalg.negligible(np.array([[1e200, 1e200]]), TOL)
+
+
 def gram_schmidt_rows(m, drop_tol=1e-10):
     """Independent row-space oracle used to cross-check independent_rows."""
     basis = []
@@ -197,6 +208,80 @@ class TestSvd:
         assert not isinstance(info.value, NonConvergence)
 
 
+class TestSvdOneRow:
+    # a single row is factored without LAPACK: sigma = ||row||, u = [[1]],
+    # vt = row / sigma; every degenerate row still takes numpy's route
+
+    @staticmethod
+    def lapack_calls(monkeypatch):
+        real_svd = np.linalg.svd
+        calls = []
+
+        def recording(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        return calls
+
+    @staticmethod
+    def rows(rng):
+        out = [rng.standard_normal((1, k)) * 10.0 ** rng.uniform(-5, 5)
+               for k in (1, 2, 3, 7, 40, 241) for _ in range(5)]
+        return out + [np.array([[-3.0]]), np.array([[-1e-7]])]
+
+    def test_sigma_and_span_match_lapack(self, monkeypatch, rng):
+        calls = self.lapack_calls(monkeypatch)
+        for row in self.rows(rng):
+            shapes = [False, True] if row.shape[1] == 1 else [False]
+            for full_matrices in shapes:
+                _, ref_s, ref_vt = np.linalg.svd(row, full_matrices=full_matrices)
+                del calls[:]
+                u, s, vt = linalg._svd(row, full_matrices=full_matrices)
+                assert calls == []
+                assert [u.shape, s.shape, vt.shape] == [(1, 1), (1,), ref_vt.shape]
+                assert abs(s[0] - ref_s[0]) <= 4 * np.spacing(ref_s[0])
+                assert_allclose(u * s @ vt, row, rtol=1e-15, atol=0)
+                # one unit row each, so the spans agree when |cos| = 1
+                assert_allclose(abs(vt @ ref_vt.T), [[1.0]], rtol=1e-15)
+                assert_allclose(linalg._svd(row, compute_uv=False), s, rtol=0)
+                assert calls == []
+
+    def test_zero_row_takes_lapack(self, monkeypatch):
+        calls = self.lapack_calls(monkeypatch)
+        u, s, vt = linalg._svd(np.zeros((1, 3)), full_matrices=False)
+        assert calls == [(1, 3)]
+        assert s.tolist() == [0.0]
+        assert_allclose(np.abs(u), [[1.0]])
+
+    def test_nan_row_still_raises_linalg_error(self):
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            linalg._svd(np.array([[np.nan, 1.0]]), full_matrices=False)
+        assert not isinstance(info.value, NonConvergence)
+        with pytest.raises(np.linalg.LinAlgError):
+            linalg._svd(np.array([[np.nan]]), compute_uv=False)
+
+    def test_overflowing_row_takes_lapack_without_warning(self, monkeypatch):
+        # the sum of squares overflows to inf; LAPACK scales and factors it
+        calls = self.lapack_calls(monkeypatch)
+        _, s, vt = linalg._svd(np.array([[1e200, 1e200, 0.0]]), full_matrices=False)
+        assert calls == [(1, 3)]
+        assert np.isfinite(s[0])
+        assert_allclose(s, [2 ** 0.5 * 1e200], rtol=1e-15)
+        assert_allclose(np.abs(vt), [[2 ** -0.5, 2 ** -0.5, 0.0]], rtol=1e-15)
+
+    def test_full_vt_of_a_wide_row_is_square(self, rng):
+        row = rng.standard_normal((1, 5))
+        u, s, vt = linalg._svd(row, full_matrices=True)
+        assert [u.shape, s.shape, vt.shape] == [(1, 1), (1,), (5, 5)]
+        assert_allclose(vt @ vt.T, np.eye(5), atol=1e-15)
+        assert_allclose(u * s @ vt[:1], row, atol=1e-15)
+
+    def test_rank_decision_stays_sigma_above_tol(self):
+        assert linalg.rank_svd(np.array([[TOL, 0.0]]), TOL)[3] == 0
+        assert linalg.rank_svd(np.array([[TOL * (1 + 1e-9), 0.0]]), TOL)[3] == 1
+
+
 def orthonormality_error(basis):
     return np.abs(basis @ basis.T - np.eye(basis.shape[0])).max()
 
@@ -297,6 +382,34 @@ class TestNumericalKer:
         assert v.shape == (3, 1) and w.shape == (3, 2)
         assert_allclose(a @ v, 0.0, atol=1e-12)
         assert subspace_angle(v.T, [[0.0, 0.0, 1.0]], TOL) < 1e-10
+
+    def test_negligible_matrix_is_not_factored(self, monkeypatch, rng):
+        # ||a||_F <= tol bounds every singular value, so the whole space is
+        # the kernel without an SVD
+        def no_svd(*args, **kwargs):
+            raise AssertionError("factored a matrix of Frobenius norm <= tol")
+
+        monkeypatch.setattr(linalg, "_svd", no_svd)
+        noise = rng.standard_normal((4, 3))
+        for a in (np.zeros((3, 3)), np.diag([TOL, 0.0]),
+                  0.5 * TOL * noise / np.linalg.norm(noise)):
+            v, w = numerical_ker(a, TOL)
+            assert np.array_equal(v, np.eye(a.shape[1]))
+            assert w.shape == (a.shape[1], 0)
+
+    def test_norm_above_tol_is_factored(self, monkeypatch):
+        # every singular value 0.8 tol: rank 0 all the same, from the SVD
+        calls = []
+        real_svd = linalg._svd
+
+        def recording(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "_svd", recording)
+        v, w = numerical_ker(np.diag([0.8, 0.8]) * TOL, TOL)
+        assert calls == [(2, 2)]
+        assert v.shape == (2, 2) and w.shape == (2, 0)
 
     def test_kernel_residual_and_orthonormality(self, rng):
         for _ in range(20):

@@ -92,7 +92,8 @@ class TestInitialMatrices:
         a, b, q, nu, r = 2.0, 3.0, 5.0, 7.0, 11.0
         p = LQProblem(A=[[a]], B=[[b]], Q=[[q]], N=[[nu]], R=[[r]])
         init = initial_matrices(p)
-        assert_allclose(init.g0, [[a, 0.0], [q, -a]])
+        # hess0 = J G0 = [[-Q, A'], [A, 0]]
+        assert_allclose(init.hess0, [[-q, a], [a, 0.0]])
         assert_allclose(init.z0, [[b], [nu]])
         assert_allclose(init.s1, [[-nu, b]])
         assert_allclose(init.r1, [[r]])
@@ -100,7 +101,7 @@ class TestInitialMatrices:
     def test_zero_problem(self):
         p = LQProblem(A=[[0.0]], B=[[0.0]], Q=[[0.0]], N=[[0.0]], R=[[0.0]])
         init = initial_matrices(p)
-        assert_allclose(init.g0, np.zeros((2, 2)))
+        assert_allclose(init.hess0, np.zeros((2, 2)))
         assert_allclose(init.z0, np.zeros((2, 1)))
         assert_allclose(init.s1, np.zeros((1, 2)))
 
@@ -109,8 +110,8 @@ class TestInitialMatrices:
             A=np.eye(2), B=[[1.0], [1.0]], Q=np.eye(2), N=np.zeros((2, 1)), R=[[0.0]]
         )
         init = initial_matrices(p)
-        assert_allclose(init.g0, np.block([[np.eye(2), np.zeros((2, 2))],
-                                           [np.eye(2), -np.eye(2)]]))
+        assert_allclose(init.hess0, np.block([[-np.eye(2), np.eye(2)],
+                                              [np.eye(2), np.zeros((2, 2))]]))
         assert_allclose(init.z0, [[1.0], [1.0], [0.0], [0.0]])
         assert_allclose(init.s1, [[0.0, 0.0, 1.0, 1.0]])
         assert_allclose(init.r1, [[0.0]])
@@ -137,12 +138,14 @@ def _fd_gradient(f, z, h=1e-6):
 
 class TestHamiltonEquationsConsistency:
     def test_drift_matches_gradient(self, rng):
-        # G0 (x;p) + Z0 u must equal (dH/dp; -dH/dx) by finite differences
+        # G0 (x;p) + Z0 u must equal (dH/dp; -dH/dx) by finite differences,
+        # with the drift block G0 = -J hess0
         for _ in range(10):
             n = int(rng.integers(1, 5))
             m = int(rng.integers(1, 4))
             prob = random_problem(rng, n, m)
             init = initial_matrices(prob)
+            g0 = -symplectic_matrix(n) @ init.hess0
             x = rng.standard_normal(n)
             p = rng.standard_normal(n)
             u = rng.standard_normal(m)
@@ -152,7 +155,7 @@ class TestHamiltonEquationsConsistency:
 
             grad = _fd_gradient(ham, np.concatenate([x, p]))
             expected = np.concatenate([grad[n:], -grad[:n]])
-            got = init.g0 @ np.concatenate([x, p]) + init.z0 @ u
+            got = g0 @ np.concatenate([x, p]) + init.z0 @ u
             assert_allclose(got, expected, rtol=1e-6, atol=1e-6)
 
     def test_control_gradient_matches_primary_constraints(self, rng):

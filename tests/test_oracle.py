@@ -13,6 +13,7 @@ from lqreduce import (
     reduce,
     subspace_angle,
 )
+from lqreduce import linalg
 from conftest import random_problem
 from test_structure_snapshot import structure_cases
 
@@ -83,7 +84,9 @@ class TestRecursiveReduce:
         # Rabier-Rheinboldt rule, adds nothing; the tiny gen_exp3(2) draws
         # are left out, because near the tolerance that rule is the defect
         # test_family3_n2_draw_matches_reduction pins
-        from lqreduce import equilibrate_rows, independent_rows, initial_matrices
+        from lqreduce import (
+            equilibrate_rows, independent_rows, initial_matrices, symplectic_matrix,
+        )
         from lqreduce.linalg import numerical_ker
 
         problems = (
@@ -95,11 +98,12 @@ class TestRecursiveReduce:
         for prob in problems:
             out = recursive_reduce(prob, TOL)
             init = initial_matrices(prob)
+            g0 = -symplectic_matrix(prob.n) @ init.hess0
             rows = out.final_constraints
             two_n = 2 * prob.n
             ker, _ = numerical_ker(rows[:, two_n:].T, TOL)
             s_all = rows[:, :two_n]
-            cands = ker.T @ np.hstack([s_all @ init.g0, s_all @ init.z0])
+            cands = ker.T @ np.hstack([s_all @ g0, s_all @ init.z0])
             stacked = independent_rows(
                 equilibrate_rows(np.vstack([rows, cands]), TOL), TOL
             )
@@ -107,17 +111,19 @@ class TestRecursiveReduce:
 
     def test_each_pass_factors_only_the_new_rows(self, monkeypatch):
         # family 3 adds one zero-u row per pass; an oracle that re-factors
-        # its whole stack feeds numpy's SVD stacks of up to 2n rows, one
-        # that differentiates only the new rows factors at most two
+        # its whole stack factors stacks of up to 2n rows, one that
+        # differentiates only the new rows factors at most two.  Recorded
+        # at the package's factorization seam, which also sees the single
+        # rows it factors without LAPACK
         prob = perturb(gen_exp3(40), 1e-10, seed=0, preserve_structure=True)
-        real_svd = np.linalg.svd
+        real_svd = linalg._svd
         shapes = []
 
         def recording(a, *args, **kwargs):
             shapes.append(np.shape(a))
             return real_svd(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", recording)
+        monkeypatch.setattr(linalg, "_svd", recording)
         out = recursive_reduce(prob, TOL)
         assert out.index_k == 40
         assert shapes and all(rows <= 2 for rows, _ in shapes)

@@ -1,3 +1,7 @@
+import dataclasses
+import itertools
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -13,19 +17,23 @@ from lqreduce import (
     gen_exp1,
     gen_exp2,
     gen_exp3,
+    initial_matrices,
     perturb,
     poisson_brackets,
     rank_tol,
     recursive_reduce,
     reduce,
+    split_first_second,
     step,
+    strip_coisotropic,
     subspace_angle,
     symplectic_matrix,
 )
-from lqreduce import classify, reduction
+from lqreduce import classify, linalg, reduction
 from lqreduce.constraints import with_zero_order
 from lqreduce.linalg import principal_angle
 from conftest import random_problem
+from test_structure_snapshot import SNAPSHOT, structure_cases
 
 TOL = 1e-6
 
@@ -33,7 +41,7 @@ TOL = 1e-6
 ABSOLUTE_TOL_LIMIT = pytest.mark.xfail(
     strict=True,
     reason="rank decisions use an absolute tolerance, so cost scaling past "
-    "about 1e5 loses second-class pairs (ROADMAP item 2)",
+    "about 1e5 loses second-class pairs (ROADMAP item 4)",
 )
 
 
@@ -261,17 +269,19 @@ class TestReduceSingular:
 
     def test_each_pass_factors_only_the_new_level(self, monkeypatch):
         # family 3 adds one row per pass; a reduction that re-factors the
-        # whole constraint stack feeds numpy's SVD many-row inputs with
-        # 2n + 2m columns, one that extends a row basis only single rows
+        # whole constraint stack factors many-row inputs with 2n + 2m
+        # columns, one that extends a row basis only single rows.  Recorded
+        # at the package's factorization seam, which also sees the single
+        # rows it factors without LAPACK
         n = 40
-        real_svd = np.linalg.svd
+        real_svd = linalg._svd
         shapes = []
 
         def recording(a, *args, **kwargs):
             shapes.append(np.shape(a))
             return real_svd(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", recording)
+        monkeypatch.setattr(linalg, "_svd", recording)
         res = reduce(gen_exp3(n), TOL)
         assert res.index_k == n
         wide = [shape for shape in shapes if shape[1] == 2 * n + 2]
@@ -279,12 +289,12 @@ class TestReduceSingular:
 
     def test_bracket_matrix_built_once_per_fold(self, monkeypatch):
         # the bracket matrix is carried between folds and only bordered by
-        # each pass's new rows, and the split takes it from the last count;
-        # family 3 solves no control and its brackets vanish, so the only
-        # full bracket matrix is pass 0's, and the only square SVD of more
-        # than 2 rows is the split's
+        # each pass's new rows, and the split takes its rank from the last
+        # count; family 3 solves no control and its brackets vanish, so the
+        # only full bracket matrix is pass 0's, and rank 0 leaves nothing to
+        # factor at the split: no square factorization has more than 2 rows
         prob = perturb(gen_exp3(40), 1e-10, seed=0, preserve_structure=True)
-        real_svd = np.linalg.svd
+        real_svd = linalg._svd
         real_brackets = classify.poisson_brackets
         square, built = [], []
 
@@ -298,14 +308,14 @@ class TestReduceSingular:
             built.append(phi.n_rows)
             return real_brackets(phi)
 
-        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        monkeypatch.setattr(linalg, "_svd", recording_svd)
         monkeypatch.setattr(classify, "poisson_brackets", recording_brackets)
         res = reduce(prob, TOL)
         folds = sum(r > 0 for r in res.feedback_ranks)
         assert res.index_k == 40
         assert len(built) == 1 + folds
-        q = res.phi_first_ext.n_rows + res.phi_second_ext.n_rows
-        assert square == [q]
+        assert res.rp == 0
+        assert square == []
 
     def test_carried_bracket_matrix_is_the_fresh_one(self, monkeypatch, rng):
         # every count sees the brackets of the set it counts, the implied
@@ -557,6 +567,90 @@ class TestReduceSingular:
         assert res.index_k == 1
         assert res.phi_first.shape[0] == 0
         assert res.phi_second.shape[0] == 0
+
+
+class TestRankZeroExit:
+    # when the final bracket matrix has rank 0, reduce skips the split and
+    # the strip: the set is all first class, and the held rows' (x, p, u)
+    # blocks are already its stripped orthonormal basis
+
+    @staticmethod
+    def fold_exit_problems():
+        # past the absolute tolerance's limit (ROADMAP item 4) a flat count
+        # can leave a control to solve; these exit on that fold with rp = 0
+        return [LQProblem(A=[[-1.0]], B=[[-1.0, 1.0]], Q=[[4.0 * s]],
+                          N=[[0.0, 2.0 * s]], R=[[s, -s], [-s, s]])
+                for s in (1e10, 1e11)]
+
+    def rank_zero_problems(self, rng):
+        snapshot = json.loads(SNAPSHOT.read_text())
+        problems = [prob for label, prob in structure_cases()
+                    if snapshot[label][2] == 0]
+        problems += [perturb(gen_exp3(n), 1e-10, seed=0, preserve_structure=True)
+                     for n in (4, 40)]
+        # regular: every control is solved on pass 0 and no row is left
+        problems += [random_problem(rng, 4, 2, spd_r=True) for _ in range(5)]
+        return problems + self.fold_exit_problems()
+
+    def test_matches_the_split_route(self, rng):
+        checked = folded = 0
+        for prob in self.rank_zero_problems(rng):
+            res = reduce(prob, TOL)
+            assert res.rp == 0
+            checked += 1
+            # a loop that ends on a fold rebuilds its brackets after the count
+            folded += len(res.feedback_ranks) == len(res.class_counts)
+            ext = res.phi_first_ext
+            assert res.phi_second_ext.n_rows == 0 and res.phi_second.shape[0] == 0
+            first, second = split_first_second(ext, poisson_brackets(ext), TOL)
+            assert second.n_rows == 0
+            stripped = strip_coisotropic(first, TOL)
+            assert res.phi_first.shape == stripped.shape
+            if stripped.shape[0]:
+                assert orthonormality_error(res.phi_first) < 1e-12
+                assert subspace_angle(res.phi_first, stripped, TOL) < 1e-12
+        assert checked > 280 and folded > 0
+
+    def test_rank_zero_is_not_factored_at_the_split(self, monkeypatch):
+        calls = []
+        for name in ("split_first_second", "strip_coisotropic"):
+            def counting(*args, _name=name, _fn=getattr(reduction, name)):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(reduction, name, counting)
+        # rank 0 read from the last count, or from the norm of the matrix
+        # rebuilt after a fold that ends the loop
+        problems = [perturb(gen_exp3(10), 1e-10, seed=0, preserve_structure=True)]
+        for prob in problems + self.fold_exit_problems():
+            del calls[:]
+            res = reduce(prob, TOL)
+            assert res.rp == 0
+            assert calls == ["strip_coisotropic"]  # of the empty second class
+        assert len(res.feedback_ranks) == len(res.class_counts)
+        # second-class rows take the split and strip both sets
+        del calls[:]
+        res = reduce(gen_exp1(24, 9, 6), TOL)
+        assert res.rp > 0
+        assert sorted(calls) == ["split_first_second"] + ["strip_coisotropic"] * 2
+
+    def test_direct_hess0_keeps_the_feedback_law(self, monkeypatch, rng):
+        # J G0 built block by block is the restack of the drift block
+        # G0 = [[A, 0], [Q, -A']] bit for bit, so every feedback law is too
+        def restacked(problem):
+            init = initial_matrices(problem)
+            n = problem.n
+            g0 = np.block([[problem.A, np.zeros((n, n))], [problem.Q, -problem.A.T]])
+            return dataclasses.replace(init, hess0=np.vstack([-g0[n:], g0[:n]]))
+
+        problems = [prob for _, prob in itertools.islice(structure_cases(), 100)]
+        problems += [random_problem(rng, 4, 2, spd_r=True) for _ in range(5)]
+        problems.append(perturb(gen_exp1(24, 9, 6), 1e-10, seed=0))
+        laws = [reduce(prob, TOL).feedback_law() for prob in problems]
+        assert sum(law.any() for law in laws) > 50
+        monkeypatch.setattr(reduction, "initial_matrices", restacked)
+        for prob, law in zip(problems, laws):
+            assert np.array_equal(law, reduce(prob, TOL).feedback_law())
 
 
 class TestValidationPropagation:

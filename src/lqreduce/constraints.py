@@ -93,9 +93,10 @@ def apply_feedback_to_constraints(
     block; the solved coisotropic columns are dropped outright (those
     coordinates vanish on the zero-order constraints).  Rows that become
     dependent (or zero) are removed, and the set comes back as an
-    orthonormal basis of what survives (right singular vectors of the
-    equilibrated rows for singular values > tol), the form in which
-    :func:`~lqreduce.reduction.reduce` holds its constraint set.
+    orthonormal basis of what survives
+    (:func:`~lqreduce.linalg.row_space_basis` of the equilibrated rows,
+    whose rank is the count of their singular values > tol), the form in
+    which :func:`~lqreduce.reduction.reduce` holds its constraint set.
 
     Unlike :func:`strip_coisotropic`, the fold equilibrates before its rank
     decision: substituting the feedback leaves rows that are neither

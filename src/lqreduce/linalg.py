@@ -9,9 +9,14 @@ an SVD, ``||m||_F <= tol`` (:func:`negligible`), which bounds every
 singular value.  Problems should therefore be scaled so that meaningful
 entries are well above the tolerance.
 
-Every factorization goes through one seam, ``_svd``.  A single row is
-factored there without LAPACK, sigma = ||row||, and its rank is still the
-count of sigma > tol that every other factorization gets.
+Every SVD goes through one seam, ``_svd``.  A single row is factored
+there without LAPACK, sigma = ||row||, and its rank is still the count of
+sigma > tol that every other factorization gets.  The one other
+factorization is the Householder QR with which :func:`row_space_basis`
+reduces a large wide matrix to a square triangle; its rank is the same
+count, of the triangle's singular values from ``_svd``.  Sines of
+principal angles come from an eigenvalue solve (:func:`principal_angle`),
+which decides no rank.
 
 Empty matrices (zero rows and/or columns) are first-class values: every
 routine accepts and may return them.
@@ -36,6 +41,9 @@ DEFAULT_TOL = 1e-6
 _LARGE_ENTRY = 1e150
 # a sum of squares above this owes nothing that matters to subnormal terms
 _SMALL_SQUARE = 1e-200
+# row_space_basis factors a matrix of at least this many entries through a
+# QR of its transpose; below it one SVD is faster
+_QR_MIN_ENTRIES = 2048
 
 
 def check_tol(tol) -> None:
@@ -64,8 +72,20 @@ def empty_matrix(cols: int) -> np.ndarray:
 
 
 def asymmetry(m: np.ndarray) -> float:
-    """Relative asymmetry ||m - m'||_F / (1 + ||m||_F) of a square matrix."""
-    return float(np.linalg.norm(m - m.T) / (1.0 + np.linalg.norm(m)))
+    """Relative asymmetry ||m - m'||_F / (1 + ||m||_F) of a finite square matrix.
+
+    Entries above about 1e154 overflow ||m||_F, and inf / inf would make the
+    ratio NaN, which compares below any threshold.  Such an ``m`` is
+    divided by its largest |entry| first, and the 1 likewise.
+    """
+    with np.errstate(over="ignore"):
+        size = np.linalg.norm(m)
+        skew = np.linalg.norm(m - m.T)
+    if size == np.inf:
+        top = np.abs(m).max()
+        m = m / top
+        return float(np.linalg.norm(m - m.T) / (1.0 / top + np.linalg.norm(m)))
+    return float(skew / (1.0 + size))
 
 
 def _svd(m: np.ndarray, full_matrices: bool = True, compute_uv: bool = True):
@@ -228,9 +248,8 @@ def extend_rows(basis, rows, tol: float = DEFAULT_TOL) -> np.ndarray:
     equilibrated first (rows of norm <= tol are dropped), then projected
     out of the basis twice: one classical Gram-Schmidt pass loses
     orthogonality once a row is nearly in the span, two are enough
-    (Daniel, Gragg, Kaufman & Stewart 1976, Math. Comp. 30).  One SVD of
-    the residual gives the new rows, its right singular vectors for
-    singular values > tol.
+    (Daniel, Gragg, Kaufman & Stewart 1976, Math. Comp. 30).  The new
+    rows are :func:`row_space_basis` of the residual.
 
     Rank rule: a new direction counts when a singular value of the
     residual exceeds tol, where a stacked factorization would compare the
@@ -275,12 +294,41 @@ def numerical_ker(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
 
 
 def row_space_basis(m, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the row space of ``m`` (rows of the result)."""
+    """Orthonormal basis of the numerical row space of ``m`` (rows of the result).
+
+    The rank r is the count of singular values of ``m`` above ``tol``, and
+    the r rows span the same space as its leading right singular vectors
+    (they are those vectors, to rounding, whenever r < k).
+
+    A k x c matrix with 1 < k <= c and at least 2048 entries is first
+    reduced by a Householder QR of its transpose, m' = Q R, as in Chan
+    (1982, ACM TOMS 8(1)): R is k x k with the singular values of ``m``,
+    so r is counted from a values-only SVD of R, and at full rank the
+    rows of Q' are the basis, with no singular vector computed.  A
+    rank-deficient R is factored with vectors, R = W S V', r is counted
+    from S, and the basis is the first r rows of W'Q'.  Since
+    sigma_min(R) <= min |r_ii|, a diagonal entry <= tol already shows the
+    lost rank, and the values-only SVD is skipped.  Such an ``m`` that is
+    :func:`negligible` has rank 0 without any factorization.  Smaller,
+    single-row and tall inputs take one SVD of ``m``, which is faster
+    there (the crossover was measured on one BLAS thread).
+    """
     m = as_matrix(m)
+    k, c = m.shape
     if m.size == 0:
-        return empty_matrix(m.shape[1])
-    _, _, vt, r = rank_svd(m, tol)
-    return vt[:r, :]
+        return empty_matrix(c)
+    if k == 1 or k > c or m.size < _QR_MIN_ENTRIES:
+        _, _, vt, r = rank_svd(m, tol)
+        return vt[:r, :]
+    if negligible(m, tol):
+        return empty_matrix(c)
+    q, tri = np.linalg.qr(m.T)
+    if np.abs(np.diagonal(tri)).min() > tol:
+        r = _count_above(_svd(tri, compute_uv=False), tol)
+        if r == k:
+            return q.T
+    w, s, _ = _svd(tri, full_matrices=False)
+    return w[:, :_count_above(s, tol)].T @ q.T
 
 
 def principal_angle(q1, q2) -> float:
@@ -293,11 +341,15 @@ def principal_angle(q1, q2) -> float:
 
     Computed with the combined sine/cosine recipe of Knyazev & Argentati
     (2002, SIAM J. Sci. Comput. 23(6)): the sines, singular values of the
-    smaller basis minus its projection onto the larger one, resolve angles
-    far below 1e-8 where a pure arccos of cosines saturates; the cosines,
-    singular values of the cross products of the bases, are accurate for
-    angles above pi/4.  Only the sines are factored unless the angle
-    exceeds pi/4.
+    residual of the smaller basis after its projection onto the larger
+    one, resolve angles far below 1e-8 where a pure arccos of cosines
+    saturates; the cosines, singular values of the cross products of the
+    bases, are accurate for angles above pi/4.  Only the largest sine is
+    needed.  It is read as sqrt(max(lambda, 0)), lambda the largest
+    eigenvalue of the smaller Gram matrix of the residual, which a
+    symmetric eigensolver returns to relative accuracy; clamping at 0
+    keeps rounding from turning identical sets into NaN.  The cosines are
+    factored only when that sine exceeds sin(pi/4).
 
     Raises:
         DimensionMismatch: column counts differ (the two sets live in
@@ -315,9 +367,11 @@ def principal_angle(q1, q2) -> float:
     if q1.shape[0] < q2.shape[0]:
         q1, q2 = q2, q1
     cosines = q2 @ q1.T
-    sines = _svd(q2 - cosines @ q1, compute_uv=False)
-    if sines[0] ** 2 <= 0.5:
-        return float(np.arcsin(sines[0]))
+    res = q2 - cosines @ q1
+    gram = res @ res.T if res.shape[0] <= res.shape[1] else res.T @ res
+    sine = np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0))
+    if sine ** 2 <= 0.5:
+        return float(np.arcsin(sine))
     return float(np.arccos(_svd(cosines, compute_uv=False)[-1]))
 
 

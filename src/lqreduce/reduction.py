@@ -156,9 +156,11 @@ class ReductionResult:
         Residual-control columns are pulled back through nofeed and the
         feedback relations feedsel . u - feedtot . (x; p) = 0 are appended,
         so the rows cut out the same subspace of R^{2n+m} that the plain
-        recursive algorithm finds.  The rows returned are orthonormal: the
-        right singular vectors of the equilibrated stack for singular
-        values > tol, the same rank decision as :meth:`final_constraints`.
+        recursive algorithm finds.  The rows returned are orthonormal:
+        :func:`~lqreduce.linalg.row_space_basis` of the equilibrated stack,
+        whose rank is the count of its singular values > tol, the same rank
+        decision as :meth:`final_constraints`.  A stack of full row rank
+        gets its basis from a QR, with no singular vector computed.
         """
         two_n = 2 * self.n
         blocks = []

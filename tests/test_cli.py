@@ -75,6 +75,19 @@ class TestCmdReduce:
         assert main(["reduce", path]) == 2
         assert "symmetric" in capsys.readouterr().err
 
+    def test_huge_asymmetric_problem_exit_2(self, tmp_path, capsys):
+        # both norms of this Q overflow; its asymmetry must still be seen
+        path = write_problem(
+            tmp_path / "huge_asym.json",
+            [[0.0, 0.0], [0.0, 0.0]],
+            [[1.0], [0.0]],
+            [[1e200, 1e200], [0.0, 1e200]],
+            [[0.0], [0.0]],
+            [[1.0]],
+        )
+        assert main(["reduce", path]) == 2
+        assert "symmetric" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["reduce", "oracle"])
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
     def test_bad_tolerance_exit_2(self, singular_file, capsys, command, tol):
@@ -272,6 +285,15 @@ class TestCmdExperiment:
         assert len(lines) == 4  # comment, header, 2 rows
         assert not any(line.startswith("# slope=") for line in lines)
         assert captured.err == ""
+
+    def test_huge_delta_validates_without_warning(self, capsys):
+        # a perturbation of 1e300 gives cost entries whose norms overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(
+                ["experiment", "--family", "2", "--n", "3", "--deltas", "1e300"]
+            ) == 0
+        assert capsys.readouterr().err == ""
 
     def test_negative_seed_exit_2(self, capsys):
         assert main(

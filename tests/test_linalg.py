@@ -366,6 +366,214 @@ class TestExtendRows:
         assert orthonormality_error(basis) < 1e-12
 
 
+def orthonormal_rows(rng, k, c):
+    return np.linalg.qr(rng.standard_normal((c, k)))[0].T
+
+
+def with_singular_values(rng, sigma, c):
+    """A len(sigma) x c matrix with exactly the singular values ``sigma``."""
+    k = len(sigma)
+    return orthonormal_rows(rng, k, k).T @ (np.asarray(sigma)[:, None] * orthonormal_rows(rng, k, c))
+
+
+def svd_rule_basis(m, tol):
+    """The plain route: right singular vectors for singular values > tol."""
+    _, s, vt = np.linalg.svd(m, full_matrices=False)
+    return vt[: int(np.count_nonzero(s > tol))]
+
+
+def largest_sine(b1, b2):
+    """Sine of the largest principal angle between equal-size orthonormal sets."""
+    return float(np.linalg.norm(b2 - (b2 @ b1.T) @ b1, 2))
+
+
+class TestRowSpaceBasis:
+    # shapes below the QR crossover (an SVD of m), and at or above it (a QR
+    # of m' and an SVD of the k x k triangle); a square one too
+    SMALL = [(2, 5), (8, 30), (20, 50)]
+    LARGE = [(32, 64), (40, 120), (64, 64), (90, 200)]
+
+    @pytest.fixture
+    def qr_calls(self, monkeypatch):
+        calls = []
+        real_qr = np.linalg.qr
+
+        def recording(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real_qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", recording)
+        return calls
+
+    def check_against_svd_rule(self, m, tol=TOL, span=True):
+        got = linalg.row_space_basis(m, tol)
+        ref = svd_rule_basis(m, tol)
+        assert got.shape == ref.shape
+        if got.shape[0]:
+            assert orthonormality_error(got) < 1e-12
+            if span:
+                assert np.arcsin(min(largest_sine(ref, got), 1.0)) < 1e-12
+        return got
+
+    def test_crossover_sits_between_the_shapes(self):
+        assert all(k * c < linalg._QR_MIN_ENTRIES for k, c in self.SMALL)
+        assert all(k * c >= linalg._QR_MIN_ENTRIES for k, c in self.LARGE)
+
+    @pytest.mark.parametrize("k, c", SMALL + LARGE)
+    def test_full_rank(self, rng, qr_calls, k, c):
+        got = self.check_against_svd_rule(rng.standard_normal((k, c)))
+        assert got.shape == (k, c)
+        assert qr_calls == ([(c, k)] if k * c >= linalg._QR_MIN_ENTRIES else [])
+
+    @pytest.mark.parametrize("k, c", SMALL + LARGE)
+    def test_rank_deficient(self, rng, k, c):
+        r = max(1, k // 3)
+        m = rng.standard_normal((k, r)) @ rng.standard_normal((r, c))
+        m = m + 1e-12 * rng.standard_normal((k, c))
+        assert self.check_against_svd_rule(m).shape == (r, c)
+
+    @pytest.mark.parametrize("k, c", SMALL + LARGE)
+    def test_graded_rows(self, rng, k, c):
+        # kept rows graded over two decades, the rest near 1e-9: only the
+        # graded ones survive
+        kept = k - k // 4
+        scale = np.concatenate([np.logspace(0, -2, kept), np.full(k - kept, 1e-9)])
+        m = scale[:, None] * rng.standard_normal((k, c))
+        assert self.check_against_svd_rule(m).shape == (kept, c)
+
+    @pytest.mark.parametrize("k, c", [(20, 50), (40, 120), (64, 64)])
+    def test_singular_values_at_the_threshold(self, rng, k, c):
+        # sigma = tol (1 +- 1e-9) gets the rank the SVD rule gives; the
+        # largest value is kept near tol so rounding stays far below the gap.
+        # A gap of 2e-15 leaves the span of the kept vectors undetermined,
+        # so only the rank and the orthonormality are compared
+        q = k // 4
+        sigma = np.concatenate([
+            np.full(k - 3 * q, 10 * TOL), np.full(q, TOL * (1 + 1e-9)),
+            np.full(q, TOL * (1 - 1e-9)), np.zeros(q),
+        ])
+        m = with_singular_values(rng, sigma, c)
+        assert np.count_nonzero(np.linalg.svd(m, compute_uv=False) > TOL) == k - 2 * q
+        assert self.check_against_svd_rule(m, span=False).shape == (k - 2 * q, c)
+
+    def test_deficiency_hidden_from_the_diagonal(self, rng, monkeypatch):
+        # m' = Q T with T unit upper triangular and -1 above the diagonal:
+        # every |r_ii| is 1 but sigma_min is about 2^-k, so the values-only
+        # count must see the lost rank and the vectors come from T
+        k, c = 40, 100
+        tri = np.eye(k) - np.triu(np.ones((k, k)), 1)
+        m = (orthonormal_rows(rng, k, c).T @ tri).T
+        real_svd = linalg._svd
+        calls = []
+
+        def recording(a, full_matrices=True, compute_uv=True):
+            calls.append((np.shape(a), compute_uv))
+            return real_svd(a, full_matrices=full_matrices, compute_uv=compute_uv)
+
+        monkeypatch.setattr(linalg, "_svd", recording)
+        assert self.check_against_svd_rule(m).shape == (k - 1, c)
+        assert calls == [((k, k), False), ((k, k), True)]
+
+    def test_full_rank_computes_no_singular_vector(self, rng, monkeypatch):
+        real_svd = linalg._svd
+        calls = []
+
+        def recording(a, full_matrices=True, compute_uv=True):
+            calls.append((np.shape(a), compute_uv))
+            return real_svd(a, full_matrices=full_matrices, compute_uv=compute_uv)
+
+        monkeypatch.setattr(linalg, "_svd", recording)
+        linalg.row_space_basis(rng.standard_normal((40, 120)), TOL)
+        assert calls == [((40, 40), False)]
+
+    @pytest.mark.parametrize("shape", [(1, 4000), (200, 30), (46, 46)])
+    def test_one_row_and_tall_inputs_keep_the_svd(self, rng, qr_calls, shape):
+        # (46, 46) is square and above the crossover, so it takes the QR
+        m = rng.standard_normal(shape)
+        self.check_against_svd_rule(m)
+        assert qr_calls == ([shape] if shape == (46, 46) else [])
+
+    def test_negligible_input_is_not_factored(self, rng, monkeypatch):
+        # ||m||_F <= tol bounds every singular value: rank 0 without a
+        # factorization, as in rank_tol, for inputs the QR would take
+        def no_factorization(*args, **kwargs):
+            raise AssertionError("factored a matrix of Frobenius norm <= tol")
+
+        monkeypatch.setattr(linalg, "_svd", no_factorization)
+        monkeypatch.setattr(np.linalg, "qr", no_factorization)
+        noise = rng.standard_normal((40, 120))
+        for m in (np.zeros((40, 120)), np.zeros((0, 7)),
+                  0.5 * TOL * noise / np.linalg.norm(noise)):
+            assert linalg.row_space_basis(m, TOL).shape == (0, m.shape[1])
+
+    def test_nan_input_raises(self):
+        m = np.ones((40, 120))
+        m[3, 5] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            linalg.row_space_basis(m, TOL)
+
+
+def svd_route_angle(q1, q2):
+    """principal_angle with its largest sine read from a values-only SVD."""
+    if q1.shape[0] < q2.shape[0]:
+        q1, q2 = q2, q1
+    cosines = q2 @ q1.T
+    sines = np.linalg.svd(q2 - cosines @ q1, compute_uv=False)
+    if sines[0] ** 2 <= 0.5:
+        return float(np.arcsin(sines[0]))
+    return float(np.arccos(np.linalg.svd(cosines, compute_uv=False)[-1]))
+
+
+class TestPrincipalAngle:
+    @staticmethod
+    def rotated_pair(rng, rows1, rows2, c, theta):
+        # rows2 of the first set turned by angles up to theta, within planes
+        # orthogonal to everything else
+        frame = orthonormal_rows(rng, rows1 + rows2, c)
+        q1, away = frame[:rows1], frame[rows1:]
+        angles = theta * np.linspace(1.0, 0.5, rows2)
+        q2 = np.cos(angles)[:, None] * q1[:rows2] + np.sin(angles)[:, None] * away
+        return q1, q2
+
+    @pytest.mark.parametrize(
+        "theta", [1e-14, 1e-12, 1e-9, 1e-6, 1e-3, 0.3, 0.78, 0.79, 1.0, 1.5]
+    )
+    @pytest.mark.parametrize("rows1, rows2, c", [(1, 1, 3), (3, 3, 10), (6, 2, 40)])
+    def test_equals_the_svd_route(self, rng, theta, rows1, rows2, c):
+        q1, q2 = self.rotated_pair(rng, rows1, rows2, c, theta)
+        for a, b in ((q1, q2), (q2, q1)):
+            got = linalg.principal_angle(a, b)
+            assert_allclose(got, svd_route_angle(a, b), rtol=1e-12, atol=0)
+        if theta >= 1e-6:
+            assert_allclose(got, theta, rtol=1e-8)
+
+    def test_identical_sets_give_zero(self, rng):
+        for q in (np.eye(4)[:2], np.eye(3)):
+            assert linalg.principal_angle(q, q) == 0.0
+        q = orthonormal_rows(rng, 5, 30)
+        got = linalg.principal_angle(q, q)
+        assert 0.0 <= got < 1e-14
+
+    def test_rounding_below_zero_gives_zero(self, monkeypatch):
+        # a Gram matrix of rounding noise may have a negative top eigenvalue
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: np.full(len(g), -1e-40))
+        assert linalg.principal_angle(np.eye(3)[:2], np.eye(3)[:2]) == 0.0
+
+    def test_uses_the_smaller_gram(self, rng, monkeypatch):
+        shapes = []
+        real_eigvalsh = np.linalg.eigvalsh
+
+        def recording(g):
+            shapes.append(np.shape(g))
+            return real_eigvalsh(g)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        q1, q2 = self.rotated_pair(rng, 6, 2, 40, 0.1)
+        linalg.principal_angle(q1, q2)
+        linalg.principal_angle(q2, q1)
+        assert shapes == [(2, 2), (2, 2)]
+
+
 class TestNumericalKer:
     def test_zero_matrix(self):
         v, w = numerical_ker(np.zeros((2, 2)), TOL)

@@ -46,6 +46,36 @@ class TestValidate:
         with pytest.raises(AsymmetricR):
             validate(p)
 
+    # entries above about 1e154 overflow both Frobenius norms, which once
+    # made the asymmetry NaN and let such a matrix through
+
+    def test_asymmetric_q_with_huge_entries(self):
+        p = LQProblem(
+            A=np.zeros((2, 2)),
+            B=np.zeros((2, 1)),
+            Q=[[1e200, 1e200], [0.0, 1e200]],
+            N=np.zeros((2, 1)),
+            R=[[1.0]],
+        )
+        with pytest.raises(AsymmetricQ):
+            validate(p)
+
+    def test_asymmetric_r_with_huge_entries(self):
+        p = LQProblem(
+            A=np.zeros((1, 1)),
+            B=np.zeros((1, 2)),
+            Q=np.zeros((1, 1)),
+            N=np.zeros((1, 2)),
+            R=[[1e200, 1e200], [0.0, 1e200]],
+        )
+        with pytest.raises(AsymmetricR):
+            validate(p)
+
+    def test_symmetric_huge_entries_pass(self):
+        huge = [[1e300, -1e300], [-1e300, 1e300]]
+        validate(LQProblem(A=np.zeros((2, 2)), B=np.zeros((2, 2)), Q=huge,
+                           N=np.zeros((2, 2)), R=huge))
+
     def test_dimension_mismatch(self):
         # R sized 3x3 against a 2-column B
         p = LQProblem(

@@ -211,17 +211,27 @@ class TestCompareFinalSubspaces:
         ids=["family1", "family3"],
     )
     def test_factors_only_the_reconstruction(self, draw, monkeypatch):
-        # both row sets are orthonormal, so the comparison factors the
-        # reconstruction and the sines, never either set a second time
+        # both row sets are orthonormal, so the comparison factors only the
+        # reconstruction, never either set a second time.  It has full row
+        # rank, so one QR of its transpose and a values-only SVD of the
+        # triangle give its basis; the sines come from an eigenvalue solve
         prob = draw()
         out, res = recursive_reduce(prob, TOL), reduce(prob, TOL)
-        real_svd = np.linalg.svd
-        calls = []
+        k, c = res.final_constraints_original_controls().shape
+        assert k * c >= linalg._QR_MIN_ENTRIES
+        real_svd, real_qr = np.linalg.svd, np.linalg.qr
+        svds, qrs = [], []
 
-        def recording(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return real_svd(a, *args, **kwargs)
+        def recording_svd(a, full_matrices=True, compute_uv=True):
+            svds.append((np.shape(a), compute_uv))
+            return real_svd(a, full_matrices=full_matrices, compute_uv=compute_uv)
 
-        monkeypatch.setattr(np.linalg, "svd", recording)
+        def recording_qr(a, *args, **kwargs):
+            qrs.append(np.shape(a))
+            return real_qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        monkeypatch.setattr(np.linalg, "qr", recording_qr)
         assert compare_final_subspaces(out, res) < 1e-6
-        assert len(calls) == 2
+        assert qrs == [(c, k)]
+        assert svds == [((k, k), False)]

@@ -368,7 +368,8 @@ def principal_angle(q1, q2) -> float:
         q1, q2 = q2, q1
     cosines = q2 @ q1.T
     res = q2 - cosines @ q1
-    gram = res @ res.T if res.shape[0] <= res.shape[1] else res.T @ res
+    # orthonormal rows are at most as many as columns: the smaller Gram
+    gram = res @ res.T
     sine = np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0))
     if sine ** 2 <= 0.5:
         return float(np.arcsin(sine))

@@ -26,43 +26,30 @@ from __future__ import annotations
 import numpy as np
 
 from .constraints import ConstraintMatrix, with_zero_order
-from .linalg import DEFAULT_TOL, numerical_ker, rank_tol
-
-
-def _brackets(rows: np.ndarray, phi: ConstraintMatrix) -> np.ndarray:
-    """t x q brackets of t ``rows`` over phi's coordinates with its q rows.
-
-    With the (x, p, u, v) block layout the bracket of rows a and b is
-    sigma_a.beta_b - beta_a.sigma_b + rho_a.omega_b - omega_a.rho_b.  The
-    result is not antisymmetrized.
-    """
-    n, m = phi.n, phi.m_cur
-    two_n = 2 * n
-    sx = phi.rows[:, :n]
-    sp = phi.rows[:, n:two_n]
-    su = phi.u_block
-    sv = phi.v_block
-    return (
-        rows[:, :n] @ sp.T
-        - rows[:, n:two_n] @ sx.T
-        + rows[:, two_n : two_n + m] @ sv.T
-        - rows[:, two_n + m :] @ su.T
-    )
+from .linalg import DEFAULT_TOL, numerical_ker, rank_tol, signed_swap
 
 
 def poisson_brackets(phi: ConstraintMatrix) -> np.ndarray:
     """Antisymmetric matrix of pairwise canonical brackets of the rows.
 
-    The result is antisymmetrized as (P - P') / 2 to remove rounding; an
-    empty constraint set gives the empty matrix.
+    With the (x, p, u, v) block layout the bracket of rows a and b is
+    sigma_a.beta_b - beta_a.sigma_b + rho_a.omega_b - omega_a.rho_b, so the
+    matrix is one product: the rows signed-swapped within (x, p) and within
+    (u, v) (:func:`~lqreduce.linalg.signed_swap`) against the rows.  The
+    result is antisymmetrized as (P - P') / 2 to remove rounding; an empty
+    constraint set gives the empty matrix.
     """
     if phi.n_rows == 0:
         return np.zeros((0, 0))
-    poi = _brackets(phi.rows, phi)
+    two_n = 2 * phi.n
+    swapped = np.hstack([signed_swap(phi.xp), signed_swap(phi.rows[:, two_n:])])
+    poi = swapped @ phi.rows.T
     return (poi - poi.T) / 2.0
 
 
-def extend_brackets(poi: np.ndarray | None, phi: ConstraintMatrix) -> np.ndarray:
+def extend_brackets(
+    poi: np.ndarray | None, phi: ConstraintMatrix, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """Bracket matrix of the zero-order rows and ``phi``, bordering ``poi``.
 
     The rows of ``phi`` have a zero v block, and the matrix is that of the
@@ -72,26 +59,38 @@ def extend_brackets(poi: np.ndarray | None, phi: ConstraintMatrix) -> np.ndarray
     When the rows of ``phi`` extend a set whose matrix is ``poi`` (k x k),
     that matrix is its leading block, so only the border of the t new rows
     is computed, [U_new | their brackets with the rows of ``phi``], in
-    O(t q n) rather than O(q^2 n).  Their t x t block is antisymmetrized as
-    in :func:`poisson_brackets` and the k x t block is its mirror.  ``poi``
+    O(t q n) rather than O(q^2 n).  With zero v blocks those brackets are
+    one product, the signed-swapped (x, p) block of the new rows against
+    that of every row.  Their t x t block is antisymmetrized as in
+    :func:`poisson_brackets` and the k x t block is its mirror.  ``poi``
     None, as after a feedback fold changes coordinates, builds the matrix
     in full with :func:`poisson_brackets` on the set with its zero-order
     rows.
+
+    ``out``, when given with ``poi``, is a square array of at least q rows.
+    The bordered matrix is written into its leading q x q block and
+    returned as a view of it; ``poi`` may already be its leading k x k
+    block, which is then not copied.
     """
     if poi is None:
         return poisson_brackets(with_zero_order(phi))
     k = poi.shape[0]
-    held = k - phi.m_cur  # rows of phi that poi covers
+    m = phi.m_cur
+    held = k - m  # rows of phi that poi covers
+    q = m + phi.n_rows
+    if out is None:
+        out = np.empty((q, q))
+    if not np.may_share_memory(poi, out):
+        out[:k, :k] = poi
+    border = out[k:q, :q]
     # a row's bracket with e_v is its u block
-    border = np.hstack([phi.u_block[held:], _brackets(phi.rows[held:], phi)])
-    q = border.shape[1]
+    border[:, :m] = phi.u_block[held:]
+    xp = phi.xp
+    np.matmul(signed_swap(xp[held:]), xp.T, out=border[:, m:])
     corner = border[:, k:]
-    out = np.empty((q, q))
-    out[:k, :k] = poi
-    out[k:, :k] = border[:, :k]
-    out[:k, k:] = -border[:, :k].T
-    out[k:, k:] = (corner - corner.T) / 2.0
-    return out
+    corner[...] = (corner - corner.T) / 2.0
+    out[:k, k:q] = -border[:, :k].T
+    return out[:q, :q]
 
 
 def class_counts(poi: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[int, int]:

@@ -18,6 +18,15 @@ count, of the triangle's singular values from ``_svd``.  Sines of
 principal angles come from an eigenvalue solve (:func:`principal_angle`),
 which decides no rank.
 
+Two rank decisions bypass ``_svd``, and both keep the sigma > tol count.
+A :func:`negligible` matrix has rank 0, since its largest singular value
+is at most its Frobenius norm.  A single row that :func:`extend_rows`
+appends is judged from two norms, each one dot product: the row's own,
+against which the row is dropped or normalized, and that of its residual
+after the projections, which is the residual's one singular value.  A
+row whose sum of squares overflows, is at most 1e-200, or is not finite
+takes the general route through ``_svd``.
+
 Empty matrices (zero rows and/or columns) are first-class values: every
 routine accepts and may return them.
 
@@ -105,9 +114,8 @@ def _svd(m: np.ndarray, full_matrices: bool = True, compute_uv: bool = True):
     """
     if m.shape[0] == 1 and (m.shape[1] == 1 or not (full_matrices and compute_uv)):
         with np.errstate(over="ignore"):
-            squares = m[0] @ m[0]
-        if _SMALL_SQUARE < squares < np.inf:  # NaN fails this comparison as well
-            sigma = np.sqrt(squares)
+            sigma = _row_norm(m[0])
+        if sigma is not None:
             if not compute_uv:
                 return np.array([sigma])
             return np.ones((1, 1)), np.array([sigma]), m / sigma
@@ -129,16 +137,32 @@ def _svd(m: np.ndarray, full_matrices: bool = True, compute_uv: bool = True):
     return vt.T, s, u.T
 
 
+def _row_norm(row: np.ndarray):
+    """||row|| of a 1-d array from one dot product, or None where LAPACK decides.
+
+    None stands for a sum of squares that is zero, NaN, overflowing or at
+    most 1e-200, where a dot product loses the row's norm.  The caller
+    silences the overflow.
+    """
+    squares = row @ row
+    if _SMALL_SQUARE < squares < np.inf:  # NaN fails this comparison as well
+        return np.sqrt(squares)
+    return None
+
+
 def negligible(m, tol: float = DEFAULT_TOL) -> bool:
     """Whether ``||m||_F <= tol``, which makes the rank of ``m`` 0 without an SVD.
 
     Since sigma_max <= ||m||_F, every singular value is then <= tol, the
     answer the singular values would give.  An empty matrix is negligible.
     A NaN norm, or one that overflows to inf, is not, so such a matrix
-    goes on to its SVD.
+    goes on to its SVD.  The norm is formed as ``np.linalg.norm`` forms
+    it, one dot product of the entries in memory order, without that
+    routine's dispatch.
     """
+    flat = np.asarray(m, dtype=float).ravel(order="K")
     with np.errstate(over="ignore"):
-        return bool(np.linalg.norm(m) <= tol)
+        return bool(np.sqrt(flat.dot(flat)) <= tol)
 
 
 def rank_tol(m, tol: float = DEFAULT_TOL) -> int:
@@ -153,9 +177,14 @@ def rank_tol(m, tol: float = DEFAULT_TOL) -> int:
     return _count_above(_svd(m, compute_uv=False), tol)
 
 
+def _above(sigma, tol: float):
+    """Whether singular values count toward the rank: sigma > tol."""
+    return sigma > tol
+
+
 def _count_above(s: np.ndarray, tol: float) -> int:
     """Numerical rank from singular values: the count of sigma > tol."""
-    return int(np.count_nonzero(s > tol))
+    return int(np.count_nonzero(_above(s, tol)))
 
 
 def rank_svd(m: np.ndarray, tol: float = DEFAULT_TOL, full_matrices: bool = False):
@@ -233,13 +262,15 @@ def equilibrate_rows(m, tol: float = DEFAULT_TOL) -> np.ndarray:
         m = np.ldexp(m, shift[:, None])
         threshold = np.ldexp(tol, shift)
     norms = np.linalg.norm(m, axis=1)
-    keep = norms > threshold
+    keep = _above(norms, threshold)
     if not keep.any():
         return empty_matrix(m.shape[1])
     return m[keep] / norms[keep, None]
 
 
-def extend_rows(basis, rows, tol: float = DEFAULT_TOL) -> np.ndarray:
+def extend_rows(
+    basis, rows, tol: float = DEFAULT_TOL, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """Append to an orthonormal row basis an orthonormal basis of what ``rows`` add.
 
     The rows of ``basis`` must be orthonormal; they come back unchanged as
@@ -251,26 +282,72 @@ def extend_rows(basis, rows, tol: float = DEFAULT_TOL) -> np.ndarray:
     (Daniel, Gragg, Kaufman & Stewart 1976, Math. Comp. 30).  The new
     rows are :func:`row_space_basis` of the residual.
 
+    A single row takes the same steps without the general routines: one
+    dot product gives its norm, the unit row is projected out twice, and
+    the residual's norm is its singular value, counted by the same
+    sigma > tol rule.  A row whose sum of squares overflows, is at most
+    1e-200, or is inf or NaN takes the general route, and so does a
+    residual whose sum of squares is at most 1e-200.
+
     Rank rule: a new direction counts when a singular value of the
     residual exceeds tol, where a stacked factorization would compare the
     stack's smallest singular value.  At the threshold the two agree
     within a factor sqrt(1 + cos theta) <= sqrt(2), theta the angle
     between the new row and the basis span.
 
+    ``out``, when given, is an array with the columns of ``basis`` and
+    room for all its rows and those of ``rows``.  The result is written
+    into its leading rows and returned as a view of them.  ``basis`` may
+    already be those leading rows, which are then not copied, so a caller
+    that extends a set pass by pass appends to one buffer instead of
+    restacking the set.
+
     Raises NonConvergence, from :func:`equilibrate_rows`, if ``rows`` hold
     an inf or NaN: a constraint level whose coefficients overflowed.
     """
     basis = as_matrix(basis)
-    rows = equilibrate_rows(rows, tol)
+    rows = as_matrix(rows)
     if basis.shape[1] != rows.shape[1]:
         raise DimensionMismatch(
             f"cannot extend a basis of R^{basis.shape[1]} by rows of R^{rows.shape[1]}"
         )
-    if rows.shape[0] == 0:
-        return basis
+    new = _one_row_extension(basis, rows[0], tol) if rows.shape[0] == 1 else None
+    if new is None:
+        rows = equilibrate_rows(rows, tol)
+        if rows.shape[0]:
+            for _ in range(2):
+                rows = rows - (rows @ basis.T) @ basis
+        new = row_space_basis(rows, tol)
+    q, t = basis.shape[0], new.shape[0]
+    if out is None:
+        return np.vstack([basis, new]) if t else basis
+    if not np.may_share_memory(basis, out):
+        out[:q] = basis
+    out[q : q + t] = new
+    return out[: q + t]
+
+
+def _one_row_extension(basis: np.ndarray, row: np.ndarray, tol: float):
+    """What one row adds to an orthonormal basis, or None for the general route.
+
+    Returns a 1 x c or 0 x c matrix, or None when the row's or the
+    residual's sum of squares does not give its norm (see :func:`_row_norm`).
+    """
+    with np.errstate(over="ignore"):
+        norm = _row_norm(row)
+    if norm is None:
+        return None
+    if not _above(norm, tol):
+        return empty_matrix(row.shape[0])
+    res = row / norm
     for _ in range(2):
-        rows = rows - (rows @ basis.T) @ basis
-    return np.vstack([basis, row_space_basis(rows, tol)])
+        res = res - (basis @ res) @ basis
+    sigma = _row_norm(res)
+    if sigma is None:
+        return None
+    if not _above(sigma, tol):
+        return empty_matrix(row.shape[0])
+    return (res / sigma).reshape(1, -1)
 
 
 def numerical_ker(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -416,3 +493,16 @@ def symplectic_matrix(n: int) -> np.ndarray:
     j[:n, n:] = -np.eye(n)
     j[n:, :n] = np.eye(n)
     return j
+
+
+def signed_swap(rows) -> np.ndarray:
+    """``-rows J`` for rows over two blocks of n columns: ``[-rows_p, rows_x]``.
+
+    J is that of :func:`symplectic_matrix`, but it is not formed.  For rows
+    a and b over (x, p), ``signed_swap(a) @ b.T`` holds their canonical
+    brackets a_x.b_p - a_p.b_x, and ``signed_swap(a) @ hess`` is the
+    derivative of a along the field z' = -J hess z.
+    """
+    rows = as_matrix(rows)
+    half = rows.shape[1] // 2
+    return np.concatenate((-rows[:, half:], rows[:, :half]), axis=1)

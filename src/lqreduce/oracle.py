@@ -33,6 +33,7 @@ from .linalg import (
     principal_angle,
     rank_tol,
     row_space_basis,
+    signed_swap,
 )
 from .model import LQProblem, initial_matrices
 
@@ -90,9 +91,8 @@ def recursive_reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> OracleResu
         # zero_u G0 = sf hess0 with sf = -zero_u J, a signed swap of the x
         # and p columns.  An overflowing product leaves inf or NaN in the
         # new level, which extend_rows rejects with NonConvergence
-        sf = np.hstack([-zero_u[:, n:], zero_u[:, :n]])
         with np.errstate(over="ignore", invalid="ignore"):
-            level = np.hstack([sf @ hess0, zero_u @ z0])
+            level = np.hstack([signed_swap(zero_u) @ hess0, zero_u @ z0])
         rows = extend_rows(rows, level, tol)
         new = rows[held:]
         if new.shape[0] == 0:

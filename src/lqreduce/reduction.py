@@ -27,6 +27,14 @@ The loop holds the Hessian blocks of the running quadratic Hamiltonian
 rather than its vector field G = -J M, so J G = M is symmetric to
 rounding.  It starts from hess0 = J G0, which
 :func:`~lqreduce.model.initial_matrices` builds block by block.
+
+A pass that solves no control and adds one row, every pass of a long
+chain, factors nothing.  Its rank 0 is read from ||rk||_F <= tol, the
+one row is appended by the one-row path of :func:`extend_rows`, and the
+bracket border is one product.  The constraint set and its bracket matrix
+are held in the leading rows of buffers that each pass appends to, grown
+by half when full, instead of being restacked on every pass.  A fold
+starts new buffers, so no array that a pass handed out is written again.
 """
 
 from __future__ import annotations
@@ -53,6 +61,7 @@ from .linalg import (
     negligible,
     rank_svd,
     row_space_basis,
+    signed_swap,
 )
 from .model import LQProblem, initial_matrices
 
@@ -189,7 +198,10 @@ def step(
     (V' u)[:r] = feed (x; p) with feed = Sigma^{-1} (U' s)[:r], and the
     cokernel rows s_c = (U' s)[r:] are differentiated along the updated
     flow.  For r = 0 the rows s are differentiated as they are, with no
-    feedback and v_rot the identity.
+    feedback and v_rot the identity.  An rk with ||rk||_F <= tol
+    (:func:`~lqreduce.linalg.negligible`) has r = 0 without an SVD, the
+    count the SVD would give, since no singular value exceeds the
+    Frobenius norm.
 
     Eliminating the solved controls from the quadratic Hamiltonian
     H = z'Mz/2 + z'Wu + u'Pu/2 (z = (x; p), M = hess, W = w, P = p_hess)
@@ -201,13 +213,16 @@ def step(
     feedback on the constraint subspace (they differ by multiples of
     already-found constraints).  A row c acting on z therefore has the
     time derivative sf (M' z + W' u) with sf = -c J, a signed swap of its
-    x and p columns: s' = sf M' and rk' = -sf W'.
+    x and p columns (:func:`~lqreduce.linalg.signed_swap`): s' = sf M' and
+    rk' = -sf W'.
     """
-    u, sig, vt, r = rank_svd(state.rk, tol, full_matrices=True)
-    n = state.hess.shape[0] // 2
     hess, w, p_hess, rows = state.hess, state.w, state.p_hess, state.s
+    if negligible(state.rk, tol):
+        r = 0  # every singular value is <= ||rk||_F <= tol
+    else:
+        u, sig, vt, r = rank_svd(state.rk, tol, full_matrices=True)
     if r == 0:
-        feed, v_rot = np.zeros((0, 2 * n)), np.eye(state.m_cur)
+        feed, v_rot = empty_matrix(rows.shape[1]), np.eye(state.m_cur)
     else:
         feed = (u[:, :r].T @ state.s) / sig[:r, None]
         v_rot = vt.T
@@ -219,15 +234,34 @@ def step(
         w = w_rot[:, r:] + feed.T @ p_rot[:r, r:]
         p_hess = (p_rot[r:, r:] + p_rot[r:, r:].T) / 2.0
         rows = u[:, r:].T @ state.s
-    sf = np.hstack([-rows[:, n:], rows[:, :n]])
+    sf = signed_swap(rows)
     new_state = StepState(hess, w, sf @ hess, -(sf @ w), p_hess)
     return new_state, feed, v_rot, r
 
 
 def _constraint_rows(state: StepState) -> np.ndarray:
     """Extended-space rows of the current constraint level (v block zero)."""
-    l = state.s.shape[0]
-    return np.hstack([state.s, -state.rk, np.zeros((l, state.m_cur))])
+    two_n, m = state.s.shape[1], state.m_cur
+    rows = np.zeros((state.s.shape[0], two_n + 2 * m))
+    rows[:, :two_n] = state.s
+    rows[:, two_n : two_n + m] = -state.rk
+    return rows
+
+
+def _room(buf: np.ndarray | None, need: int, held: int, cols: int | None = None):
+    """``buf`` if it has ``need`` rows, else a new empty buffer.
+
+    The new buffer has ``cols`` columns, or as many columns as rows when
+    ``cols`` is None.  A first buffer has ``need`` rows; one that replaces
+    a full buffer has max(need, 1.5 held).  Growing by half of what is
+    held keeps the copies of a set that gains one row per pass to
+    O(log passes), without reserving room for the largest set possible,
+    and a set extended once between folds gets no spare rows.
+    """
+    if buf is not None and buf.shape[0] >= need:
+        return buf
+    size = need if buf is None else max(need, held + held // 2)
+    return np.empty((size, size if cols is None else cols))
 
 
 def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
@@ -303,6 +337,10 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     index_k = 0
     cap = 2 * (n + m) + 2
     increased = True
+    # each pass appends to these buffers, which hold the set's rows and its
+    # bracket matrix in their leading rows; a fold starts new ones, so no
+    # array handed out of a pass is written again
+    rows_buf = brackets_buf = None
     while state.m_cur:
         # an overflowing product leaves inf or NaN in the new level, which
         # extend_rows rejects with NonConvergence
@@ -318,6 +356,7 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
             nofeed = (v_rot.T @ nofeed)[r:]
             phi = apply_feedback_to_constraints(phi, v_rot, feed, r, tol)
             poi = None  # new coordinates; the next count rebuilds the brackets
+            rows_buf = brackets_buf = None
         if not increased:
             break  # after a flat count, fold in what is solvable, no level
         if index_k >= cap:
@@ -326,7 +365,10 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
                 "check the tolerance against the problem scaling"
             )
         index_k += 1
-        phi = phi.with_rows(extend_rows(phi.rows, _constraint_rows(state), tol))
+        level = _constraint_rows(state)
+        held = phi.n_rows
+        rows_buf = _room(rows_buf, held + level.shape[0], held, level.shape[1])
+        phi = phi.with_rows(extend_rows(phi.rows, level, tol, out=rows_buf))
         # held rows, implied zero-order rows, two per solved control
         counts.append(phi.n_rows + state.m_cur + 2 * (m - state.m_cur))
         if counts[-1] < counts[-2]:
@@ -334,7 +376,9 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
                 f"constraint count fell from {counts[-2]} to {counts[-1]} "
                 f"at pass {index_k}; check the tolerance against the problem scaling"
             )
-        poi = extend_brackets(poi, phi)
+        if poi is not None:
+            brackets_buf = _room(brackets_buf, state.m_cur + phi.n_rows, poi.shape[0])
+        poi = extend_brackets(poi, phi, out=brackets_buf)
         pass_classes.append(class_counts(poi, tol))
         increased = counts[-1] > counts[-2]
 

@@ -9,7 +9,8 @@ from lqreduce import (
     split_first_second,
     subspace_angle,
 )
-from lqreduce.classify import class_counts
+from lqreduce.classify import class_counts, extend_brackets
+from lqreduce.constraints import with_zero_order
 
 TOL = 1e-6
 
@@ -92,3 +93,49 @@ class TestSplitFirstSecond:
             if ker.shape[1]:
                 residuals = np.linalg.norm(ker.T @ poi, axis=1)
                 assert np.all(residuals <= TOL * (1 + np.linalg.norm(poi, 2)))
+
+
+class TestExtendBrackets:
+    # held and new rows have a zero v block; the zero-order rows e_v lead
+    @staticmethod
+    def held_and_new(rng, n, m, held, t):
+        cols = 2 * n + 2 * m
+        rows = np.linalg.qr(rng.standard_normal((2 * n + m, held + t)))[0].T
+        rows = np.hstack([rows, np.zeros((held + t, m))])
+        return cm(rows[:held], n, m), cm(rows, n, m)
+
+    def test_border_is_the_full_build(self, rng):
+        checked = 0
+        for _ in range(40):
+            n = int(rng.integers(1, 6))
+            m = int(rng.integers(1, 4))
+            held = int(rng.integers(0, 2 * n + m))
+            t = int(rng.integers(1, 2 * n + m - held + 1))
+            before, after = self.held_and_new(rng, n, m, held, t)
+            poi = extend_brackets(None, before)
+            q = m + held + t
+            for out in (None, np.full((q + 3, q + 3), np.nan)):
+                got = extend_brackets(poi, after, out=out)
+                fresh = poisson_brackets(with_zero_order(after))
+                assert got.shape == (q, q)
+                assert np.abs(got - fresh).max() <= 1e-15
+                assert np.array_equal(got, -got.T)
+                assert np.array_equal(got[: m + held, : m + held], poi)
+                checked += 1
+        assert checked == 80
+
+    def test_buffer_keeps_its_leading_block(self, rng):
+        # a buffer that already holds poi as its leading block is bordered
+        # in place, and a view taken before the border is not written
+        n, m = 4, 2
+        before, after = self.held_and_new(rng, n, m, 3, 2)
+        buf = np.empty((10, 10))
+        poi = extend_brackets(None, before)
+        k = poi.shape[0]
+        buf[:k, :k] = poi
+        held = buf[:k, :k]
+        kept = held.copy()
+        got = extend_brackets(held, after, out=buf)
+        assert np.shares_memory(got, buf)
+        assert np.array_equal(held, kept)
+        assert np.array_equal(got, extend_brackets(poi, after))

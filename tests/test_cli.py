@@ -98,7 +98,7 @@ class TestCmdReduce:
 
     def test_falling_constraint_count_exit_3(self, singular_file, capsys, monkeypatch):
         # a constraint count that falls is a broken loop invariant
-        monkeypatch.setattr(reduction, "extend_rows", lambda basis, rows, tol: basis[:-1])
+        monkeypatch.setattr(reduction, "extend_rows", lambda basis, rows, tol, out=None: basis[:-1])
         assert main(["reduce", singular_file]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""

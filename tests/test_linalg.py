@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import lqreduce
 from lqreduce import linalg
+from lqreduce.linalg import principal_angle, signed_swap
 from lqreduce import (
     DimensionMismatch,
     EmptySubspace,
@@ -364,6 +368,106 @@ class TestExtendRows:
             basis = extend_rows(basis, row, TOL)
         assert basis.shape == (150, cols)
         assert orthonormality_error(basis) < 1e-12
+
+
+# rows for the one-row path of extend_rows: a kind and the tolerance it is
+# judged at.  Norms and residuals sit at least 1e-3 relative away from tol,
+# where the two routes' roundings cannot decide differently
+ONE_ROW_KINDS = {
+    "unit": TOL,
+    "above_tol": TOL,
+    "below_tol": TOL,
+    "nearly_dependent": TOL,
+    "dependent": TOL,
+    "huge": TOL,  # squares near 1e302: no overflow, one dot product
+    "overflowing": TOL,  # squares overflow: the general route
+    "small": 1e-100,  # squares near 1e-180: one dot product
+    "subnormal_square": 1e-120,  # squares below 1e-200: the general route
+}
+
+
+def one_row(kind, rng, basis):
+    c = basis.shape[1]
+    unit = rng.standard_normal(c)
+    unit /= np.linalg.norm(unit)
+    perp = unit - (basis @ unit) @ basis
+    perp /= np.linalg.norm(perp)
+    in_span = rng.standard_normal(basis.shape[0]) @ basis
+    return {
+        "unit": unit,
+        "above_tol": 1.001 * TOL * unit,
+        "below_tol": 0.999 * TOL * unit,
+        "nearly_dependent": in_span + 1e-4 * perp,
+        "dependent": in_span + 1e-9 * perp,
+        "huge": 1e151 * unit,
+        "overflowing": 1e200 * unit,
+        "small": 1e-90 * unit,
+        "subnormal_square": 1e-110 * unit,
+    }[kind]
+
+
+class TestExtendOneRow:
+    # a single row takes its own path through extend_rows; it must keep the
+    # general route's rank, orthonormality and span
+
+    @settings(derandomize=True, max_examples=90, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        k=st.integers(0, 6),
+        extra=st.integers(1, 5),
+        kind=st.sampled_from(sorted(ONE_ROW_KINDS)),
+    )
+    def test_matches_the_general_route(self, seed, k, extra, kind):
+        rng = np.random.default_rng(seed)
+        tol = ONE_ROW_KINDS[kind]
+        basis = orthonormal_rows(rng, k, k + extra)
+        row = one_row(kind, rng, basis)[None]
+        calls = []
+        real_svd = linalg._svd
+
+        def recording(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_svd", recording)
+            got = extend_rows(basis, row, tol)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_one_row_extension", lambda *args: None)
+            want = extend_rows(basis, row, tol)
+        # the one-row path factors nothing; the rows it hands on do not
+        # reach it
+        assert bool(calls) == (kind in ("overflowing", "subnormal_square"))
+        assert got.shape == want.shape
+        assert np.array_equal(got[:k], basis)
+        if got.shape[0] > k:
+            assert orthonormality_error(got) < 1e-12
+            assert principal_angle(got[k:], want[k:]) <= 1e-12
+        added = {"below_tol": 0, "dependent": 0}.get(kind, 1)
+        assert got.shape[0] == k + added
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_row_raises(self, bad):
+        with pytest.raises(NonConvergence, match="non-finite"):
+            extend_rows(np.eye(3)[:1], [[1.0, bad, 0.0]], TOL)
+
+    def test_writes_into_a_buffer(self, rng):
+        # a buffer that holds the basis as its leading rows is appended to;
+        # a basis held elsewhere is copied in first
+        basis = np.ascontiguousarray(orthonormal_rows(rng, 3, 7))
+        rows = rng.standard_normal((2, 7))
+        for new in (rows[:1], rows):
+            want = extend_rows(basis, new, TOL)
+            buf = np.full((6, 7), np.nan)
+            got = extend_rows(basis, new, TOL, out=buf)
+            assert np.shares_memory(got, buf)
+            assert np.array_equal(got, want)
+            buf[:] = np.nan
+            buf[:3] = basis
+            held = buf[:3]
+            got = extend_rows(held, new, TOL, out=buf)
+            assert np.array_equal(got, want)
+            assert np.array_equal(held, basis)
 
 
 def orthonormal_rows(rng, k, c):
@@ -739,6 +843,12 @@ def test_exports_resolve_once():
     assert len(names) == len(set(names))
     for name in names:
         getattr(lqreduce, name)
+
+
+def test_signed_swap_is_minus_rows_j(rng):
+    for n in (1, 3):
+        rows = rng.standard_normal((4, 2 * n))
+        assert np.array_equal(signed_swap(rows), -(rows @ symplectic_matrix(n)))
 
 
 def test_symplectic_matrix_properties():

@@ -131,6 +131,79 @@ class TestStep:
         assert new.s.shape == (1, 4)  # one reduced constraint row emitted
 
 
+class TestStepRankZero:
+    # a negligible rk is decided from its norm, without the SVD, and the
+    # pass is the SVD route's r = 0 pass byte for byte
+
+    @staticmethod
+    def states(rng):
+        # the state every pass of some real chains starts from
+        seen = []
+        real_step = reduction.step
+
+        def spy(state, tol):
+            seen.append(state)
+            return real_step(state, tol)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reduction, "step", spy)
+            reduce(perturb(gen_exp3(12), 1e-10, seed=1, preserve_structure=True), TOL)
+            reduce(perturb(gen_exp2(8), 1e-10, seed=1), TOL)
+            for _ in range(10):
+                reduce(random_problem(rng, 5, 3, singular_r=True), TOL)
+        return seen
+
+    def test_negligible_rk_matches_the_svd_route(self, monkeypatch, rng):
+        states = [st for st in self.states(rng) if linalg.negligible(st.rk, TOL)]
+        assert len(states) > 10
+        calls = []
+        real_svd = linalg._svd
+
+        def recording(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "_svd", recording)
+        for st in states:
+            del calls[:]
+            lean = step(st, TOL)
+            assert calls == []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(reduction, "negligible", lambda m, tol: False)
+                svd = step(st, TOL)
+            assert len(calls) == 1
+            assert lean[3] == svd[3] == 0
+            for field in ("hess", "w", "s", "rk", "p_hess"):
+                a, b = getattr(lean[0], field), getattr(svd[0], field)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert lean[1].shape == svd[1].shape == (0, st.hess.shape[0])
+            assert np.array_equal(lean[2], svd[2])
+
+    def test_rk_just_above_tol_is_factored(self, monkeypatch):
+        j = symplectic_matrix(2)
+        calls = []
+        real_svd = linalg._svd
+
+        def recording(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "_svd", recording)
+        # ||rk||_F = 1.13 tol with both singular values 0.8 tol: factored,
+        # and of rank 0; one singular value just above tol: rank 1
+        for rk, want in ((np.diag([0.8, 0.8]) * TOL, 0), (np.diag([1.001, 0.0]) * TOL, 1)):
+            st = StepState(
+                hess=j @ np.zeros((4, 4)),
+                w=j @ np.ones((4, 2)),
+                s=np.eye(2, 4),
+                rk=rk,
+                p_hess=np.zeros((2, 2)),
+            )
+            del calls[:]
+            assert step(st, TOL)[3] == want
+            assert calls == [(2, 2)]
+
+
 class TestReduceRegular:
     def test_minimal_regular(self):
         res = reduce(regular_1x1(), TOL)
@@ -268,12 +341,13 @@ class TestReduceSingular:
         assert (res.index_k, res.m_res, res.rp) == (3, 16, 16)
 
     def test_each_pass_factors_only_the_new_level(self, monkeypatch):
-        # family 3 adds one row per pass; a reduction that re-factors the
-        # whole constraint stack factors many-row inputs with 2n + 2m
-        # columns, one that extends a row basis only single rows.  Recorded
-        # at the package's factorization seam, which also sees the single
-        # rows it factors without LAPACK
-        n = 40
+        # family 3 adds one row per pass and solves no control.  A reduction
+        # that re-factors its constraint stack factors many-row inputs with
+        # 2n + 2 columns; one that extends a row basis decides each new row
+        # and each rank-0 rk from norms, so it factors nothing per pass and
+        # its factorization count does not grow with n.  Recorded at the
+        # package's factorization seam, which also sees the single rows it
+        # factors without LAPACK
         real_svd = linalg._svd
         shapes = []
 
@@ -282,10 +356,14 @@ class TestReduceSingular:
             return real_svd(a, *args, **kwargs)
 
         monkeypatch.setattr(linalg, "_svd", recording)
-        res = reduce(gen_exp3(n), TOL)
-        assert res.index_k == n
-        wide = [shape for shape in shapes if shape[1] == 2 * n + 2]
-        assert wide and all(rows == 1 for rows, _ in wide)
+        factored = {}
+        for n in (20, 40):
+            del shapes[:]
+            res = reduce(gen_exp3(n), TOL)
+            assert res.index_k == n
+            factored[n] = len(shapes)
+            assert [s for s in shapes if s[0] >= 2 and s[1] == 2 * n + 2] == []
+        assert 0 < factored[20] == factored[40]
 
     def test_bracket_matrix_built_once_per_fold(self, monkeypatch):
         # the bracket matrix is carried between folds and only bordered by
@@ -323,8 +401,8 @@ class TestReduceSingular:
         # rebuilt in full after one
         seen = []
 
-        def recording(poi, phi):
-            out = classify.extend_brackets(poi, phi)
+        def recording(poi, phi, out=None):
+            out = classify.extend_brackets(poi, phi, out=out)
             seen.append((poi is None, phi, out))
             return out
 
@@ -455,7 +533,7 @@ class TestReduceSingular:
     def test_falling_count_raises(self, monkeypatch):
         # a pass that loses a row the set already held breaks the invariant
         # the stopping rule relies on; it must not exit as a flat count
-        monkeypatch.setattr(reduction, "extend_rows", lambda basis, rows, tol: basis[:-1])
+        monkeypatch.setattr(reduction, "extend_rows", lambda basis, rows, tol, out=None: basis[:-1])
         with pytest.raises(NonConvergence, match="fell"):
             reduce(gen_exp3(4), TOL)
 
@@ -475,9 +553,9 @@ class TestReduceSingular:
         # pass: after the seed, after each fold and after each extension
         bases = []
 
-        def recording(basis, rows, tol):
+        def recording(basis, rows, tol, out=None):
             bases.append(basis)
-            return extend_rows(basis, rows, tol)
+            return extend_rows(basis, rows, tol, out=out)
 
         monkeypatch.setattr(reduction, "extend_rows", recording)
         problems = [

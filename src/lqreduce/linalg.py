@@ -9,23 +9,22 @@ an SVD, ``||m||_F <= tol`` (:func:`negligible`), which bounds every
 singular value.  Problems should therefore be scaled so that meaningful
 entries are well above the tolerance.
 
-Every SVD goes through one seam, ``_svd``.  A single row is factored
-there without LAPACK, sigma = ||row||, and its rank is still the count of
-sigma > tol that every other factorization gets.  The one other
-factorization is the Householder QR with which :func:`row_space_basis`
-reduces a large wide matrix to a square triangle; its rank is the same
-count, of the triangle's singular values from ``_svd``.  Sines of
-principal angles come from an eigenvalue solve (:func:`principal_angle`),
-which decides no rank.
+The rank seam is :func:`rank_svd`.  It owns rank 0: a negligible matrix,
+the empty one included, gets the exact SVD of the zero matrix (identity
+factors, zero values, r = 0) without a factorization, so the routines
+built on it only slice its factors.  Every other SVD goes to LAPACK
+through ``_svd``.  The one other factorization is the Householder QR with
+which :func:`row_space_basis` reduces a large wide matrix to a square
+triangle; its rank is the same count, of the triangle's singular values
+from ``_svd``.  Sines of principal angles come from an eigenvalue solve
+(:func:`principal_angle`), which decides no rank.
 
-Two rank decisions bypass ``_svd``, and both keep the sigma > tol count.
-A :func:`negligible` matrix has rank 0, since its largest singular value
-is at most its Frobenius norm.  A single row that :func:`extend_rows`
-appends is judged from two norms, each one dot product: the row's own,
-against which the row is dropped or normalized, and that of its residual
-after the projections, which is the residual's one singular value.  A
-row whose sum of squares overflows, is at most 1e-200, or is not finite
-takes the general route through ``_svd``.
+One rank decision bypasses the seam and keeps the sigma > tol count: a
+single row that :func:`extend_rows` appends is judged from two norms,
+each one dot product: the row's own, against which the row is dropped or
+normalized, and that of its residual after the projections, which is the
+residual's one singular value.  A row whose sum of squares overflows, is
+at most 1e-200, or is not finite takes the general route.
 
 Empty matrices (zero rows and/or columns) are first-class values: every
 routine accepts and may return them.
@@ -100,25 +99,12 @@ def asymmetry(m: np.ndarray) -> float:
 def _svd(m: np.ndarray, full_matrices: bool = True, compute_uv: bool = True):
     """``np.linalg.svd``, retried on the transpose if LAPACK does not converge.
 
-    A single row needs no LAPACK call when its values, its thin factors or
-    its 1 x 1 factors are asked for: sigma = ||row||, u = [[1]] and
-    vt = row / sigma.  A full vt of a wider row, and a row whose sum of
-    squares is zero, NaN, overflowing or below 1e-200, take the LAPACK
-    route, so every error and the accuracy of tiny rows stay LAPACK's.
-
     The divide-and-conquer routine (gesdd) fails to converge on some finite
     matrices whose transpose it factors; the retry swaps the factors back,
     so the result has the shapes and meaning of a direct call.  A finite
     matrix on which both calls fail raises NonConvergence; a non-finite one
     keeps numpy's LinAlgError, since no factorization of it exists.
     """
-    if m.shape[0] == 1 and (m.shape[1] == 1 or not (full_matrices and compute_uv)):
-        with np.errstate(over="ignore"):
-            sigma = _row_norm(m[0])
-        if sigma is not None:
-            if not compute_uv:
-                return np.array([sigma])
-            return np.ones((1, 1)), np.array([sigma]), m / sigma
     try:
         return np.linalg.svd(m, full_matrices=full_matrices, compute_uv=compute_uv)
     except np.linalg.LinAlgError:
@@ -138,7 +124,7 @@ def _svd(m: np.ndarray, full_matrices: bool = True, compute_uv: bool = True):
 
 
 def _row_norm(row: np.ndarray):
-    """||row|| of a 1-d array from one dot product, or None where LAPACK decides.
+    """||row|| of a 1-d array from one dot product, or None for the general route.
 
     None stands for a sum of squares that is zero, NaN, overflowing or at
     most 1e-200, where a dot product loses the row's norm.  The caller
@@ -188,13 +174,22 @@ def _count_above(s: np.ndarray, tol: float) -> int:
 
 
 def rank_svd(m: np.ndarray, tol: float = DEFAULT_TOL, full_matrices: bool = False):
-    """SVD ``(u, s, vt)`` of a non-empty 2-d array ``m`` and its numerical rank r.
+    """SVD ``(u, s, vt)`` of a 2-d array ``m`` and its numerical rank r.
 
     Returns ``(u, s, vt, r)`` with r the count of singular values > tol,
     so the first r rows of vt span the numerical row space and the rest
     its kernel.  Every rank decision that needs the singular vectors goes
     through here.
+
+    A :func:`negligible` matrix, the empty one included, has rank 0 and is
+    not factored: it gets the exact SVD of the zero matrix, identity u and
+    vt and zero values in the shapes ``np.linalg.svd`` returns.
     """
+    if negligible(m, tol):
+        k, c = m.shape
+        p = min(k, c)
+        size_u, size_v = (k, c) if full_matrices else (p, p)
+        return np.eye(k, size_u), np.zeros(p), np.eye(size_v, c), 0
     u, s, vt = _svd(m, full_matrices=full_matrices)
     return u, s, vt, _count_above(s, tol)
 
@@ -203,9 +198,10 @@ def independent_rows(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Replace ``m`` by r mutually orthogonal rows spanning its row space.
 
     r is the numerical rank of ``m``; the rows returned are the first r rows
-    of U^T m from the SVD of m, so they keep the data's scale (row i has
-    norm sigma_i).  Rank-zero input collapses to the empty matrix, so
-    "numerically zero" and "empty" behave identically downstream.
+    of U^T m from the SVD of m (:func:`rank_svd`), so they keep the data's
+    scale (row i has norm sigma_i).  Rank-zero input, the empty one
+    included, collapses to the empty matrix, so "numerically zero" and
+    "empty" behave identically downstream.
 
     The primary rows that seed the step recursion of ``reduce`` take these
     data-scaled rows, because its later rank decisions compare singular
@@ -217,11 +213,7 @@ def independent_rows(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     ``ReductionResult.final_constraints`` applies it to equilibrated rows.
     """
     m = as_matrix(m)
-    if m.size == 0:
-        return empty_matrix(m.shape[1])
     u, _, _, r = rank_svd(m, tol)
-    if r == 0:
-        return empty_matrix(m.shape[1])
     return u[:, :r].T @ m
 
 
@@ -357,17 +349,12 @@ def numerical_ker(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     the kernel of ``a`` at tolerance ``tol`` (right singular vectors for
     singular values <= tol) and the columns of ``w`` complete them to an
     orthonormal basis of R^cols.  ``v`` has cols - r columns and ``w`` has r,
-    with r the numerical rank.  A :func:`negligible` matrix, the empty one
+    with r the numerical rank.  Both are slices of the full vt of
+    :func:`rank_svd`, so a :func:`negligible` matrix, the empty one
     included, gives ``(I, empty)`` without an SVD.
     """
-    a = as_matrix(a)
-    n = a.shape[1]
-    if negligible(a, tol):
-        return np.eye(n), np.zeros((n, 0))
-    _, _, vt, r = rank_svd(a, tol, full_matrices=True)
-    v = vt[r:, :].T
-    w = vt[:r, :].T
-    return v, w
+    _, _, vt, r = rank_svd(as_matrix(a), tol, full_matrices=True)
+    return vt[r:, :].T, vt[:r, :].T
 
 
 def row_space_basis(m, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -387,13 +374,12 @@ def row_space_basis(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     sigma_min(R) <= min |r_ii|, a diagonal entry <= tol already shows the
     lost rank, and the values-only SVD is skipped.  Such an ``m`` that is
     :func:`negligible` has rank 0 without any factorization.  Smaller,
-    single-row and tall inputs take one SVD of ``m``, which is faster
-    there (the crossover was measured on one BLAS thread).
+    single-row and tall inputs, the empty one included, take
+    :func:`rank_svd` of ``m``, which is faster there (the crossover was
+    measured on one BLAS thread).
     """
     m = as_matrix(m)
     k, c = m.shape
-    if m.size == 0:
-        return empty_matrix(c)
     if k == 1 or k > c or m.size < _QR_MIN_ENTRIES:
         _, _, vt, r = rank_svd(m, tol)
         return vt[:r, :]

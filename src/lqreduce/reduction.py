@@ -16,12 +16,13 @@ the rank of their Poisson brackets; only the final set is split.  The
 bracket matrix is carried from pass to pass and bordered by the brackets of
 each pass's new rows; a feedback fold changes coordinates, so the count after
 it rebuilds the matrix in full.  Rank 0 is decided from the matrix's
-Frobenius norm without an SVD, which covers every pass of a chain whose
-brackets vanish.  The final split takes the carried matrix too, so the
-reported rp is the last pass's second-class count whenever that pass did
-not fold.  When that matrix has rank 0, as on every chain whose brackets
-vanish, nothing is factored at the split: every row is first class, and
-the held rows' (x, p, u) blocks are the stripped set.
+Frobenius norm without an SVD (:func:`~lqreduce.linalg.rank_tol`), which
+covers every pass of a chain whose brackets vanish.  The final split takes
+the carried matrix too, so the reported rp is the last pass's second-class
+count whenever that pass did not fold.  When that matrix has rank 0 by the
+same count, as on every chain whose brackets vanish, nothing is factored at
+the split: every row is first class, and the held rows' (x, p, u) blocks
+are the stripped set.
 
 The loop holds the Hessian blocks of the running quadratic Hamiltonian
 rather than its vector field G = -J M, so J G = M is symmetric to
@@ -29,8 +30,9 @@ rounding.  It starts from hess0 = J G0, which
 :func:`~lqreduce.model.initial_matrices` builds block by block.
 
 A pass that solves no control and adds one row, every pass of a long
-chain, factors nothing.  Its rank 0 is read from ||rk||_F <= tol, the
-one row is appended by the one-row path of :func:`extend_rows`, and the
+chain, factors nothing.  Its rank 0 is read from ||rk||_F <= tol by
+:func:`~lqreduce.linalg.rank_svd`, the one row is appended by the one-row
+path of :func:`~lqreduce.linalg.extend_rows`, and the
 bracket border is one product.  The constraint set and its bracket matrix
 are held in the leading rows of buffers that each pass appends to, grown
 by half when full, instead of being restacked on every pass.  A fold
@@ -58,7 +60,6 @@ from .linalg import (
     equilibrate_rows,
     extend_rows,
     independent_rows,
-    negligible,
     rank_svd,
     row_space_basis,
     signed_swap,
@@ -198,10 +199,10 @@ def step(
     (V' u)[:r] = feed (x; p) with feed = Sigma^{-1} (U' s)[:r], and the
     cokernel rows s_c = (U' s)[r:] are differentiated along the updated
     flow.  For r = 0 the rows s are differentiated as they are, with no
-    feedback and v_rot the identity.  An rk with ||rk||_F <= tol
-    (:func:`~lqreduce.linalg.negligible`) has r = 0 without an SVD, the
-    count the SVD would give, since no singular value exceeds the
-    Frobenius norm.
+    feedback, no change to the Hessian blocks and v_rot the identity.  An
+    rk with ||rk||_F <= tol has r = 0 without an SVD
+    (:func:`~lqreduce.linalg.rank_svd`), the count the SVD would give,
+    since no singular value exceeds the Frobenius norm.
 
     Eliminating the solved controls from the quadratic Hamiltonian
     H = z'Mz/2 + z'Wu + u'Pu/2 (z = (x; p), M = hess, W = w, P = p_hess)
@@ -217,10 +218,7 @@ def step(
     rk' = -sf W'.
     """
     hess, w, p_hess, rows = state.hess, state.w, state.p_hess, state.s
-    if negligible(state.rk, tol):
-        r = 0  # every singular value is <= ||rk||_F <= tol
-    else:
-        u, sig, vt, r = rank_svd(state.rk, tol, full_matrices=True)
+    u, sig, vt, r = rank_svd(state.rk, tol, full_matrices=True)
     if r == 0:
         feed, v_rot = empty_matrix(rows.shape[1]), np.eye(state.m_cur)
     else:
@@ -287,7 +285,8 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     [U_new | brackets of its new rows with the held ones]
     (:func:`extend_brackets`); the first count after a fold rebuilds it
     in full on the set with its zero-order rows.  A bracket matrix of
-    Frobenius norm <= tol counts rank 0 without an SVD.  The loop runs
+    Frobenius norm <= tol counts rank 0 without an SVD
+    (:func:`~lqreduce.classify.class_counts`).  The loop runs
     while some control is unsolved and the previous pass raised the
     effective count of independent constraints (rows plus two per solved
     control).  A regular problem solves every control on its first pass,
@@ -297,11 +296,11 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     included, is split into first and second class, from the bracket
     matrix the last count read (rebuilt only when that last fold changed
     coordinates), and the coisotropic columns are stripped from the
-    reported constraint sets.  A matrix of rank 0, read from the last
-    count or, after a rebuild, from its Frobenius norm
-    (:func:`~lqreduce.linalg.negligible`), is not factored: the whole set
-    is first class, and its stripped rows are the held rows' (x, p, u)
-    blocks, which are orthonormal, since the e_v rows project to zero.
+    reported constraint sets.  A matrix of rank 0 by the count's rule,
+    read from the last count or, after a rebuild, counted on the rebuilt
+    matrix, is not factored: the whole set is first class, and its
+    stripped rows are the held rows' (x, p, u) blocks, which are
+    orthonormal, since the e_v rows project to zero.
 
     Raises InvalidTolerance unless ``tol`` is finite and positive, a
     ValidationError subclass for inconsistent problem data, and
@@ -387,11 +386,11 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     # only when the last pass folded
     if poi is None:
         poi = extend_brackets(None, phi)
-        rank_zero = negligible(poi, tol)
+        second = class_counts(poi, tol)[1]
     else:
-        rank_zero = pass_classes[-1][1] == 0
+        second = pass_classes[-1][1]
     ext = with_zero_order(phi)
-    if rank_zero:
+    if second == 0:
         # every row is first class; the projection onto (x, p, u) of any
         # orthonormal basis of the set has singular values 1 and 0 only,
         # so the strip would keep the held rows' blocks, orthonormal already

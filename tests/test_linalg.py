@@ -213,8 +213,8 @@ class TestSvd:
 
 
 class TestSvdOneRow:
-    # a single row is factored without LAPACK: sigma = ||row||, u = [[1]],
-    # vt = row / sigma; every degenerate row still takes numpy's route
+    # _svd hands a single row to LAPACK like any other matrix; its degenerate
+    # rows keep numpy's factors and errors, and the rank stays sigma > tol
 
     @staticmethod
     def lapack_calls(monkeypatch):
@@ -227,29 +227,6 @@ class TestSvdOneRow:
 
         monkeypatch.setattr(np.linalg, "svd", recording)
         return calls
-
-    @staticmethod
-    def rows(rng):
-        out = [rng.standard_normal((1, k)) * 10.0 ** rng.uniform(-5, 5)
-               for k in (1, 2, 3, 7, 40, 241) for _ in range(5)]
-        return out + [np.array([[-3.0]]), np.array([[-1e-7]])]
-
-    def test_sigma_and_span_match_lapack(self, monkeypatch, rng):
-        calls = self.lapack_calls(monkeypatch)
-        for row in self.rows(rng):
-            shapes = [False, True] if row.shape[1] == 1 else [False]
-            for full_matrices in shapes:
-                _, ref_s, ref_vt = np.linalg.svd(row, full_matrices=full_matrices)
-                del calls[:]
-                u, s, vt = linalg._svd(row, full_matrices=full_matrices)
-                assert calls == []
-                assert [u.shape, s.shape, vt.shape] == [(1, 1), (1,), ref_vt.shape]
-                assert abs(s[0] - ref_s[0]) <= 4 * np.spacing(ref_s[0])
-                assert_allclose(u * s @ vt, row, rtol=1e-15, atol=0)
-                # one unit row each, so the spans agree when |cos| = 1
-                assert_allclose(abs(vt @ ref_vt.T), [[1.0]], rtol=1e-15)
-                assert_allclose(linalg._svd(row, compute_uv=False), s, rtol=0)
-                assert calls == []
 
     def test_zero_row_takes_lapack(self, monkeypatch):
         calls = self.lapack_calls(monkeypatch)
@@ -302,6 +279,48 @@ class TestRankSvd:
     def test_threshold_is_strict(self):
         _, _, _, r = linalg.rank_svd(np.diag([1.0, TOL]), TOL)
         assert r == 1
+
+    # rank_svd is the one seam for rank 0: on inputs at and around the
+    # Frobenius shortcut it must be LAPACK's count with LAPACK's shapes, and
+    # the routines built on it only slice what it returns
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        k=st.integers(0, 6),
+        c=st.integers(0, 6),
+        zero=st.booleans(),
+        full_matrices=st.booleans(),
+    )
+    def test_seam_matches_lapack(self, seed, k, c, zero, full_matrices):
+        # exactly zero, empty, or of Frobenius norm 0.5 tol to 2 tol
+        rng = np.random.default_rng(seed)
+        m = np.zeros((k, c))
+        if not zero and m.size:
+            q = int(rng.integers(1, min(k, c) + 1))
+            m = rng.standard_normal((k, q)) @ rng.standard_normal((q, c))
+            m *= rng.uniform(0.5, 2.0) * TOL / np.linalg.norm(m)
+        calls = []
+        real_svd = linalg._svd
+
+        def recording(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_svd", recording)
+            u, s, vt, r = linalg.rank_svd(m, TOL, full_matrices=full_matrices)
+        ref = np.linalg.svd(m, full_matrices=full_matrices)
+        assert [u.shape, s.shape, vt.shape] == [x.shape for x in ref]
+        assert_allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-12)
+        assert_allclose(vt @ vt.T, np.eye(vt.shape[0]), atol=1e-12)
+        assert r == int(np.count_nonzero(ref[1] > TOL))
+        assert calls == ([] if linalg.negligible(m, TOL) else [(k, c)])
+        v, w = numerical_ker(m, TOL)
+        assert v.shape == (c, c - r) and w.shape == (c, r)
+        basis = np.hstack([v, w])
+        assert_allclose(basis.T @ basis, np.eye(c), atol=1e-12)
+        assert independent_rows(m, TOL).shape == (r, c)
 
 
 class TestExtendRows:

@@ -113,8 +113,8 @@ class TestRecursiveReduce:
         # family 3 adds one zero-u row per pass; an oracle that re-factors
         # its whole stack factors stacks of up to 2n rows, one that
         # differentiates only the new rows factors at most two.  Recorded
-        # at the package's factorization seam, which also sees the single
-        # rows it factors without LAPACK
+        # at the package's factorization seam, _svd, through which every
+        # SVD goes
         prob = perturb(gen_exp3(40), 1e-10, seed=0, preserve_structure=True)
         real_svd = linalg._svd
         shapes = []

@@ -132,8 +132,8 @@ class TestStep:
 
 
 class TestStepRankZero:
-    # a negligible rk is decided from its norm, without the SVD, and the
-    # pass is the SVD route's r = 0 pass byte for byte
+    # rank_svd decides a negligible rk from its norm, without the SVD, and
+    # the pass is the SVD route's r = 0 pass byte for byte
 
     @staticmethod
     def states(rng):
@@ -169,7 +169,7 @@ class TestStepRankZero:
             lean = step(st, TOL)
             assert calls == []
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(reduction, "negligible", lambda m, tol: False)
+                mp.setattr(linalg, "negligible", lambda m, tol: False)
                 svd = step(st, TOL)
             assert len(calls) == 1
             assert lean[3] == svd[3] == 0
@@ -346,8 +346,7 @@ class TestReduceSingular:
         # 2n + 2 columns; one that extends a row basis decides each new row
         # and each rank-0 rk from norms, so it factors nothing per pass and
         # its factorization count does not grow with n.  Recorded at the
-        # package's factorization seam, which also sees the single rows it
-        # factors without LAPACK
+        # package's factorization seam, _svd, through which every SVD goes
         real_svd = linalg._svd
         shapes = []
 
@@ -697,8 +696,8 @@ class TestRankZeroExit:
                 return _fn(*args)
 
             monkeypatch.setattr(reduction, name, counting)
-        # rank 0 read from the last count, or from the norm of the matrix
-        # rebuilt after a fold that ends the loop
+        # rank 0 read from the last count, or counted by the same rule on
+        # the matrix rebuilt after a fold that ends the loop
         problems = [perturb(gen_exp3(10), 1e-10, seed=0, preserve_structure=True)]
         for prob in problems + self.fold_exit_problems():
             del calls[:]
@@ -711,6 +710,27 @@ class TestRankZeroExit:
         res = reduce(gen_exp1(24, 9, 6), TOL)
         assert res.rp > 0
         assert sorted(calls) == ["split_first_second"] + ["strip_coisotropic"] * 2
+
+    def test_rebuilt_matrix_takes_the_count_rule(self, monkeypatch):
+        # the matrix rebuilt after a fold exit is judged by the rule every
+        # count uses, rank_tol, not by a norm test of its own: with the
+        # Frobenius shortcut off wherever reduce could look it up, its
+        # values-only SVD still counts rank 0
+        calls = []
+
+        def counting(*args, _fn=reduction.strip_coisotropic):
+            calls.append("strip_coisotropic")
+            return _fn(*args)
+
+        monkeypatch.setattr(reduction, "strip_coisotropic", counting)
+        for module in (linalg, reduction):
+            monkeypatch.setattr(module, "negligible", lambda m, tol: False, raising=False)
+        for prob in self.fold_exit_problems():
+            del calls[:]
+            res = reduce(prob, TOL)
+            assert len(res.feedback_ranks) == len(res.class_counts)
+            assert res.rp == 0
+            assert calls == ["strip_coisotropic"]  # of the empty second class
 
     def test_direct_hess0_keeps_the_feedback_law(self, monkeypatch, rng):
         # J G0 built block by block is the restack of the drift block

@@ -5,10 +5,10 @@ All constraints handled here are linear in the canonical coordinates
 classification reduces to the kernel of one antisymmetric matrix.  Brackets
 are never evaluated pointwise.
 
-The loop of ``reduce`` holds rows with a zero v block and leaves the
+The loop of ``reduce`` holds its rows over (x, p, u) and leaves the
 zero-order rows v = 0 implied; :func:`extend_brackets` returns the matrix of
-the set with those rows first.  A set that only grows by appended rows keeps
-its bracket matrix as the leading block of the next one, so
+the extended set, those rows first.  A set that only grows by appended rows
+keeps its bracket matrix as the leading block of the next one, so
 :func:`extend_brackets` computes only the brackets of the new rows; a change
 of coordinates (a feedback fold) needs a full rebuild.  Counting classes
 takes the rank of that matrix, and rank 0 is decided from its Frobenius
@@ -16,9 +16,7 @@ norm without an SVD.  The final split takes the same matrix, the one the
 last count saw, and its kernel from one SVD, so split and count read one
 matrix with one rank rule.  A matrix of rank 0 has nothing to split:
 ``reduce`` then takes every row as first class without calling
-:func:`split_first_second`, and :func:`~lqreduce.linalg.numerical_ker`
-returns the whole space as the kernel of a matrix of Frobenius norm
-<= tol without an SVD.
+:func:`split_first_second`.
 """
 
 from __future__ import annotations
@@ -48,49 +46,49 @@ def poisson_brackets(phi: ConstraintMatrix) -> np.ndarray:
 
 
 def extend_brackets(
-    poi: np.ndarray | None, phi: ConstraintMatrix, *, out: np.ndarray | None = None
+    poi: np.ndarray | None, rows: np.ndarray, n: int, *, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Bracket matrix of the zero-order rows and ``phi``, bordering ``poi``.
+    """Bracket matrix of the zero-order rows and ``rows``, bordering ``poi``.
 
-    The rows of ``phi`` have a zero v block, and the matrix is that of the
-    set :func:`~lqreduce.constraints.with_zero_order` makes of them: the
-    m_cur zero-order rows e_v first, then the rows of ``phi``.  With U the
-    u block of ``phi`` and P0 its own brackets, it reads [[0, -U'], [U, P0]].
-    When the rows of ``phi`` extend a set whose matrix is ``poi`` (k x k),
-    that matrix is its leading block, so only the border of the t new rows
-    is computed, [U_new | their brackets with the rows of ``phi``], in
-    O(t q n) rather than O(q^2 n).  With zero v blocks those brackets are
-    one product, the signed-swapped (x, p) block of the new rows against
-    that of every row.  Their t x t block is antisymmetrized as in
+    ``rows`` are q constraint rows over (x, p, u), and the matrix is that of
+    the set :func:`~lqreduce.constraints.with_zero_order` makes of them:
+    the m zero-order rows e_v first, then ``rows``.  With U the u block of
+    ``rows`` and P0 their own brackets, it reads [[0, -U'], [U, P0]].
+    When ``rows`` extend a set whose matrix is ``poi`` (k x k), that matrix
+    is its leading block, so only the border of the t new rows is
+    computed, [U_new | their brackets with ``rows``], in O(t q n) rather
+    than O(q^2 n).  With no v coefficients those brackets are one product,
+    the signed-swapped (x, p) block of the new rows against that of every
+    row.  Their t x t block is antisymmetrized as in
     :func:`poisson_brackets` and the k x t block is its mirror.  ``poi``
     None, as after a feedback fold changes coordinates, builds the matrix
-    in full with :func:`poisson_brackets` on the set with its zero-order
-    rows.
+    in full with :func:`poisson_brackets` on the extended set.
 
-    ``out``, when given with ``poi``, is a square array of at least q rows.
-    The bordered matrix is written into its leading q x q block and
+    ``out``, when given with ``poi``, is a square array of at least m + q
+    rows.  The bordered matrix is written into its leading block and
     returned as a view of it; ``poi`` may already be its leading k x k
     block, which is then not copied.
     """
     if poi is None:
-        return poisson_brackets(with_zero_order(phi))
+        return poisson_brackets(with_zero_order(rows, n))
+    two_n = 2 * n
     k = poi.shape[0]
-    m = phi.m_cur
-    held = k - m  # rows of phi that poi covers
-    q = m + phi.n_rows
+    m = rows.shape[1] - two_n
+    held = k - m  # rows that poi covers
+    size = m + rows.shape[0]
     if out is None:
-        out = np.empty((q, q))
+        out = np.empty((size, size))
     if not np.may_share_memory(poi, out):
         out[:k, :k] = poi
-    border = out[k:q, :q]
+    border = out[k:size, :size]
     # a row's bracket with e_v is its u block
-    border[:, :m] = phi.u_block[held:]
-    xp = phi.xp
+    border[:, :m] = rows[held:, two_n:]
+    xp = rows[:, :two_n]
     np.matmul(signed_swap(xp[held:]), xp.T, out=border[:, m:])
     corner = border[:, k:]
     corner[...] = (corner - corner.T) / 2.0
-    out[:k, k:q] = -border[:, :k].T
-    return out[:q, :q]
+    out[:k, k:size] = -border[:, :k].T
+    return out[:size, :size]
 
 
 def class_counts(poi: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[int, int]:

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -30,13 +31,17 @@ class ProblemFileError(ValueError):
 
 
 def load_problem(path: str) -> LQProblem:
-    """Parse a problem file, naming the bad field on failure."""
+    """Parse a problem file, naming the bad field on failure.
+
+    Matrix entries must be JSON numbers, not strings, booleans or null.
+    Integers are read as doubles: one beyond double range is inf.
+    """
     try:
         with open(path) as handle:
-            doc = json.load(handle)
+            doc = json.load(handle, parse_int=float)
     except OSError as exc:
         raise ProblemFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or text that is not UTF-8
         raise ProblemFileError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProblemFileError(f"{path}: top level must be an object")
@@ -50,6 +55,8 @@ def load_problem(path: str) -> LQProblem:
             raise ProblemFileError(f"{path}: matrix {key!r} is not numeric") from exc
         if block.ndim != 2:
             raise ProblemFileError(f"{path}: matrix {key!r} must be an array of arrays")
+        if not set(map(type, chain.from_iterable(doc[key]))) <= {float}:
+            raise ProblemFileError(f"{path}: matrix {key!r} has an entry that is not a number")
         if not np.all(np.isfinite(block)):
             raise ProblemFileError(f"{path}: matrix {key!r} contains non-finite entries")
         blocks[key] = block

@@ -3,6 +3,11 @@
 A constraint row [sigma | beta | rho | omega] represents the linear function
 sigma.x + beta.p + rho.u + omega.v on R^{2n + 2 m_cur}.  The control and
 coisotropic blocks shrink together as partial feedback solves controls.
+
+Besides the zero-order rows v = 0, no constraint involves v, so
+:func:`~lqreduce.reduction.reduce` holds its set as rows over (x, p, u) and
+leaves those rows implied; :func:`with_zero_order` alone writes v columns,
+to form the extended set where brackets are taken in full.
 """
 
 from __future__ import annotations
@@ -65,38 +70,39 @@ class ConstraintMatrix:
         return ConstraintMatrix(rows, self.n, self.m_cur)
 
 
-def with_zero_order(phi: ConstraintMatrix) -> ConstraintMatrix:
-    """``phi`` with the zero-order constraints v = 0 placed before its rows.
+def with_zero_order(rows: np.ndarray, n: int) -> ConstraintMatrix:
+    """The extended set of the zero-order rows v = 0 and ``rows``.
 
-    One row e_v per remaining control, so the result has phi.m_cur more
-    rows.  :func:`~lqreduce.reduction.reduce` holds only rows with a zero v
-    block and leaves these implied; its full bracket builds and its class
-    split take the set this returns.
+    ``rows`` are q constraint rows over (x, p, u), 2n + m columns.  The
+    result, over (x, p, u, v), is [[0, I], [rows, 0]]: the m rows e_v
+    first, then ``rows`` with a zero v block.
     """
-    m = phi.m_cur
-    zero_order = np.hstack([np.zeros((m, 2 * phi.n + m)), np.eye(m)])
-    return phi.with_rows(np.vstack([zero_order, phi.rows]))
+    q, width = rows.shape
+    m = width - 2 * n
+    ext = np.zeros((m + q, width + m))
+    ext[:m, width:] = np.eye(m)
+    ext[m:, :width] = rows
+    return ConstraintMatrix(ext, n, m)
 
 
 def apply_feedback_to_constraints(
-    phi: ConstraintMatrix,
+    rows: np.ndarray,
+    n: int,
     v_rot: np.ndarray,
     feed: np.ndarray,
     r: int,
     tol: float = DEFAULT_TOL,
-) -> ConstraintMatrix:
-    """Fold a rank-r partial feedback into a constraint set.
+) -> np.ndarray:
+    """Fold a rank-r partial feedback into constraint rows over (x, p, u).
 
     ``v_rot`` is the orthogonal control rotation whose first r rotated
-    controls are solved as feed @ (x; p).  The u and v blocks are rotated by
-    ``v_rot``; the solved control columns are substituted into the (x, p)
-    block; the solved coisotropic columns are dropped outright (those
-    coordinates vanish on the zero-order constraints).  Rows that become
-    dependent (or zero) are removed, and the set comes back as an
-    orthonormal basis of what survives
-    (:func:`~lqreduce.linalg.row_space_basis` of the equilibrated rows,
-    whose rank is the count of their singular values > tol), the form in
-    which :func:`~lqreduce.reduction.reduce` holds its constraint set.
+    controls are solved as feed @ (x; p).  The u block of ``rows`` is
+    rotated by ``v_rot`` and its solved columns are substituted into the
+    (x, p) block.  Rows that become dependent (or zero) are removed, and
+    the set comes back over (x, p, u_res) as an orthonormal basis of what
+    survives (:func:`~lqreduce.linalg.row_space_basis` of the equilibrated
+    rows, whose rank is the count of their singular values > tol), the
+    form in which :func:`~lqreduce.reduction.reduce` holds its set.
 
     Unlike :func:`strip_coisotropic`, the fold equilibrates before its rank
     decision: substituting the feedback leaves rows that are neither
@@ -108,23 +114,20 @@ def apply_feedback_to_constraints(
     46, and that of ``gen_exp1(8, 3, 2)`` with its cost scaled by 1e9 from
     23 to 24.
     """
+    rows = as_matrix(rows)
+    two_n = 2 * n
+    m_cur = rows.shape[1] - two_n
     v_rot = as_matrix(v_rot)
-    feed = as_matrix(feed) if np.asarray(feed).size else np.zeros((r, 2 * phi.n))
-    if v_rot.shape != (phi.m_cur, phi.m_cur):
-        raise DimensionMismatch(
-            f"rotation is {v_rot.shape}, expected ({phi.m_cur}, {phi.m_cur})"
-        )
-    if r > phi.m_cur:
-        raise DimensionMismatch(f"cannot solve {r} of {phi.m_cur} controls")
-    if feed.shape != (r, 2 * phi.n):
-        raise DimensionMismatch(
-            f"feedback block is {feed.shape}, expected ({r}, {2 * phi.n})"
-        )
-    u_rot = phi.u_block @ v_rot
-    v_cois = phi.v_block @ v_rot
-    xp = phi.xp + u_rot[:, :r] @ feed
-    rows = equilibrate_rows(np.hstack([xp, u_rot[:, r:], v_cois[:, r:]]), tol)
-    return ConstraintMatrix(row_space_basis(rows, tol), phi.n, phi.m_cur - r)
+    feed = as_matrix(feed) if np.asarray(feed).size else np.zeros((r, two_n))
+    if v_rot.shape != (m_cur, m_cur):
+        raise DimensionMismatch(f"rotation is {v_rot.shape}, expected ({m_cur}, {m_cur})")
+    if r > m_cur:
+        raise DimensionMismatch(f"cannot solve {r} of {m_cur} controls")
+    if feed.shape != (r, two_n):
+        raise DimensionMismatch(f"feedback block is {feed.shape}, expected ({r}, {two_n})")
+    u_rot = rows[:, two_n:] @ v_rot
+    xp = rows[:, :two_n] + u_rot[:, :r] @ feed
+    return row_space_basis(equilibrate_rows(np.hstack([xp, u_rot[:, r:]]), tol), tol)
 
 
 def strip_coisotropic(phi: ConstraintMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -5,24 +5,26 @@ stationarity constraints dH/du = S (x; p) - R u = 0, each iteration splits
 the control coefficients R by SVD: the range part solves some rotated
 controls as linear feedback in (x, p), the cokernel part yields the next
 level of constraints, obtained by differentiating along the (feedback
-updated) flow.  Constraints are propagated on the symplectically extended
-space (x, p, u, v), and the iteration stops once the count of independent
+updated) flow.  The iteration stops once the count of independent
 constraints (including those consumed by feedback, two per solved control)
-stabilizes or every control is solved.  The zero-order constraints v = 0,
-one per remaining control, are implied rather than held: every held row has
-a zero v block, so they enter only the count, the bracket matrix (as its
-leading rows) and the final split.  Each pass counts second-class rows as
-the rank of their Poisson brackets; only the final set is split.  The
-bracket matrix is carried from pass to pass and bordered by the brackets of
-each pass's new rows; a feedback fold changes coordinates, so the count after
-it rebuilds the matrix in full.  Rank 0 is decided from the matrix's
-Frobenius norm without an SVD (:func:`~lqreduce.linalg.rank_tol`), which
-covers every pass of a chain whose brackets vanish.  The final split takes
-the carried matrix too, so the reported rp is the last pass's second-class
-count whenever that pass did not fold.  When that matrix has rank 0 by the
-same count, as on every chain whose brackets vanish, nothing is factored at
-the split: every row is first class, and the held rows' (x, p, u) blocks
-are the stripped set.
+stabilizes or every control is solved.  The constraint set lives on the
+symplectically extended space (x, p, u, v), but beyond the zero-order
+constraints v = 0, one per remaining control, no constraint involves v.  So
+the set is held as rows over (x, p, u), and the zero-order rows are implied:
+they enter the count, the bracket matrix (as its leading rows) and the final
+split, which take the extended set from
+:func:`~lqreduce.constraints.with_zero_order`.  Each pass counts
+second-class rows as the rank of their Poisson brackets; only the final set
+is split.  The bracket matrix is carried from pass to pass and bordered by
+the brackets of each pass's new rows; a feedback fold changes coordinates,
+so the count after it rebuilds the matrix in full.  Rank 0 is decided from
+the matrix's Frobenius norm without an SVD
+(:func:`~lqreduce.linalg.rank_tol`), which covers every pass of a chain
+whose brackets vanish.  The final split takes the carried matrix too, so the
+reported rp is the last pass's second-class count whenever that pass did not
+fold.  When that matrix has rank 0 by the same count, as on every chain
+whose brackets vanish, nothing is factored at the split: every row is first
+class, and the held rows are the stripped set.
 
 The loop holds the Hessian blocks of the running quadratic Hamiltonian
 rather than its vector field G = -J M, so J G = M is symmetric to
@@ -237,15 +239,6 @@ def step(
     return new_state, feed, v_rot, r
 
 
-def _constraint_rows(state: StepState) -> np.ndarray:
-    """Extended-space rows of the current constraint level (v block zero)."""
-    two_n, m = state.s.shape[1], state.m_cur
-    rows = np.zeros((state.s.shape[0], two_n + 2 * m))
-    rows[:, :two_n] = state.s
-    rows[:, two_n : two_n + m] = -state.rk
-    return rows
-
-
 def _room(buf: np.ndarray | None, need: int, held: int, cols: int | None = None):
     """``buf`` if it has ``need`` rows, else a new empty buffer.
 
@@ -265,15 +258,14 @@ def _room(buf: np.ndarray | None, need: int, held: int, cols: int | None = None)
 def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     """Reduce an LQ problem to its consistent Hamiltonian form.
 
-    One loop runs on the extended space over one constraint set, held as
-    an orthonormal row basis from seed to split.  The seed, the primary
-    constraints, is normalized once.  The zero-order constraints v = 0 are
-    not held: every held row has a zero v block (new levels are written
-    with one, and a fold rotates the v coordinates among themselves), so
-    the m_cur zero-order rows are implied.  They add m_cur to each count,
-    stand first in the bracket matrix, which reads [[0, -U'], [U, P0]]
-    with U the u block of the held rows and P0 their own brackets, and are
-    materialized once, before the split.
+    One loop runs over one constraint set, held as an orthonormal basis of
+    rows over (x, p, u_cur) from seed to split.  The seed, the primary
+    constraints, is normalized once.  The zero-order constraints v = 0, the
+    only ones in which the coisotropic coordinates appear, are implied.
+    They add m_cur to each count, stand first in the bracket matrix, which
+    reads [[0, -U'], [U, P0]] with U the u block of the held rows and P0
+    their own brackets, and join the set, over (x, p, u, v), only where
+    brackets are taken in full (:func:`with_zero_order`).
 
     Each pass solves what it can of the current control coefficients as
     partial feedback and folds it into the set (the fold returns an
@@ -284,7 +276,7 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     matrix is carried between folds, where each pass borders it with
     [U_new | brackets of its new rows with the held ones]
     (:func:`extend_brackets`); the first count after a fold rebuilds it
-    in full on the set with its zero-order rows.  A bracket matrix of
+    in full on the extended set.  A bracket matrix of
     Frobenius norm <= tol counts rank 0 without an SVD
     (:func:`~lqreduce.classify.class_counts`).  The loop runs
     while some control is unsolved and the previous pass raised the
@@ -299,8 +291,8 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     reported constraint sets.  A matrix of rank 0 by the count's rule,
     read from the last count or, after a rebuild, counted on the rebuilt
     matrix, is not factored: the whole set is first class, and its
-    stripped rows are the held rows' (x, p, u) blocks, which are
-    orthonormal, since the e_v rows project to zero.
+    stripped rows are the held rows, which are orthonormal, since the e_v
+    rows project to zero.
 
     Raises InvalidTolerance unless ``tol`` is finite and positive, a
     ValidationError subclass for inconsistent problem data, and
@@ -322,14 +314,13 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     sel_blocks: list[np.ndarray] = []
     nofeed = np.eye(m)
 
-    # constraint set on the extended space, seeded with the primary rows;
-    # the rows of sr are sigma_i v_i' with sigma_i > tol, so normalizing them
-    # once gives the orthonormal basis that every later pass keeps.  The
-    # zero-order rows v = 0, one per remaining control, are implied: they
-    # enter the counts and the bracket matrix, and are added at the split
-    phi = ConstraintMatrix(equilibrate_rows(_constraint_rows(state), tol), n, m)
-    counts = [m + phi.n_rows]
-    poi = extend_brackets(None, phi)
+    # constraint rows over (x, p, u), seeded with the primary rows; the rows
+    # of sr are sigma_i v_i' with sigma_i > tol, so normalizing them once
+    # gives the orthonormal basis that every later pass keeps.  The
+    # zero-order rows v = 0 are implied (see with_zero_order)
+    rows = equilibrate_rows(sr, tol)
+    counts = [m + rows.shape[0]]
+    poi = extend_brackets(None, rows, n)
     pass_classes = [class_counts(poi, tol)]
     feedback_ranks: list[int] = []
 
@@ -353,7 +344,7 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
             feed_blocks.append(feed)
             sel_blocks.append(v_rot.T[:r] @ nofeed)
             nofeed = (v_rot.T @ nofeed)[r:]
-            phi = apply_feedback_to_constraints(phi, v_rot, feed, r, tol)
+            rows = apply_feedback_to_constraints(rows, n, v_rot, feed, r, tol)
             poi = None  # new coordinates; the next count rebuilds the brackets
             rows_buf = brackets_buf = None
         if not increased:
@@ -364,20 +355,20 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
                 "check the tolerance against the problem scaling"
             )
         index_k += 1
-        level = _constraint_rows(state)
-        held = phi.n_rows
+        level = np.hstack([state.s, -state.rk])
+        held = rows.shape[0]
         rows_buf = _room(rows_buf, held + level.shape[0], held, level.shape[1])
-        phi = phi.with_rows(extend_rows(phi.rows, level, tol, out=rows_buf))
+        rows = extend_rows(rows, level, tol, out=rows_buf)
         # held rows, implied zero-order rows, two per solved control
-        counts.append(phi.n_rows + state.m_cur + 2 * (m - state.m_cur))
+        counts.append(rows.shape[0] + state.m_cur + 2 * (m - state.m_cur))
         if counts[-1] < counts[-2]:
             raise NonConvergence(
                 f"constraint count fell from {counts[-2]} to {counts[-1]} "
                 f"at pass {index_k}; check the tolerance against the problem scaling"
             )
         if poi is not None:
-            brackets_buf = _room(brackets_buf, state.m_cur + phi.n_rows, poi.shape[0])
-        poi = extend_brackets(poi, phi, out=brackets_buf)
+            brackets_buf = _room(brackets_buf, state.m_cur + rows.shape[0], poi.shape[0])
+        poi = extend_brackets(poi, rows, n, out=brackets_buf)
         pass_classes.append(class_counts(poi, tol))
         increased = counts[-1] > counts[-2]
 
@@ -385,17 +376,17 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     # the carried matrix is the one the last count read, and it is stale
     # only when the last pass folded
     if poi is None:
-        poi = extend_brackets(None, phi)
+        poi = extend_brackets(None, rows, n)
         second = class_counts(poi, tol)[1]
     else:
         second = pass_classes[-1][1]
-    ext = with_zero_order(phi)
+    ext = with_zero_order(rows, n)
     if second == 0:
         # every row is first class; the projection onto (x, p, u) of any
         # orthonormal basis of the set has singular values 1 and 0 only,
-        # so the strip would keep the held rows' blocks, orthonormal already
+        # so the strip would keep the held rows, orthonormal already
         phi1, phi2 = ext, ext.with_rows(empty_matrix(ext.rows.shape[1]))
-        first = phi.rows[:, : two_n + phi.m_cur]
+        first = rows
     else:
         phi1, phi2 = split_first_second(ext, poi, tol)
         first = strip_coisotropic(phi1, tol)

@@ -96,13 +96,11 @@ class TestSplitFirstSecond:
 
 
 class TestExtendBrackets:
-    # held and new rows have a zero v block; the zero-order rows e_v lead
+    # held and new rows over (x, p, u); the zero-order rows e_v lead
     @staticmethod
     def held_and_new(rng, n, m, held, t):
-        cols = 2 * n + 2 * m
         rows = np.linalg.qr(rng.standard_normal((2 * n + m, held + t)))[0].T
-        rows = np.hstack([rows, np.zeros((held + t, m))])
-        return cm(rows[:held], n, m), cm(rows, n, m)
+        return rows[:held], rows
 
     def test_border_is_the_full_build(self, rng):
         checked = 0
@@ -112,11 +110,11 @@ class TestExtendBrackets:
             held = int(rng.integers(0, 2 * n + m))
             t = int(rng.integers(1, 2 * n + m - held + 1))
             before, after = self.held_and_new(rng, n, m, held, t)
-            poi = extend_brackets(None, before)
+            poi = extend_brackets(None, before, n)
             q = m + held + t
             for out in (None, np.full((q + 3, q + 3), np.nan)):
-                got = extend_brackets(poi, after, out=out)
-                fresh = poisson_brackets(with_zero_order(after))
+                got = extend_brackets(poi, after, n, out=out)
+                fresh = poisson_brackets(with_zero_order(after, n))
                 assert got.shape == (q, q)
                 assert np.abs(got - fresh).max() <= 1e-15
                 assert np.array_equal(got, -got.T)
@@ -130,12 +128,12 @@ class TestExtendBrackets:
         n, m = 4, 2
         before, after = self.held_and_new(rng, n, m, 3, 2)
         buf = np.empty((10, 10))
-        poi = extend_brackets(None, before)
+        poi = extend_brackets(None, before, n)
         k = poi.shape[0]
         buf[:k, :k] = poi
         held = buf[:k, :k]
         kept = held.copy()
-        got = extend_brackets(held, after, out=buf)
+        got = extend_brackets(held, after, n, out=buf)
         assert np.shares_memory(got, buf)
         assert np.array_equal(held, kept)
-        assert np.array_equal(got, extend_brackets(poi, after))
+        assert np.array_equal(got, extend_brackets(poi, after, n))

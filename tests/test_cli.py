@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lqreduce import gen_exp2, reduce, reduction, subspace_angle
-from lqreduce.cli import main, render_report
+from lqreduce.cli import load_problem, main, render_report
 
 
 def write_problem(path, a, b, q, n, r, name=None):
@@ -56,6 +56,51 @@ class TestCmdReduce:
         bad.write_text("{not json")
         assert main(["reduce", str(bad)]) == 2
         assert "bad.json" in capsys.readouterr().err
+
+    def test_not_utf8_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"name": "\xe9"}')
+        assert main(["reduce", str(bad)]) == 2
+        assert "latin1.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["reduce", "oracle"])
+    @pytest.mark.parametrize(
+        "key, entry", [("A", "1"), ("B", True), ("Q", None)],
+        ids=["string", "boolean", "null"],
+    )
+    def test_entry_that_is_not_a_number_exit_2(
+        self, tmp_path, capsys, command, key, entry
+    ):
+        # numpy reads "1" and true as 1.0; a problem file must not
+        doc = {"A": [[1]], "B": [[1]], "Q": [[1]], "N": [[0]], "R": [[0]]}
+        doc[key] = [[entry]]
+        path = tmp_path / "entry.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"matrix '{key}' has an entry that is not a number" in captured.err
+
+    @pytest.mark.parametrize("command", ["reduce", "oracle"])
+    def test_integer_beyond_double_range_exit_2(self, tmp_path, capsys, command):
+        # 10**400 has no double; it is non-finite, as 1e400 is
+        path = write_problem(
+            tmp_path / "huge_int.json", [[10**400]], [[1]], [[1]], [[0]], [[0]]
+        )
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "matrix 'A' contains non-finite entries" in captured.err
+
+    def test_integers_within_double_range_load(self, tmp_path, capsys):
+        path = write_problem(
+            tmp_path / "ints.json", [[10**300]], [[2**53 + 1]], [[1]], [[0]], [[0]]
+        )
+        prob = load_problem(path)
+        assert prob.A[0, 0] == float(10**300) and prob.B[0, 0] == float(2**53 + 1)
+        path = write_problem(tmp_path / "small.json", [[0]], [[1]], [[1]], [[0]], [[0]])
+        assert main(["reduce", path]) == 0
+        assert json.loads(capsys.readouterr().out)["index_k"] == 3
 
     def test_missing_key_named(self, tmp_path, capsys):
         bad = tmp_path / "nokey.json"

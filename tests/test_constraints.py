@@ -8,10 +8,13 @@ from lqreduce import (
     apply_feedback_to_constraints,
     gen_exp1,
     perturb,
+    poisson_brackets,
     reduce,
     strip_coisotropic,
     subspace_angle,
 )
+from lqreduce.classify import extend_brackets
+from lqreduce.constraints import with_zero_order
 
 TOL = 1e-6
 
@@ -32,52 +35,69 @@ class TestConstraintMatrix:
             cm([[1, 2, 3]], n=1, m_cur=1)
 
 
+class TestWithZeroOrder:
+    def test_zero_order_rows_first_and_held_rows_v_free(self, rng):
+        n, m = 2, 3
+        rows = rng.standard_normal((4, 2 * n + m))
+        ext = with_zero_order(rows, n)
+        assert (ext.n, ext.m_cur, ext.n_rows) == (n, m, m + 4)
+        e_v = np.hstack([np.zeros((m, 2 * n + m)), np.eye(m)])
+        assert np.array_equal(ext.rows[:m], e_v)
+        assert np.array_equal(ext.rows[m:, : 2 * n + m], rows)
+        assert not ext.v_block[m:].any()
+
+    def test_full_bracket_build_is_that_of_the_extended_set(self, rng):
+        n, m = 3, 2
+        rows = rng.standard_normal((5, 2 * n + m))
+        got = extend_brackets(None, rows, n)
+        assert np.array_equal(got, poisson_brackets(with_zero_order(rows, n)))
+
+
 class TestApplyFeedback:
+    # the fold takes and returns rows over (x, p, u), no v columns
     def test_zero_feedback_drops_columns(self):
-        # row: x + u1 + v1 + v2; zero feedback on the first control
-        phi = cm([[1, 0, 1, 0, 1, 1]], n=1, m_cur=2)
+        # row: x + u1 + u2; zero feedback on the first control
         out = apply_feedback_to_constraints(
-            phi, np.eye(2), np.zeros((1, 2)), 1, TOL
+            [[1, 0, 1, 1]], 1, np.eye(2), np.zeros((1, 2)), 1, TOL
         )
-        assert out.m_cur == 1
-        # u1 and v1 columns are gone, (x, p) block untouched
-        assert subspace_angle(out.rows, [[1.0, 0.0, 0.0, 1.0]], TOL) < 1e-10
+        # the u1 column is gone, (x, p) block untouched
+        assert out.shape[1] == 3
+        assert subspace_angle(out, [[1.0, 0.0, 1.0]], TOL) < 1e-10
 
     def test_feedback_folds_into_xp(self):
         # constraint u1 = 0 with feedback u1 = f . (x; p)
-        phi = cm([[0, 0, 1, 0, 0, 0]], n=1, m_cur=2)
         feed = np.array([[2.0, 3.0]])
-        out = apply_feedback_to_constraints(phi, np.eye(2), feed, 1, TOL)
-        assert out.m_cur == 1
-        assert subspace_angle(out.rows, [[2.0, 3.0, 0.0, 0.0]], TOL) < 1e-10
+        out = apply_feedback_to_constraints([[0, 0, 1, 0]], 1, np.eye(2), feed, 1, TOL)
+        assert out.shape[1] == 3
+        assert subspace_angle(out, [[2.0, 3.0, 0.0]], TOL) < 1e-10
 
-    def test_solved_coisotropic_row_vanishes(self):
-        # row is the zero-order constraint of the solved direction
-        phi = cm([[0, 0, 0, 0, 1, 0]], n=1, m_cur=2)
+    def test_solved_control_row_without_feedback_vanishes(self):
+        # u1 = 0 with zero feedback on u1 folds to the zero row
         out = apply_feedback_to_constraints(
-            phi, np.eye(2), np.zeros((1, 2)), 1, TOL
+            [[0, 0, 1, 0]], 1, np.eye(2), np.zeros((1, 2)), 1, TOL
         )
-        assert out.n_rows == 0
+        assert out.shape == (0, 3)
 
     def test_output_is_orthonormal(self, rng):
         # the fold hands reduce an orthonormal basis, whatever the scale of
         # the rows it folds
         n, m_cur, r = 3, 3, 1
         scales = np.array([[1e-3], [1.0], [10.0], [1e3], [1.0]])
-        rows = scales * rng.standard_normal((5, 2 * n + 2 * m_cur))
+        rows = scales * rng.standard_normal((5, 2 * n + m_cur))
         v_rot, _ = np.linalg.qr(rng.standard_normal((m_cur, m_cur)))
         feed = rng.standard_normal((r, 2 * n))
-        out = apply_feedback_to_constraints(cm(rows, n, m_cur), v_rot, feed, r, TOL)
-        assert out.n_rows == 5
-        gram = out.rows @ out.rows.T
-        assert np.linalg.norm(gram - np.eye(out.n_rows)) <= 1e-12
+        out = apply_feedback_to_constraints(rows, n, v_rot, feed, r, TOL)
+        assert out.shape == (5, 2 * n + m_cur - r)
+        assert np.linalg.norm(out @ out.T - np.eye(5)) <= 1e-12
 
     def test_shape_errors(self):
-        phi = cm([[0, 0, 1, 0]], n=1, m_cur=1)
+        rows = [[0, 0, 1]]
         with pytest.raises(DimensionMismatch):
-            apply_feedback_to_constraints(phi, np.eye(2), np.zeros((1, 2)), 1, TOL)
+            apply_feedback_to_constraints(rows, 1, np.eye(2), np.zeros((1, 2)), 1, TOL)
         with pytest.raises(DimensionMismatch):
-            apply_feedback_to_constraints(phi, np.eye(1), np.zeros((1, 3)), 1, TOL)
+            apply_feedback_to_constraints(rows, 1, np.eye(1), np.zeros((1, 3)), 1, TOL)
+        with pytest.raises(DimensionMismatch):
+            apply_feedback_to_constraints(rows, 1, np.eye(1), np.zeros((2, 2)), 2, TOL)
 
 
 class TestStripCoisotropic:

@@ -400,16 +400,16 @@ class TestReduceSingular:
         # rebuilt in full after one
         seen = []
 
-        def recording(poi, phi, out=None):
-            out = classify.extend_brackets(poi, phi, out=out)
-            seen.append((poi is None, phi, out))
+        def recording(poi, rows, n, out=None):
+            out = classify.extend_brackets(poi, rows, n, out=out)
+            seen.append((poi is None, rows, n, out))
             return out
 
         monkeypatch.setattr(reduction, "extend_brackets", recording)
         # folds at passes 1 and 3, so both counts after them rebuild
         res = reduce(gen_exp1(24, 9, 6), TOL)
         assert res.feedback_ranks == (9, 0, 6)
-        assert [rebuilt for rebuilt, _, _ in seen] == [True, True, False, True]
+        assert [rebuilt for rebuilt, *_ in seen] == [True, True, False, True]
         problems = [
             random_problem(
                 rng, int(rng.integers(2, 9)), int(rng.integers(1, 5)), singular_r=True
@@ -419,35 +419,40 @@ class TestReduceSingular:
         problems.append(perturb(gen_exp3(25), 1e-10, seed=0, preserve_structure=True))
         for prob in problems:
             reduce(prob, TOL)
-        for _, phi, poi in seen:
-            fresh = poisson_brackets(with_zero_order(phi))
+        for _, rows, n, poi in seen:
+            fresh = poisson_brackets(with_zero_order(rows, n))
             bound = 1e-13 * max(1.0, np.linalg.norm(fresh))
             assert np.linalg.norm(poi - fresh) <= bound
-        assert sum(not rebuilt for rebuilt, _, _ in seen) > 25
+        assert sum(not rebuilt for rebuilt, *_ in seen) > 25
 
     def test_fold_factors_no_zero_order_row(self, monkeypatch):
-        # the zero-order rows v = 0 are implied, not held: every row the fold
-        # factors has a zero v block, and it gets the count's q rows less
-        # the m_cur zero-order ones
-        folded = []
+        # the zero-order rows v = 0 are implied, not held: the fold gets the
+        # count's q rows less the m_cur zero-order ones, and the fold and
+        # every bracket build get rows over (x, p, u) alone
+        folded, bordered = [], []
 
-        def recording(phi, v_rot, feed, r, tol):
-            folded.append(phi)
-            return apply_feedback_to_constraints(phi, v_rot, feed, r, tol)
+        def recording_fold(rows, n, v_rot, feed, r, tol):
+            folded.append(rows.shape)
+            return apply_feedback_to_constraints(rows, n, v_rot, feed, r, tol)
 
-        monkeypatch.setattr(reduction, "apply_feedback_to_constraints", recording)
+        def recording_brackets(poi, rows, n, out=None):
+            bordered.append(rows.shape[1])
+            return classify.extend_brackets(poi, rows, n, out=out)
+
+        monkeypatch.setattr(reduction, "apply_feedback_to_constraints", recording_fold)
+        monkeypatch.setattr(reduction, "extend_brackets", recording_brackets)
         prob = gen_exp1(24, 9, 6)
         res = reduce(prob, TOL)
-        assert res.feedback_ranks == (9, 0, 6)
-        folds = [i for i, r in enumerate(res.feedback_ranks) if r > 0]
-        assert len(folded) == len(folds) == 2
-        for phi, i in zip(folded, folds):
-            solved = sum(res.feedback_ranks[:i])
-            m_cur = prob.m - solved
-            q = res.constraint_counts[i] - 2 * solved
-            assert phi.m_cur == m_cur
-            assert phi.n_rows == q - m_cur
-            assert np.linalg.norm(phi.v_block) <= 1e-14
+        ranks = res.feedback_ranks
+        assert ranks == (9, 0, 6)
+        m_cur = [prob.m - sum(ranks[:i]) for i in range(len(ranks) + 1)]
+        folds = [i for i, r in enumerate(ranks) if r > 0]
+        assert folded == [
+            (res.constraint_counts[i] - 2 * (prob.m - m_cur[i]) - m_cur[i],
+             2 * prob.n + m_cur[i])
+            for i in folds
+        ]
+        assert bordered == [2 * prob.n + m_cur[i] for i in range(len(res.class_counts))]
 
     def test_split_sets_span_every_zero_order_direction(self, rng):
         # the zero-order rows are added back once, before the split, so the

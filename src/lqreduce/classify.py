@@ -7,23 +7,25 @@ are never evaluated pointwise.
 
 The loop of ``reduce`` holds its rows over (x, p, u) and leaves the
 zero-order rows v = 0 implied; :func:`extend_brackets` returns the matrix of
-the extended set, those rows first.  A set that only grows by appended rows
-keeps its bracket matrix as the leading block of the next one, so
-:func:`extend_brackets` computes only the brackets of the new rows; a change
-of coordinates (a feedback fold) needs a full rebuild.  Counting classes
-takes the rank of that matrix, and rank 0 is decided from its Frobenius
-norm without an SVD.  The final split takes the same matrix, the one the
-last count saw, and its kernel from one SVD, so split and count read one
-matrix with one rank rule.  A matrix of rank 0 has nothing to split:
-``reduce`` then takes every row as first class without calling
-:func:`split_first_second`.
+the extended set, those rows first, in block form: the brackets of the
+zero-order rows with the held ones are the held rows' u block, so only the
+held rows' own brackets, over (x, p), are a product.  A set that only grows
+by appended rows keeps its bracket matrix as the leading block of the next
+one, so :func:`extend_brackets` computes only the brackets of the new rows;
+a change of coordinates (a feedback fold) needs a full rebuild.  Counting
+classes takes the rank of that matrix, and rank 0 is decided from its
+Frobenius norm without an SVD.  The final split takes the same matrix and
+its kernel from one SVD, which also decides the last pass's count, so the
+last count and the split read one factorization with one rank rule.  The
+split returns coefficient rows over the extended set rather than the
+combined rows, so the coisotropic strip can decide on their kernel block.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .constraints import ConstraintMatrix, with_zero_order
+from .constraints import ConstraintMatrix
 from .linalg import DEFAULT_TOL, numerical_ker, rank_tol, signed_swap
 
 
@@ -53,29 +55,38 @@ def extend_brackets(
     ``rows`` are q constraint rows over (x, p, u), and the matrix is that of
     the set :func:`~lqreduce.constraints.with_zero_order` makes of them:
     the m zero-order rows e_v first, then ``rows``.  With U the u block of
-    ``rows`` and P0 their own brackets, it reads [[0, -U'], [U, P0]].
-    When ``rows`` extend a set whose matrix is ``poi`` (k x k), that matrix
-    is its leading block, so only the border of the t new rows is
-    computed, [U_new | their brackets with ``rows``], in O(t q n) rather
-    than O(q^2 n).  With no v coefficients those brackets are one product,
-    the signed-swapped (x, p) block of the new rows against that of every
-    row.  Their t x t block is antisymmetrized as in
-    :func:`poisson_brackets` and the k x t block is its mirror.  ``poi``
+    ``rows`` and P0 their own brackets, it reads [[0, -U'], [U, P0]]: a
+    row's bracket with e_v is its u block, and with no v coefficients the
+    brackets of two held rows are those of their (x, p) blocks.  ``poi``
     None, as after a feedback fold changes coordinates, builds the matrix
-    in full with :func:`poisson_brackets` on the extended set.
+    in full in that block form, P0 from :func:`poisson_brackets` of the
+    (x, p) blocks alone, a q x 2n product rather than one over the
+    2n + 2m columns of the extended set.  When ``rows`` extend a set whose
+    matrix is ``poi`` (k x k), that matrix is its leading block, so only
+    the border of the t new rows is computed, [U_new | their brackets with
+    ``rows``], in O(t q n) rather than O(q^2 n): one product, the
+    signed-swapped (x, p) block of the new rows against that of every row.
+    Their t x t block is antisymmetrized as in :func:`poisson_brackets` and
+    the k x t block is its mirror.
 
     ``out``, when given with ``poi``, is a square array of at least m + q
     rows.  The bordered matrix is written into its leading block and
     returned as a view of it; ``poi`` may already be its leading k x k
     block, which is then not copied.
     """
-    if poi is None:
-        return poisson_brackets(with_zero_order(rows, n))
     two_n = 2 * n
-    k = poi.shape[0]
     m = rows.shape[1] - two_n
-    held = k - m  # rows that poi covers
     size = m + rows.shape[0]
+    if poi is None:
+        u = rows[:, two_n:]
+        full = np.empty((size, size))
+        full[:m, :m] = 0.0
+        full[:m, m:] = -u.T
+        full[m:, :m] = u
+        full[m:, m:] = poisson_brackets(ConstraintMatrix(rows[:, :two_n], n, 0))
+        return full
+    k = poi.shape[0]
+    held = k - m  # rows that poi covers
     if out is None:
         out = np.empty((size, size))
     if not np.may_share_memory(poi, out):
@@ -103,20 +114,25 @@ def class_counts(poi: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[int, int]:
 
 
 def split_first_second(
-    phi: ConstraintMatrix, poi: np.ndarray, tol: float = DEFAULT_TOL
-) -> tuple[ConstraintMatrix, ConstraintMatrix]:
-    """Split independent constraint rows into ``(first, second)`` class.
+    poi: np.ndarray, tol: float = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """First- and second-class combinations ``(first, second)`` of a constraint set.
 
-    ``poi`` is the bracket matrix of the rows of ``phi``, as
-    :func:`poisson_brackets` or :func:`extend_brackets` returns it; the
-    split does not rebuild it, so the second-class count is the rank
-    :func:`class_counts` reads from the same matrix.  The kernel basis v of
-    ``poi`` gives the first-class combinations v' phi, which commute (to
-    tolerance) with every constraint; the orthonormal completion w (from
-    the same SVD) gives the second-class combinations w' phi, which carry
-    an invertible bracket pairing and so always come in pairs.  Both come
-    back as constraint sets over the coordinates of ``phi``; orthonormal
-    rows of ``phi`` give orthonormal rows in both.
+    ``poi`` is the bracket matrix of the set's rows, as
+    :func:`poisson_brackets` or :func:`extend_brackets` returns it, and
+    the split does not rebuild it.  One SVD (:func:`numerical_ker`) gives
+    its rank, the second-class count, and both bases: ``first`` holds the
+    rows of a kernel basis, whose combinations of the set commute (to
+    tolerance) with every constraint, and ``second`` those of its
+    orthonormal completion, whose combinations carry an invertible bracket
+    pairing and so always come in pairs.  A
+    :func:`~lqreduce.linalg.negligible` matrix is not factored: every row
+    is first class, ``first`` the identity.  Both come back as coefficient
+    rows over the set's rows; ``first @ rows`` and ``second @ rows`` are
+    the two sets, orthonormal when the set's rows are.  A rank read here
+    is the one :func:`class_counts` reads from the same matrix, unless
+    rounding puts a singular value on the other side of ``tol`` in one of
+    the two LAPACK routes.
     """
     ker, compl = numerical_ker(poi, tol)
-    return phi.with_rows(ker.T @ phi.rows), phi.with_rows(compl.T @ phi.rows)
+    return ker.T, compl.T

@@ -6,8 +6,13 @@ coisotropic blocks shrink together as partial feedback solves controls.
 
 Besides the zero-order rows v = 0, no constraint involves v, so
 :func:`~lqreduce.reduction.reduce` holds its set as rows over (x, p, u) and
-leaves those rows implied; :func:`with_zero_order` alone writes v columns,
-to form the extended set where brackets are taken in full.
+leaves those rows implied.  The final split hands back combinations of the
+extended set, the m zero-order rows e_v first, as coefficient rows over
+its m + q rows; :func:`with_zero_order` alone writes v columns, to form
+the extended set or those combinations of it for the report.  The e_v rows
+project to zero on (x, p, u), so :func:`strip_coisotropic` decides the
+stripped rank on the q-column block of the coefficients that combines the
+held rows.
 """
 
 from __future__ import annotations
@@ -58,27 +63,23 @@ class ConstraintMatrix:
     def xp(self) -> np.ndarray:
         return self.rows[:, : 2 * self.n]
 
-    @property
-    def u_block(self) -> np.ndarray:
-        return self.rows[:, 2 * self.n : 2 * self.n + self.m_cur]
 
-    @property
-    def v_block(self) -> np.ndarray:
-        return self.rows[:, 2 * self.n + self.m_cur :]
-
-    def with_rows(self, rows: np.ndarray) -> "ConstraintMatrix":
-        return ConstraintMatrix(rows, self.n, self.m_cur)
-
-
-def with_zero_order(rows: np.ndarray, n: int) -> ConstraintMatrix:
-    """The extended set of the zero-order rows v = 0 and ``rows``.
+def with_zero_order(
+    rows: np.ndarray, n: int, coeffs: np.ndarray | None = None
+) -> ConstraintMatrix:
+    """The extended set of the zero-order rows v = 0 and ``rows``, or combinations of it.
 
     ``rows`` are q constraint rows over (x, p, u), 2n + m columns.  The
-    result, over (x, p, u, v), is [[0, I], [rows, 0]]: the m rows e_v
-    first, then ``rows`` with a zero v block.
+    set, over (x, p, u, v), is [[0, I], [rows, 0]]: the m rows e_v first,
+    then ``rows`` with a zero v block.  ``coeffs``, k x (m + q), gives the
+    k combinations coeffs @ [[0, I], [rows, 0]] instead, formed by blocks
+    as [coeffs[:, m:] @ rows | coeffs[:, :m]], so the zero blocks are
+    neither built nor multiplied.
     """
     q, width = rows.shape
     m = width - 2 * n
+    if coeffs is not None:
+        return ConstraintMatrix(np.hstack([coeffs[:, m:] @ rows, coeffs[:, :m]]), n, m)
     ext = np.zeros((m + q, width + m))
     ext[:m, width:] = np.eye(m)
     ext[m:, :width] = rows
@@ -130,19 +131,30 @@ def apply_feedback_to_constraints(
     return row_space_basis(equilibrate_rows(np.hstack([xp, u_rot[:, r:]]), tol), tol)
 
 
-def strip_coisotropic(phi: ConstraintMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Project a constraint set onto the (x, p, u) coordinates.
+def strip_coisotropic(
+    coeffs: np.ndarray, rows: np.ndarray, tol: float = DEFAULT_TOL
+) -> np.ndarray:
+    """Project combinations of the extended set onto the (x, p, u) coordinates.
 
-    Drops the coisotropic columns and re-independentizes; rows that were
-    pure v-coordinate directions vanish.  Returns a plain matrix with
-    2n + m_cur columns.
+    The set is ``coeffs @ with_zero_order(rows, n)``: ``rows`` are q
+    orthonormal rows over (x, p, u), as ``reduce`` holds its set, and
+    ``coeffs`` k x (m + q) combines the m zero-order rows e_v and ``rows``.
+    The coisotropic columns are dropped and the result re-independentized;
+    combinations that were pure v directions vanish.  Returns a plain
+    matrix with 2n + m columns.
 
-    The rows of ``phi`` are orthonormal (``reduce`` holds its set that way
-    and splits it with orthogonal transforms), so the singular values of
-    the projection are the same in any basis of the span of ``phi``, and
-    the rank decision, made on the projection as it is, does not depend on
-    which basis it was handed.  Rescaling the projected rows to unit norm
-    first, as the fold does, would make the count depend on that basis.
+    The e_v rows project to zero, so the projection is C @ rows with
+    C = coeffs[:, m:], the k x q block that combines ``rows``.  Since
+    those rows are orthonormal, the projection has the singular values and
+    the left singular vectors of C, so ``independent_rows(C) @ rows`` is
+    the rows :func:`~lqreduce.linalg.independent_rows` gives of the
+    projection, from an SVD of k x q instead of k x (2n + m).  When the
+    rows of ``coeffs`` are orthonormal (``reduce`` splits its set with
+    orthogonal transforms), those singular values are the same for any
+    basis of their span, and the rank decision, made on C as it is, does
+    not depend on which basis it was handed.  Rescaling the projected rows
+    to unit norm first, as the fold does, would make the count depend on
+    that basis.
     """
-    kept = phi.rows[:, : 2 * phi.n + phi.m_cur]
-    return independent_rows(kept, tol)
+    m = coeffs.shape[1] - rows.shape[0]
+    return independent_rows(coeffs[:, m:], tol) @ rows

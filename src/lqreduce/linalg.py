@@ -14,10 +14,10 @@ the empty one included, gets the exact SVD of the zero matrix (identity
 factors, zero values, r = 0) without a factorization, so the routines
 built on it only slice its factors.  Every other SVD goes to LAPACK
 through ``_svd``.  The one other factorization is the Householder QR with
-which :func:`row_space_basis` reduces a large wide matrix to a square
-triangle; its rank is the same count, of the triangle's singular values
-from ``_svd``.  Sines of principal angles come from an eigenvalue solve
-(:func:`principal_angle`), which decides no rank.
+which :func:`row_space_basis` and :func:`scaled_row_space` reduce a large
+wide matrix to a square triangle; its rank is the same count, of the
+triangle's singular values from ``_svd``.  Sines of principal angles come
+from an eigenvalue solve (:func:`principal_angle`), which decides no rank.
 
 One rank decision bypasses the seam and keeps the sigma > tol count: a
 single row that :func:`extend_rows` appends is judged from two norms,
@@ -203,14 +203,15 @@ def independent_rows(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     included, collapses to the empty matrix, so "numerically zero" and
     "empty" behave identically downstream.
 
-    The primary rows that seed the step recursion of ``reduce`` take these
-    data-scaled rows, because its later rank decisions compare singular
-    values at the data's scale.  The constraint sets of ``reduce`` and of
-    the recursive oracle are held orthonormal instead
-    (:func:`row_space_basis`, :func:`extend_rows`).  The coisotropic strip
-    applies this routine to the projection of orthonormal rows as it is,
-    which makes its rank decision independent of the basis it is handed;
-    ``ReductionResult.final_constraints`` applies it to equilibrated rows.
+    The constraint sets of ``reduce`` and of the recursive oracle are held
+    orthonormal instead (:func:`row_space_basis`, :func:`extend_rows`);
+    the data-scaled primary rows that seed the step recursion of
+    ``reduce`` come from :func:`scaled_row_space`, with that basis.  The
+    coisotropic strip applies this routine to the coefficients that
+    combine orthonormal rows, whose singular values are those of the
+    combination, which makes its rank decision independent of the basis
+    it is handed; ``ReductionResult.final_constraints`` applies it to
+    equilibrated rows.
     """
     m = as_matrix(m)
     u, _, _, r = rank_svd(m, tol)
@@ -378,20 +379,42 @@ def row_space_basis(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     :func:`rank_svd` of ``m``, which is faster there (the crossover was
     measured on one BLAS thread).
     """
-    m = as_matrix(m)
+    return _row_space(as_matrix(m), tol)[1]
+
+
+def scaled_row_space(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """``(scaled, basis)``: rows spanning the row space of ``m`` at its scale, and its basis.
+
+    ``basis`` is :func:`row_space_basis` of ``m``, and ``scaled`` comes
+    from the same one factorization: r rows with the r singular values
+    > tol of ``m``.  Where :func:`row_space_basis` takes the SVD of ``m``,
+    ``scaled`` is U_r' m, the rows :func:`independent_rows` returns.  Where
+    it takes the QR, ``scaled`` is ``m`` itself at full row rank, an
+    orthogonal change of rows of U'm, for which no singular vector is
+    computed; at rank r < k the rows of ``basis`` are the leading right
+    singular vectors of ``m``, and ``scaled`` is the first r rows of
+    Sigma V', row i of ``basis`` times sigma_i, which is U_r' m to
+    rounding.
+    """
+    return _row_space(as_matrix(m), tol)
+
+
+def _row_space(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(scaled, basis)`` of :func:`scaled_row_space`, for a 2-d array ``m``."""
     k, c = m.shape
     if k == 1 or k > c or m.size < _QR_MIN_ENTRIES:
-        _, _, vt, r = rank_svd(m, tol)
-        return vt[:r, :]
+        u, _, vt, r = rank_svd(m, tol)
+        return u[:, :r].T @ m, vt[:r, :]
     if negligible(m, tol):
-        return empty_matrix(c)
+        return empty_matrix(c), empty_matrix(c)
     q, tri = np.linalg.qr(m.T)
     if np.abs(np.diagonal(tri)).min() > tol:
-        r = _count_above(_svd(tri, compute_uv=False), tol)
-        if r == k:
-            return q.T
+        if _count_above(_svd(tri, compute_uv=False), tol) == k:
+            return m, q.T
     w, s, _ = _svd(tri, full_matrices=False)
-    return w[:, :_count_above(s, tol)].T @ q.T
+    r = _count_above(s, tol)
+    basis = w[:, :r].T @ q.T
+    return s[:r, None] * basis, basis
 
 
 def principal_angle(q1, q2) -> float:

@@ -13,18 +13,27 @@ constraints v = 0, one per remaining control, no constraint involves v.  So
 the set is held as rows over (x, p, u), and the zero-order rows are implied:
 they enter the count, the bracket matrix (as its leading rows) and the final
 split, which take the extended set from
-:func:`~lqreduce.constraints.with_zero_order`.  Each pass counts
-second-class rows as the rank of their Poisson brackets; only the final set
-is split.  The bracket matrix is carried from pass to pass and bordered by
-the brackets of each pass's new rows; a feedback fold changes coordinates,
-so the count after it rebuilds the matrix in full.  Rank 0 is decided from
-the matrix's Frobenius norm without an SVD
-(:func:`~lqreduce.linalg.rank_tol`), which covers every pass of a chain
-whose brackets vanish.  The final split takes the carried matrix too, so the
-reported rp is the last pass's second-class count whenever that pass did not
-fold.  When that matrix has rank 0 by the same count, as on every chain
-whose brackets vanish, nothing is factored at the split: every row is first
-class, and the held rows are the stripped set.
+:func:`~lqreduce.constraints.with_zero_order`.
+
+Each rank decision is paid for once, at the size it needs.  The primary
+rows are factored once (:func:`~lqreduce.linalg.scaled_row_space`, a QR
+for a large stack), for both the orthonormal basis the set is held in and
+the data-scaled rows that seed ``step``.  Each pass counts second-class
+rows as the rank of their Poisson brackets; only the final set is split.
+The bracket matrix is carried from pass to pass and bordered by the
+brackets of each pass's new rows; a feedback fold changes coordinates, so
+the count after it rebuilds the matrix in full, in block form, with one
+product over (x, p) alone.  Rank 0 is decided from the matrix's Frobenius
+norm without an SVD (:func:`~lqreduce.linalg.rank_tol`), which covers
+every pass of a chain whose brackets vanish.  A pass's matrix is counted
+only once the next ``step`` shows that the loop goes on, so the last
+count is the split's own rank decision, on the carried matrix, and the
+reported rp is the last pass's second-class count whenever that pass did
+not fold.  At rank 0 every row is first class and the held rows are the
+stripped set, and a negligible matrix, as on every chain whose brackets
+vanish, is not even factored.  Otherwise the strip decides on the block of
+the split's coefficients that combines the held rows, k x q, rather than
+on k rows over (x, p, u).
 
 The loop holds the Hessian blocks of the running quadratic Hamiltonian
 rather than its vector field G = -J M, so J G = M is symmetric to
@@ -64,6 +73,7 @@ from .linalg import (
     independent_rows,
     rank_svd,
     row_space_basis,
+    scaled_row_space,
     signed_swap,
 )
 from .model import LQProblem, initial_matrices
@@ -259,40 +269,44 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     """Reduce an LQ problem to its consistent Hamiltonian form.
 
     One loop runs over one constraint set, held as an orthonormal basis of
-    rows over (x, p, u_cur) from seed to split.  The seed, the primary
-    constraints, is normalized once.  The zero-order constraints v = 0, the
-    only ones in which the coisotropic coordinates appear, are implied.
-    They add m_cur to each count, stand first in the bracket matrix, which
+    rows over (x, p, u) from seed to split.  The seed, the primary
+    constraints, is factored once (:func:`scaled_row_space`): its
+    orthonormal basis is the held set, and ``step`` starts from its rows
+    at the data's scale, the stack [S1, -R] itself when it has full row
+    rank, since ``step``'s rank and feedback do not change under an
+    orthogonal change of rows.  The zero-order constraints v = 0, the only
+    ones in which the coisotropic coordinates appear, are implied.  They
+    add m_cur to each count, stand first in the bracket matrix, which
     reads [[0, -U'], [U, P0]] with U the u block of the held rows and P0
-    their own brackets, and join the set, over (x, p, u, v), only where
-    brackets are taken in full (:func:`with_zero_order`).
+    their own brackets, and join the set, over (x, p, u, v), only in the
+    reported first- and second-class sets (:func:`with_zero_order`).
 
     Each pass solves what it can of the current control coefficients as
     partial feedback and folds it into the set (the fold returns an
     orthonormal basis), extends the set by what the next constraint level
     adds (:func:`extend_rows` factors only the projected new rows), and
-    counts its second-class rows as the rank of their brackets; pass 0 is
-    counted on the normalized seed, like every later pass.  The bracket
-    matrix is carried between folds, where each pass borders it with
-    [U_new | brackets of its new rows with the held ones]
-    (:func:`extend_brackets`); the first count after a fold rebuilds it
-    in full on the extended set.  A bracket matrix of
-    Frobenius norm <= tol counts rank 0 without an SVD
-    (:func:`~lqreduce.classify.class_counts`).  The loop runs
+    borders the bracket matrix by [U_new | brackets of its new rows with
+    the held ones] (:func:`extend_brackets`); the first pass after a fold
+    rebuilds it in full, in the same block form.  A pass's matrix is
+    counted once the next ``step`` shows the loop goes on; the count is
+    its rank, and a matrix of Frobenius norm <= tol counts rank 0 without
+    an SVD (:func:`~lqreduce.classify.class_counts`).  The loop runs
     while some control is unsolved and the previous pass raised the
     effective count of independent constraints (rows plus two per solved
     control).  A regular problem solves every control on its first pass,
     where its primary rows fold to zero.  After a flat-count pass a
     feedback that is still solvable is folded in before the loop exits,
     without a new constraint level.  Only the final set, zero-order rows
-    included, is split into first and second class, from the bracket
-    matrix the last count read (rebuilt only when that last fold changed
-    coordinates), and the coisotropic columns are stripped from the
-    reported constraint sets.  A matrix of rank 0 by the count's rule,
-    read from the last count or, after a rebuild, counted on the rebuilt
-    matrix, is not factored: the whole set is first class, and its
-    stripped rows are the held rows, which are orthonormal, since the e_v
-    rows project to zero.
+    included, is split into first and second class, by one factorization
+    of the last pass's bracket matrix (:func:`split_first_second`), which
+    is that pass's count as well; when the last pass folded, it was
+    counted before the fold, and the split factors the matrix rebuilt
+    after it.  The coisotropic columns are then stripped from the reported
+    sets on the k x q block of the split's coefficients that combines the
+    held rows (:func:`strip_coisotropic`).  A matrix of rank 0 has no
+    second-class rows, and its stripped first-class rows are the held
+    rows, which are orthonormal, since the e_v rows project to zero; a
+    negligible one is not factored.
 
     Raises InvalidTolerance unless ``tol`` is finite and positive, a
     ValidationError subclass for inconsistent problem data, and
@@ -305,8 +319,12 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     two_n = 2 * n
     init = initial_matrices(problem)
 
-    # independent primary rows over (x, p, u); the u coefficient is -R
-    sr = independent_rows(np.hstack([init.s1, -init.r1]), tol)
+    # the primary rows over (x, p, u), whose u coefficient is -R, factored
+    # once: rows, an orthonormal basis of their span, seeds the constraint
+    # set that every later pass keeps orthonormal, and sr spans it at the
+    # data's scale for step (the stack itself at full row rank).  The
+    # zero-order rows v = 0 are implied (see with_zero_order)
+    sr, rows = scaled_row_space(np.hstack([init.s1, -init.r1]), tol)
     # J Z0 = s1' by the primary-constraint identity
     state = StepState(init.hess0, init.s1.T, sr[:, :two_n], -sr[:, two_n:], -init.r1)
 
@@ -314,14 +332,11 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     sel_blocks: list[np.ndarray] = []
     nofeed = np.eye(m)
 
-    # constraint rows over (x, p, u), seeded with the primary rows; the rows
-    # of sr are sigma_i v_i' with sigma_i > tol, so normalizing them once
-    # gives the orthonormal basis that every later pass keeps.  The
-    # zero-order rows v = 0 are implied (see with_zero_order)
-    rows = equilibrate_rows(sr, tol)
     counts = [m + rows.shape[0]]
     poi = extend_brackets(None, rows, n)
-    pass_classes = [class_counts(poi, tol)]
+    # a pass's bracket matrix is counted once the next step shows that the
+    # loop goes on; the last one is counted by the split's factorization
+    pass_classes: list[tuple[int, int]] = []
     feedback_ranks: list[int] = []
 
     index_k = 0
@@ -338,6 +353,7 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
             nxt, feed, v_rot, r = step(state, tol)
         if r == 0 and not increased:
             break  # flat count and nothing left to solve
+        pass_classes.append(class_counts(poi, tol))
         state = nxt
         feedback_ranks.append(r)
         if r > 0:
@@ -369,27 +385,27 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
         if poi is not None:
             brackets_buf = _room(brackets_buf, state.m_cur + rows.shape[0], poi.shape[0])
         poi = extend_brackets(poi, rows, n, out=brackets_buf)
-        pass_classes.append(class_counts(poi, tol))
         increased = counts[-1] > counts[-2]
 
-    # rp, the rank of the bracket matrix, is the second-class row count;
-    # the carried matrix is the one the last count read, and it is stale
-    # only when the last pass folded
-    if poi is None:
+    # rp, the rank of the bracket matrix, is the second-class row count.
+    # The carried matrix is stale only when the last pass folded, and then
+    # that pass was counted before its fold; otherwise the split's one
+    # factorization decides the last count too
+    folded_exit = poi is None
+    if folded_exit:
         poi = extend_brackets(None, rows, n)
-        second = class_counts(poi, tol)[1]
-    else:
-        second = pass_classes[-1][1]
-    ext = with_zero_order(rows, n)
-    if second == 0:
+    first_c, second_c = split_first_second(poi, tol)
+    if not folded_exit:
+        pass_classes.append((first_c.shape[0], second_c.shape[0]))
+    if second_c.shape[0] == 0:
         # every row is first class; the projection onto (x, p, u) of any
         # orthonormal basis of the set has singular values 1 and 0 only,
         # so the strip would keep the held rows, orthonormal already
-        phi1, phi2 = ext, ext.with_rows(empty_matrix(ext.rows.shape[1]))
-        first = rows
+        phi1, first = with_zero_order(rows, n), rows
     else:
-        phi1, phi2 = split_first_second(ext, poi, tol)
-        first = strip_coisotropic(phi1, tol)
+        phi1 = with_zero_order(rows, n, first_c)
+        first = strip_coisotropic(first_c, rows, tol)
+    phi2 = with_zero_order(rows, n, second_c)
 
     feedtot = np.vstack(feed_blocks) if feed_blocks else empty_matrix(two_n)
     feedsel = np.vstack(sel_blocks) if sel_blocks else empty_matrix(m)
@@ -403,7 +419,7 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
         feedsel=feedsel,
         nofeed=nofeed,
         phi_first=first,
-        phi_second=strip_coisotropic(phi2, tol),
+        phi_second=strip_coisotropic(second_c, rows, tol),
         phi_first_ext=phi1,
         phi_second_ext=phi2,
         # G = -J hess and Z = -J w: the same signed swap of row blocks

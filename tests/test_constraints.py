@@ -13,8 +13,10 @@ from lqreduce import (
     strip_coisotropic,
     subspace_angle,
 )
+from lqreduce import reduction
 from lqreduce.classify import extend_brackets
 from lqreduce.constraints import with_zero_order
+from lqreduce.linalg import independent_rows, row_space_basis
 
 TOL = 1e-6
 
@@ -27,8 +29,8 @@ class TestConstraintMatrix:
     def test_block_views(self):
         phi = cm([[1, 2, 3, 4, 5, 6]], n=1, m_cur=2)
         assert_allclose(phi.xp, [[1, 2]])
-        assert_allclose(phi.u_block, [[3, 4]])
-        assert_allclose(phi.v_block, [[5, 6]])
+        assert_allclose(phi.rows[:, 2:4], [[3, 4]])
+        assert_allclose(phi.rows[:, 4:], [[5, 6]])
 
     def test_wrong_width_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -44,7 +46,15 @@ class TestWithZeroOrder:
         e_v = np.hstack([np.zeros((m, 2 * n + m)), np.eye(m)])
         assert np.array_equal(ext.rows[:m], e_v)
         assert np.array_equal(ext.rows[m:, : 2 * n + m], rows)
-        assert not ext.v_block[m:].any()
+        assert not ext.rows[m:, 2 * n + m :].any()
+
+    def test_combinations_are_formed_by_blocks(self, rng):
+        n, m = 2, 3
+        rows = rng.standard_normal((4, 2 * n + m))
+        coeffs = rng.standard_normal((5, m + 4))
+        got = with_zero_order(rows, n, coeffs)
+        assert (got.n, got.m_cur) == (n, m)
+        assert np.abs(got.rows - coeffs @ with_zero_order(rows, n).rows).max() <= 1e-14
 
     def test_full_bracket_build_is_that_of_the_extended_set(self, rng):
         n, m = 3, 2
@@ -101,37 +111,57 @@ class TestApplyFeedback:
 
 
 class TestStripCoisotropic:
+    # the set is coeffs @ with_zero_order(rows, n): coefficient rows over
+    # the zero-order rows e_v, then the orthonormal rows over (x, p, u)
     def test_pure_v_row_vanishes(self):
-        phi = cm([[0, 0, 0, 1]], n=1, m_cur=1)
-        assert strip_coisotropic(phi, TOL).shape == (0, 3)
+        # e_v alone, no held rows
+        assert strip_coisotropic(np.ones((1, 1)), np.zeros((0, 3)), TOL).shape == (0, 3)
 
     def test_v_free_rows_unchanged(self):
-        phi = cm([[1, 2, 3, 0], [0, 1, 1, 0]], n=1, m_cur=1)
-        out = strip_coisotropic(phi, TOL)
+        rows = row_space_basis(np.array([[1.0, 2, 3], [0, 1, 1]]), TOL)
+        out = strip_coisotropic(np.array([[0.0, 1, 0], [0, 0, 1]]), rows, TOL)
         assert subspace_angle(out, [[1, 2, 3], [0, 1, 1]], TOL) < 1e-10
 
     def test_mixed_rows_collapse(self):
         # {p + v, p - v} project onto the single direction p
-        phi = cm([[0, 1, 0, 1], [0, 1, 0, -1]], n=1, m_cur=1)
-        out = strip_coisotropic(phi, TOL)
+        coeffs = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
+        out = strip_coisotropic(coeffs, np.array([[0.0, 1.0, 0.0]]), TOL)
         assert out.shape[0] == 1
         assert subspace_angle(out, [[0.0, 1.0, 0.0]], TOL) < 1e-10
 
     def test_empty_stays_empty(self):
-        phi = cm(np.zeros((0, 4)), n=1, m_cur=1)
-        assert strip_coisotropic(phi, TOL).shape == (0, 3)
+        assert strip_coisotropic(np.zeros((0, 1)), np.zeros((0, 3)), TOL).shape == (0, 3)
 
-    def test_strip_is_basis_free(self):
-        # phi_first_ext is an orthonormal basis picked from a clustered
+    def test_projection_of_the_combinations(self, rng):
+        # the decision on the kernel block is the one on the projected rows
+        n, m, q = 3, 2, 5
+        rows = row_space_basis(rng.standard_normal((q, 2 * n + m)), TOL)
+        coeffs = np.linalg.qr(rng.standard_normal((m + q, m + q)))[0].T[:4]
+        coeffs[:, m:] *= np.array([1.0, 1e-3, 1e-9, 1.0])[:, None]
+        out = strip_coisotropic(coeffs, rows, TOL)
+        kept = with_zero_order(rows, n, coeffs).rows[:, : 2 * n + m]
+        ref = independent_rows(kept, TOL)
+        assert out.shape == ref.shape == (3, 2 * n + m)
+        assert subspace_angle(out, ref, TOL) <= 1e-12
+
+    def test_strip_is_basis_free(self, monkeypatch):
+        # the first-class set is an orthonormal basis picked from a clustered
         # bracket kernel; rescaling its rows before the rank decision made
         # the stripped count depend on that pick (10 rows here, 9 rotated)
-        res = reduce(perturb(gen_exp1(24, 9, 6, seed=3), 1e-8, seed=3), TOL)
-        phi = res.phi_first_ext
-        ref = strip_coisotropic(phi, TOL)
+        seen = []
+
+        def recording(coeffs, rows, tol):
+            seen.append((coeffs, rows))
+            return strip_coisotropic(coeffs, rows, tol)
+
+        monkeypatch.setattr(reduction, "strip_coisotropic", recording)
+        reduce(perturb(gen_exp1(24, 9, 6, seed=3), 1e-8, seed=3), TOL)
+        coeffs, rows = seen[0]  # the first-class set's
+        ref = strip_coisotropic(coeffs, rows, TOL)
         assert ref.shape[0] == 9
         rng = np.random.default_rng(3)
         for _ in range(5):
-            q, _ = np.linalg.qr(rng.standard_normal((phi.n_rows, phi.n_rows)))
-            out = strip_coisotropic(phi.with_rows(q @ phi.rows), TOL)
+            q, _ = np.linalg.qr(rng.standard_normal((coeffs.shape[0],) * 2))
+            out = strip_coisotropic(q @ coeffs, rows, TOL)
             assert out.shape[0] == ref.shape[0]
             assert subspace_angle(out, ref, TOL) <= 1e-12

@@ -13,6 +13,7 @@ from lqreduce import (
     NonConvergence,
     StepState,
     apply_feedback_to_constraints,
+    compare_final_subspaces,
     extend_rows,
     gen_exp1,
     gen_exp2,
@@ -364,6 +365,95 @@ class TestReduceSingular:
             assert [s for s in shapes if s[0] >= 2 and s[1] == 2 * n + 2] == []
         assert 0 < factored[20] == factored[40]
 
+    def test_family1_factors_each_matrix_once_at_its_rank_size(self, monkeypatch):
+        # a factorization ledger of a family 1 problem whose primary stack
+        # (32 x 96) is large enough for the QR route.  The seed stack is
+        # factored once, by a QR of its transpose; the strip decides on the
+        # k x q block that combines the q held rows; the split's SVD decides
+        # the last count too; and no factorization or bracket product spans
+        # the 2n + 2 m_cur columns of the set with its zero-order rows
+        prob = gen_exp1(32, 12, 8)
+        n, m = prob.n, prob.m
+        stack = np.hstack([initial_matrices(prob).s1, -prob.R])
+        assert stack.size >= linalg._QR_MIN_ENTRIES
+        real_svd, real_qr = np.linalg.svd, np.linalg.qr
+        real_strip = reduction.strip_coisotropic
+        real_brackets = classify.poisson_brackets
+        svds, qrs, strip_svds, bracket_widths = [], [], [], []
+        stripping = []
+
+        def svd(a, *args, **kwargs):
+            (strip_svds if stripping else svds).append(np.array(a))
+            return real_svd(a, *args, **kwargs)
+
+        def qr(a, *args, **kwargs):
+            qrs.append(np.array(a))
+            return real_qr(a, *args, **kwargs)
+
+        def strip(*args):
+            stripping.append(True)
+            try:
+                return real_strip(*args)
+            finally:
+                stripping.pop()
+
+        def brackets(phi):
+            bracket_widths.append(phi.rows.shape[1])
+            return real_brackets(phi)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        monkeypatch.setattr(reduction, "strip_coisotropic", strip)
+        monkeypatch.setattr(classify, "poisson_brackets", brackets)
+        res = reduce(prob, TOL)
+        assert (res.index_k, res.m_res, res.feedback_ranks) == (3, 12, (12, 0, 8))
+
+        def same(a, b):
+            return a.shape == b.shape and np.array_equal(a, b)
+
+        factored = svds + strip_svds + qrs
+        assert [same(a, stack.T) for a in qrs].count(True) == 1
+        assert not any(same(a, stack) or same(a, stack.T) for a in svds + strip_svds)
+        final = res.phi_first_ext.n_rows + res.phi_second_ext.n_rows
+        held = final - res.m_res
+        assert strip_svds and all(a.shape[1] <= held for a in strip_svds)
+        last = [a for a in svds if a.shape == (final, final) and np.array_equal(a, -a.T)]
+        assert len(last) == 1
+        m_cur = [m - sum(res.feedback_ranks[:i]) for i in range(len(res.feedback_ranks) + 1)]
+        extended = {2 * n + 2 * k for k in m_cur}
+        assert not any(set(a.shape) & extended for a in factored)
+        assert bracket_widths and set(bracket_widths) == {2 * n}
+
+    @pytest.mark.parametrize(
+        "base, qr_route, pinned",
+        [
+            (gen_exp1(32, 12, 8), True, (3, 12, 16, (63, 71, 79, 79),
+                                         ((39, 24), (31, 16), (23, 32), (23, 16)), (12, 0, 8))),
+            (gen_exp1(8, 3, 2), False, (3, 3, 4, (15, 17, 19, 19),
+                                        ((9, 6), (7, 4), (5, 8), (5, 4)), (3, 0, 2))),
+        ],
+        ids=["qr-route", "svd-route"],
+    )
+    def test_rank_deficient_seed(self, base, qr_route, pinned):
+        # the last control duplicates the first in B, N and R, so the
+        # primary stack [S1, -R] has rank m - 1: the seed for step is then
+        # Sigma-weighted rows from the factorization that gives the basis,
+        # on the QR route (a stack of at least 2048 entries) and below it
+        b, nm, r = base.B.copy(), base.N.copy(), base.R.copy()
+        b[:, -1], nm[:, -1] = b[:, 0], nm[:, 0]
+        r[-1, :] = r[0, :]
+        r[:, -1] = r[:, 0]
+        prob = LQProblem(A=base.A, B=b, Q=base.Q, N=nm, R=r)
+        stack = np.hstack([initial_matrices(prob).s1, -prob.R])
+        assert rank_tol(stack, TOL) == prob.m - 1
+        assert (stack.size >= linalg._QR_MIN_ENTRIES) == qr_route
+        res = reduce(prob, TOL)
+        oracle = recursive_reduce(prob, TOL)
+        assert res.m_res == oracle.m_res
+        assert compare_final_subspaces(oracle, res) <= 1e-10
+        assert (res.index_k, res.m_res, res.rp, res.constraint_counts,
+                res.class_counts, res.feedback_ranks) == pinned
+
     def test_bracket_matrix_built_once_per_fold(self, monkeypatch):
         # the bracket matrix is carried between folds and only bordered by
         # each pass's new rows, and the split takes its rank from the last
@@ -684,9 +774,11 @@ class TestRankZeroExit:
             folded += len(res.feedback_ranks) == len(res.class_counts)
             ext = res.phi_first_ext
             assert res.phi_second_ext.n_rows == 0 and res.phi_second.shape[0] == 0
-            first, second = split_first_second(ext, poisson_brackets(ext), TOL)
-            assert second.n_rows == 0
-            stripped = strip_coisotropic(first, TOL)
+            first, second = split_first_second(poisson_brackets(ext), TOL)
+            assert second.shape[0] == 0
+            # the held rows follow the zero-order rows, over (x, p, u_res)
+            held = ext.rows[res.m_res :, : 2 * res.n + res.m_res]
+            stripped = strip_coisotropic(first, held, TOL)
             assert res.phi_first.shape == stripped.shape
             if stripped.shape[0]:
                 assert orthonormality_error(res.phi_first) < 1e-12
@@ -701,33 +793,44 @@ class TestRankZeroExit:
                 return _fn(*args)
 
             monkeypatch.setattr(reduction, name, counting)
-        # rank 0 read from the last count, or counted by the same rule on
-        # the matrix rebuilt after a fold that ends the loop
+        real_svd = linalg._svd
+
+        def factoring(*args, **kwargs):
+            calls.append("_svd")
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "_svd", factoring)
+        # rank 0 read by the split's norm test on the last count's matrix,
+        # or on the matrix rebuilt after a fold that ends the loop: from the
+        # split on, nothing is factored
         problems = [perturb(gen_exp3(10), 1e-10, seed=0, preserve_structure=True)]
         for prob in problems + self.fold_exit_problems():
             del calls[:]
             res = reduce(prob, TOL)
             assert res.rp == 0
-            assert calls == ["strip_coisotropic"]  # of the empty second class
+            split = calls.index("split_first_second")
+            # the strip is of the empty second class
+            assert calls[split:] == ["split_first_second", "strip_coisotropic"]
         assert len(res.feedback_ranks) == len(res.class_counts)
         # second-class rows take the split and strip both sets
         del calls[:]
         res = reduce(gen_exp1(24, 9, 6), TOL)
         assert res.rp > 0
-        assert sorted(calls) == ["split_first_second"] + ["strip_coisotropic"] * 2
+        layers = [call for call in calls if call != "_svd"]
+        assert sorted(layers) == ["split_first_second"] + ["strip_coisotropic"] * 2
 
     def test_rebuilt_matrix_takes_the_count_rule(self, monkeypatch):
         # the matrix rebuilt after a fold exit is judged by the rule every
-        # count uses, rank_tol, not by a norm test of its own: with the
-        # Frobenius shortcut off wherever reduce could look it up, its
-        # values-only SVD still counts rank 0
+        # count uses, sigma > tol, not by a norm test of its own: with the
+        # Frobenius shortcut off wherever reduce could look it up, the
+        # split's SVD still counts rank 0
         calls = []
+        for name in ("split_first_second", "strip_coisotropic"):
+            def counting(*args, _name=name, _fn=getattr(reduction, name)):
+                calls.append(_name)
+                return _fn(*args)
 
-        def counting(*args, _fn=reduction.strip_coisotropic):
-            calls.append("strip_coisotropic")
-            return _fn(*args)
-
-        monkeypatch.setattr(reduction, "strip_coisotropic", counting)
+            monkeypatch.setattr(reduction, name, counting)
         for module in (linalg, reduction):
             monkeypatch.setattr(module, "negligible", lambda m, tol: False, raising=False)
         for prob in self.fold_exit_problems():
@@ -735,7 +838,8 @@ class TestRankZeroExit:
             res = reduce(prob, TOL)
             assert len(res.feedback_ranks) == len(res.class_counts)
             assert res.rp == 0
-            assert calls == ["strip_coisotropic"]  # of the empty second class
+            # the strip is of the empty second class
+            assert calls == ["split_first_second", "strip_coisotropic"]
 
     def test_direct_hess0_keeps_the_feedback_law(self, monkeypatch, rng):
         # J G0 built block by block is the restack of the drift block

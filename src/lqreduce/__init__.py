@@ -5,18 +5,11 @@ stationarity conditions of the maximum principle cannot be solved for the
 controls directly — into a consistent reduced Hamiltonian system: the final
 constraint subspace, a partial optimal feedback law for the solvable
 control combinations, the residual gauge controls, and the first/second
-class split of the constraints.
+class split of the constraints.  The names below are what a user of the
+reducer needs; internals are imported from their modules, such as
+``lqreduce.reduction.step`` or ``lqreduce.classify.poisson_brackets``.
 """
 
-from .classify import (
-    poisson_brackets,
-    split_first_second,
-)
-from .constraints import (
-    ConstraintMatrix,
-    apply_feedback_to_constraints,
-    strip_coisotropic,
-)
 from .errors import (
     AsymmetricQ,
     AsymmetricR,
@@ -40,16 +33,7 @@ from .experiments import (
     perturb,
     run_sweep,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    equilibrate_rows,
-    extend_rows,
-    independent_rows,
-    numerical_ker,
-    rank_tol,
-    subspace_angle,
-    symplectic_matrix,
-)
+from .linalg import DEFAULT_TOL, independent_rows, subspace_angle
 from .model import (
     InitialMatrices,
     LQProblem,
@@ -58,13 +42,12 @@ from .model import (
     validate,
 )
 from .oracle import OracleResult, compare_final_subspaces, recursive_reduce
-from .reduction import ReductionResult, StepState, reduce, step
+from .reduction import ReductionResult, reduce
 
 __all__ = [
     "DEFAULT_TOL",
     "AsymmetricQ",
     "AsymmetricR",
-    "ConstraintMatrix",
     "DimensionMismatch",
     "EmptySubspace",
     "ExperimentRecord",
@@ -78,12 +61,8 @@ __all__ = [
     "NonFiniteEntry",
     "OracleResult",
     "ReductionResult",
-    "StepState",
     "ValidationError",
-    "apply_feedback_to_constraints",
     "compare_final_subspaces",
-    "equilibrate_rows",
-    "extend_rows",
     "fit_loglog_slope",
     "gen_exp1",
     "gen_exp2",
@@ -91,19 +70,12 @@ __all__ = [
     "independent_rows",
     "initial_matrices",
     "make_problem",
-    "numerical_ker",
     "perturb",
-    "poisson_brackets",
     "pontryagin_hamiltonian",
-    "rank_tol",
     "recursive_reduce",
     "reduce",
     "run_sweep",
-    "split_first_second",
-    "step",
-    "strip_coisotropic",
     "subspace_angle",
-    "symplectic_matrix",
     "validate",
 ]
 

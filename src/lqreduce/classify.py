@@ -13,37 +13,46 @@ held rows' own brackets, over (x, p), are a product.  A set that only grows
 by appended rows keeps its bracket matrix as the leading block of the next
 one, so :func:`extend_brackets` computes only the brackets of the new rows;
 a change of coordinates (a feedback fold) needs a full rebuild.  Counting
-classes takes the rank of that matrix, and rank 0 is decided from its
-Frobenius norm without an SVD.  The final split takes the same matrix and
-its kernel from one SVD, which also decides the last pass's count, so the
-last count and the split read one factorization with one rank rule.  The
-split returns coefficient rows over the extended set rather than the
-combined rows, so the coisotropic strip can decide on their kernel block.
+classes takes the rank of that matrix by the rank rule of
+:mod:`lqreduce.linalg`.  The final split takes the same matrix and its
+kernel from one SVD, which also decides the last pass's count, so the last
+count and the split read one factorization.  The split returns coefficient
+rows over the extended set rather than the combined rows, so the
+coisotropic strip can decide on their kernel block.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .constraints import ConstraintMatrix
-from .linalg import DEFAULT_TOL, numerical_ker, rank_tol, signed_swap
+from .errors import DimensionMismatch
+from .linalg import DEFAULT_TOL, as_matrix, numerical_ker, rank_tol, signed_swap
 
 
-def poisson_brackets(phi: ConstraintMatrix) -> np.ndarray:
-    """Antisymmetric matrix of pairwise canonical brackets of the rows.
+def poisson_brackets(rows, n: int) -> np.ndarray:
+    """Antisymmetric matrix of pairwise canonical brackets of constraint rows.
 
-    With the (x, p, u, v) block layout the bracket of rows a and b is
-    sigma_a.beta_b - beta_a.sigma_b + rho_a.omega_b - omega_a.rho_b, so the
-    matrix is one product: the rows signed-swapped within (x, p) and within
-    (u, v) (:func:`~lqreduce.linalg.signed_swap`) against the rows.  The
-    result is antisymmetrized as (P - P') / 2 to remove rounding; an empty
+    ``rows`` are over (x, p, u, v), 2n + 2m columns for some m >= 0, and
+    the bracket of rows a and b is sigma_a.beta_b - beta_a.sigma_b +
+    rho_a.omega_b - omega_a.rho_b, so the matrix is one product: the rows
+    signed-swapped within (x, p) and within (u, v)
+    (:func:`~lqreduce.linalg.signed_swap`) against the rows.  The result
+    is antisymmetrized as (P - P') / 2 to remove rounding; an empty
     constraint set gives the empty matrix.
+
+    Raises DimensionMismatch unless the width is 2n + 2m.
     """
-    if phi.n_rows == 0:
+    rows = as_matrix(rows)
+    two_n = 2 * n
+    width = rows.shape[1]
+    if width < two_n or (width - two_n) % 2:
+        raise DimensionMismatch(
+            f"constraint rows have {width} columns, not 2n + 2m with n = {n}"
+        )
+    if rows.shape[0] == 0:
         return np.zeros((0, 0))
-    two_n = 2 * phi.n
-    swapped = np.hstack([signed_swap(phi.xp), signed_swap(phi.rows[:, two_n:])])
-    poi = swapped @ phi.rows.T
+    swapped = np.hstack([signed_swap(rows[:, :two_n]), signed_swap(rows[:, two_n:])])
+    poi = swapped @ rows.T
     return (poi - poi.T) / 2.0
 
 
@@ -83,7 +92,7 @@ def extend_brackets(
         full[:m, :m] = 0.0
         full[:m, m:] = -u.T
         full[m:, :m] = u
-        full[m:, m:] = poisson_brackets(ConstraintMatrix(rows[:, :two_n], n, 0))
+        full[m:, m:] = poisson_brackets(rows[:, :two_n], n)
         return full
     k = poi.shape[0]
     held = k - m  # rows that poi covers
@@ -105,9 +114,8 @@ def extend_brackets(
 def class_counts(poi: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[int, int]:
     """First- and second-class row counts from the bracket matrix ``poi``.
 
-    The second-class count is the rank of ``poi``; :func:`rank_tol` decides
-    rank 0 from the Frobenius norm alone, so a set whose brackets all
-    vanish is counted without an SVD.
+    The second-class count is :func:`rank_tol` of ``poi``, so a set whose
+    brackets all vanish is counted without an SVD.
     """
     second = rank_tol(poi, tol)
     return poi.shape[0] - second, second
@@ -125,14 +133,13 @@ def split_first_second(
     rows of a kernel basis, whose combinations of the set commute (to
     tolerance) with every constraint, and ``second`` those of its
     orthonormal completion, whose combinations carry an invertible bracket
-    pairing and so always come in pairs.  A
-    :func:`~lqreduce.linalg.negligible` matrix is not factored: every row
-    is first class, ``first`` the identity.  Both come back as coefficient
-    rows over the set's rows; ``first @ rows`` and ``second @ rows`` are
-    the two sets, orthonormal when the set's rows are.  A rank read here
-    is the one :func:`class_counts` reads from the same matrix, unless
-    rounding puts a singular value on the other side of ``tol`` in one of
-    the two LAPACK routes.
+    pairing and so always come in pairs.  A negligible matrix is not
+    factored: every row is first class, ``first`` the identity.  Both come
+    back as coefficient rows over the set's rows; ``first @ rows`` and
+    ``second @ rows`` are the two sets, orthonormal when the set's rows
+    are.  A rank read here is the one :func:`class_counts` reads from the
+    same matrix, unless rounding puts a singular value on the other side
+    of ``tol`` in one of the two LAPACK routes.
     """
     ker, compl = numerical_ker(poi, tol)
     return ker.T, compl.T

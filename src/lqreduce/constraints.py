@@ -1,8 +1,9 @@
 """Linear constraint sets over the extended phase space (x, p, u, v).
 
 A constraint row [sigma | beta | rho | omega] represents the linear function
-sigma.x + beta.p + rho.u + omega.v on R^{2n + 2 m_cur}.  The control and
-coisotropic blocks shrink together as partial feedback solves controls.
+sigma.x + beta.p + rho.u + omega.v on R^{2n + 2 m_cur}.  A set is a plain
+array of such rows, whose blocks the state dimension n locates.  The control
+and coisotropic blocks shrink together as partial feedback solves controls.
 
 Besides the zero-order rows v = 0, no constraint involves v, so
 :func:`~lqreduce.reduction.reduce` holds its set as rows over (x, p, u) and
@@ -17,8 +18,6 @@ held rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch
@@ -31,42 +30,9 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class ConstraintMatrix:
-    """Rows of linear constraints with explicit (x, p, u, v) block layout.
-
-    Attributes:
-        rows: q x (2n + 2*m_cur) coefficient matrix.
-        n: state dimension (x and p blocks each have n columns).
-        m_cur: current control dimension (u and v blocks each have m_cur
-            columns); shrinks as feedback is applied.
-    """
-
-    rows: np.ndarray
-    n: int
-    m_cur: int
-
-    def __post_init__(self):
-        rows = as_matrix(self.rows)
-        object.__setattr__(self, "rows", rows)
-        if rows.shape[1] != 2 * self.n + 2 * self.m_cur:
-            raise DimensionMismatch(
-                f"constraint rows have {rows.shape[1]} columns, "
-                f"expected {2 * self.n + 2 * self.m_cur}"
-            )
-
-    @property
-    def n_rows(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def xp(self) -> np.ndarray:
-        return self.rows[:, : 2 * self.n]
-
-
 def with_zero_order(
     rows: np.ndarray, n: int, coeffs: np.ndarray | None = None
-) -> ConstraintMatrix:
+) -> np.ndarray:
     """The extended set of the zero-order rows v = 0 and ``rows``, or combinations of it.
 
     ``rows`` are q constraint rows over (x, p, u), 2n + m columns.  The
@@ -74,16 +40,17 @@ def with_zero_order(
     then ``rows`` with a zero v block.  ``coeffs``, k x (m + q), gives the
     k combinations coeffs @ [[0, I], [rows, 0]] instead, formed by blocks
     as [coeffs[:, m:] @ rows | coeffs[:, :m]], so the zero blocks are
-    neither built nor multiplied.
+    neither built nor multiplied.  Either way the result is a plain array
+    with 2n + 2m columns.
     """
     q, width = rows.shape
     m = width - 2 * n
     if coeffs is not None:
-        return ConstraintMatrix(np.hstack([coeffs[:, m:] @ rows, coeffs[:, :m]]), n, m)
+        return np.hstack([coeffs[:, m:] @ rows, coeffs[:, :m]])
     ext = np.zeros((m + q, width + m))
     ext[:m, width:] = np.eye(m)
     ext[m:, :width] = rows
-    return ConstraintMatrix(ext, n, m)
+    return ext
 
 
 def apply_feedback_to_constraints(
@@ -102,8 +69,8 @@ def apply_feedback_to_constraints(
     (x, p) block.  Rows that become dependent (or zero) are removed, and
     the set comes back over (x, p, u_res) as an orthonormal basis of what
     survives (:func:`~lqreduce.linalg.row_space_basis` of the equilibrated
-    rows, whose rank is the count of their singular values > tol), the
-    form in which :func:`~lqreduce.reduction.reduce` holds its set.
+    rows), the form in which :func:`~lqreduce.reduction.reduce` holds its
+    set.
 
     Unlike :func:`strip_coisotropic`, the fold equilibrates before its rank
     decision: substituting the feedback leaves rows that are neither

@@ -1,39 +1,40 @@
 """Tolerance-aware dense linear algebra used throughout the reduction.
 
-All rank decisions in this package are made against an *absolute* threshold
-on singular values (count of sigma > tol), mirroring MATLAB-style
-``rank(A, tol)``.  That comparison is written once, here; code outside this
-module decides ranks through :func:`rank_tol`, :func:`rank_svd` and the
-routines built on them.  So is the one test that decides rank 0 without
-an SVD, ``||m||_F <= tol`` (:func:`negligible`), which bounds every
-singular value.  Problems should therefore be scaled so that meaningful
-entries are well above the tolerance.
+The rank rule, which the rest of the package cites rather than restates:
 
-The rank seam is :func:`rank_svd`.  It owns rank 0: a negligible matrix,
-the empty one included, gets the exact SVD of the zero matrix (identity
-factors, zero values, r = 0) without a factorization, so the routines
-built on it only slice its factors.  Every other SVD goes to LAPACK
-through ``_svd``.  The one other factorization is the Householder QR with
-which :func:`row_space_basis` and :func:`scaled_row_space` reduce a large
-wide matrix to a square triangle; its rank is the same count, of the
-triangle's singular values from ``_svd``.  Sines of principal angles come
-from an eigenvalue solve (:func:`principal_angle`), which decides no rank.
+- A rank is the count of singular values sigma > tol, an *absolute*
+  threshold, as in MATLAB's ``rank(A, tol)``; problems should therefore be
+  scaled so that meaningful entries are well above it.  The comparison is
+  written once, here; code outside this module decides ranks through
+  :func:`rank_tol`, :func:`rank_svd` and the routines built on them.
+- A matrix with ``||m||_F <= tol`` is :func:`negligible`: since
+  sigma_max <= ||m||_F, its rank is 0, the answer its singular values
+  would give, and it is not factored.  A NaN or overflowing norm is not
+  negligible, so such a matrix goes on to its SVD.
+- The seam is :func:`rank_svd`, which owns rank 0: a negligible matrix,
+  the empty one included, gets the exact SVD of the zero matrix (identity
+  factors in the shapes ``np.linalg.svd`` returns, zero values, r = 0),
+  so the routines built on it only slice its factors.  Every other SVD
+  goes to LAPACK through ``_svd``.  The one other factorization is the
+  Householder QR with which :func:`row_space_basis` and
+  :func:`scaled_row_space` reduce a large wide matrix to a square
+  triangle; its rank is the same count, of the triangle's singular values.
+- One decision bypasses the seam and keeps the count: a single row that
+  :func:`extend_rows` appends is judged from two norms, each one dot
+  product: the row's own, against which it is dropped or normalized, and
+  its residual's after the projections, the residual's one singular
+  value.  A row or residual whose sum of squares overflows, is at most
+  1e-200, or is not finite takes the general route.
 
-One rank decision bypasses the seam and keeps the sigma > tol count: a
-single row that :func:`extend_rows` appends is judged from two norms,
-each one dot product: the row's own, against which the row is dropped or
-normalized, and that of its residual after the projections, which is the
-residual's one singular value.  A row whose sum of squares overflows, is
-at most 1e-200, or is not finite takes the general route.
-
-Empty matrices (zero rows and/or columns) are first-class values: every
-routine accepts and may return them.
+Sines of principal angles come from an eigenvalue solve
+(:func:`principal_angle`), which decides no rank.  Empty matrices (zero
+rows and/or columns) are first-class values: every routine accepts and
+may return them.
 
 A constraint set that grows level by level is kept as an orthonormal row
 basis that :func:`extend_rows` extends: the new rows are projected out of
 the basis and only their residual is factored, so the rank of a new level
-is the count of the residual's singular values above the threshold, not of
-the whole stack's.
+is that of the residual, not of the whole stack.
 """
 
 from __future__ import annotations
@@ -137,14 +138,10 @@ def _row_norm(row: np.ndarray):
 
 
 def negligible(m, tol: float = DEFAULT_TOL) -> bool:
-    """Whether ``||m||_F <= tol``, which makes the rank of ``m`` 0 without an SVD.
+    """Whether ``||m||_F <= tol``, rank 0 without an SVD by the rank rule.
 
-    Since sigma_max <= ||m||_F, every singular value is then <= tol, the
-    answer the singular values would give.  An empty matrix is negligible.
-    A NaN norm, or one that overflows to inf, is not, so such a matrix
-    goes on to its SVD.  The norm is formed as ``np.linalg.norm`` forms
-    it, one dot product of the entries in memory order, without that
-    routine's dispatch.
+    The norm is formed as ``np.linalg.norm`` forms it, one dot product of
+    the entries in memory order, without that routine's dispatch.
     """
     flat = np.asarray(m, dtype=float).ravel(order="K")
     with np.errstate(over="ignore"):
@@ -152,11 +149,7 @@ def negligible(m, tol: float = DEFAULT_TOL) -> bool:
 
 
 def rank_tol(m, tol: float = DEFAULT_TOL) -> int:
-    """Number of singular values of ``m`` strictly greater than ``tol``.
-
-    A :func:`negligible` matrix, the empty one included, has rank 0
-    without an SVD.
-    """
+    """Rank of ``m`` by the rank rule; a :func:`negligible` one is not factored."""
     m = as_matrix(m)
     if negligible(m, tol):
         return 0
@@ -174,16 +167,11 @@ def _count_above(s: np.ndarray, tol: float) -> int:
 
 
 def rank_svd(m: np.ndarray, tol: float = DEFAULT_TOL, full_matrices: bool = False):
-    """SVD ``(u, s, vt)`` of a 2-d array ``m`` and its numerical rank r.
+    """SVD ``(u, s, vt)`` of a 2-d array ``m`` and its rank r: the rank seam.
 
-    Returns ``(u, s, vt, r)`` with r the count of singular values > tol,
-    so the first r rows of vt span the numerical row space and the rest
-    its kernel.  Every rank decision that needs the singular vectors goes
-    through here.
-
-    A :func:`negligible` matrix, the empty one included, has rank 0 and is
-    not factored: it gets the exact SVD of the zero matrix, identity u and
-    vt and zero values in the shapes ``np.linalg.svd`` returns.
+    Returns ``(u, s, vt, r)``; the first r rows of vt span the numerical
+    row space and the rest its kernel.  A :func:`negligible` matrix gets
+    the exact SVD of the zero matrix without a factorization.
     """
     if negligible(m, tol):
         k, c = m.shape
@@ -197,21 +185,12 @@ def rank_svd(m: np.ndarray, tol: float = DEFAULT_TOL, full_matrices: bool = Fals
 def independent_rows(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Replace ``m`` by r mutually orthogonal rows spanning its row space.
 
-    r is the numerical rank of ``m``; the rows returned are the first r rows
-    of U^T m from the SVD of m (:func:`rank_svd`), so they keep the data's
-    scale (row i has norm sigma_i).  Rank-zero input, the empty one
-    included, collapses to the empty matrix, so "numerically zero" and
-    "empty" behave identically downstream.
-
-    The constraint sets of ``reduce`` and of the recursive oracle are held
-    orthonormal instead (:func:`row_space_basis`, :func:`extend_rows`);
-    the data-scaled primary rows that seed the step recursion of
-    ``reduce`` come from :func:`scaled_row_space`, with that basis.  The
-    coisotropic strip applies this routine to the coefficients that
-    combine orthonormal rows, whose singular values are those of the
-    combination, which makes its rank decision independent of the basis
-    it is handed; ``ReductionResult.final_constraints`` applies it to
-    equilibrated rows.
+    r is the rank of ``m``; the rows returned are the first r rows of
+    U^T m from :func:`rank_svd`, so they keep the data's scale (row i has
+    norm sigma_i).  Rank-zero input, the empty one included, collapses to
+    the empty matrix, so "numerically zero" and "empty" behave identically
+    downstream.  Constraint sets are held orthonormal instead
+    (:func:`row_space_basis`, :func:`extend_rows`).
     """
     m = as_matrix(m)
     u, _, _, r = rank_svd(m, tol)
@@ -273,20 +252,14 @@ def extend_rows(
     out of the basis twice: one classical Gram-Schmidt pass loses
     orthogonality once a row is nearly in the span, two are enough
     (Daniel, Gragg, Kaufman & Stewart 1976, Math. Comp. 30).  The new
-    rows are :func:`row_space_basis` of the residual.
+    rows are :func:`row_space_basis` of the residual; a single row takes
+    the one-row bypass of the rank rule instead.
 
-    A single row takes the same steps without the general routines: one
-    dot product gives its norm, the unit row is projected out twice, and
-    the residual's norm is its singular value, counted by the same
-    sigma > tol rule.  A row whose sum of squares overflows, is at most
-    1e-200, or is inf or NaN takes the general route, and so does a
-    residual whose sum of squares is at most 1e-200.
-
-    Rank rule: a new direction counts when a singular value of the
-    residual exceeds tol, where a stacked factorization would compare the
-    stack's smallest singular value.  At the threshold the two agree
-    within a factor sqrt(1 + cos theta) <= sqrt(2), theta the angle
-    between the new row and the basis span.
+    A new direction counts when a singular value of the residual exceeds
+    tol, where a stacked factorization would compare the stack's smallest
+    singular value.  At the threshold the two agree within a factor
+    sqrt(1 + cos theta) <= sqrt(2), theta the angle between the new row
+    and the basis span.
 
     ``out``, when given, is an array with the columns of ``basis`` and
     room for all its rows and those of ``rows``.  The result is written
@@ -350,9 +323,8 @@ def numerical_ker(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     the kernel of ``a`` at tolerance ``tol`` (right singular vectors for
     singular values <= tol) and the columns of ``w`` complete them to an
     orthonormal basis of R^cols.  ``v`` has cols - r columns and ``w`` has r,
-    with r the numerical rank.  Both are slices of the full vt of
-    :func:`rank_svd`, so a :func:`negligible` matrix, the empty one
-    included, gives ``(I, empty)`` without an SVD.
+    with r the rank.  Both are slices of the full vt of :func:`rank_svd`,
+    so a :func:`negligible` matrix gives ``(I, empty)``.
     """
     _, _, vt, r = rank_svd(as_matrix(a), tol, full_matrices=True)
     return vt[r:, :].T, vt[:r, :].T
@@ -361,9 +333,9 @@ def numerical_ker(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
 def row_space_basis(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the numerical row space of ``m`` (rows of the result).
 
-    The rank r is the count of singular values of ``m`` above ``tol``, and
-    the r rows span the same space as its leading right singular vectors
-    (they are those vectors, to rounding, whenever r < k).
+    Its r rows, r the rank of ``m``, span the same space as its leading
+    right singular vectors (they are those vectors, to rounding, whenever
+    r < k).
 
     A k x c matrix with 1 < k <= c and at least 2048 entries is first
     reduced by a Householder QR of its transpose, m' = Q R, as in Chan
@@ -373,11 +345,10 @@ def row_space_basis(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     rank-deficient R is factored with vectors, R = W S V', r is counted
     from S, and the basis is the first r rows of W'Q'.  Since
     sigma_min(R) <= min |r_ii|, a diagonal entry <= tol already shows the
-    lost rank, and the values-only SVD is skipped.  Such an ``m`` that is
-    :func:`negligible` has rank 0 without any factorization.  Smaller,
-    single-row and tall inputs, the empty one included, take
-    :func:`rank_svd` of ``m``, which is faster there (the crossover was
-    measured on one BLAS thread).
+    lost rank, and the values-only SVD is skipped.  Smaller, single-row
+    and tall inputs, the empty one included, take :func:`rank_svd` of
+    ``m``, which is faster there (the crossover was measured on one BLAS
+    thread).
     """
     return _row_space(as_matrix(m), tol)[1]
 
@@ -386,15 +357,15 @@ def scaled_row_space(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarra
     """``(scaled, basis)``: rows spanning the row space of ``m`` at its scale, and its basis.
 
     ``basis`` is :func:`row_space_basis` of ``m``, and ``scaled`` comes
-    from the same one factorization: r rows with the r singular values
-    > tol of ``m``.  Where :func:`row_space_basis` takes the SVD of ``m``,
-    ``scaled`` is U_r' m, the rows :func:`independent_rows` returns.  Where
-    it takes the QR, ``scaled`` is ``m`` itself at full row rank, an
-    orthogonal change of rows of U'm, for which no singular vector is
-    computed; at rank r < k the rows of ``basis`` are the leading right
-    singular vectors of ``m``, and ``scaled`` is the first r rows of
-    Sigma V', row i of ``basis`` times sigma_i, which is U_r' m to
-    rounding.
+    from the same one factorization: r rows, r the rank of ``m``, with its
+    r leading singular values.  Where :func:`row_space_basis` takes the
+    SVD of ``m``, ``scaled`` is U_r' m, the rows :func:`independent_rows`
+    returns.  Where it takes the QR, ``scaled`` is ``m`` itself at full
+    row rank, an orthogonal change of rows of U'm, for which no singular
+    vector is computed; at rank r < k the rows of ``basis`` are the
+    leading right singular vectors of ``m``, and ``scaled`` is the first
+    r rows of Sigma V', row i of ``basis`` times sigma_i, which is U_r' m
+    to rounding.
     """
     return _row_space(as_matrix(m), tol)
 

@@ -1,53 +1,51 @@
 """Constraint reduction of singular LQ problems with partial feedback.
 
 Starting from the Hamilton equations (x; p)' = G (x; p) + Z u and the
-stationarity constraints dH/du = S (x; p) - R u = 0, each iteration splits
-the control coefficients R by SVD: the range part solves some rotated
-controls as linear feedback in (x, p), the cokernel part yields the next
-level of constraints, obtained by differentiating along the (feedback
-updated) flow.  The iteration stops once the count of independent
-constraints (including those consumed by feedback, two per solved control)
-stabilizes or every control is solved.  The constraint set lives on the
-symplectically extended space (x, p, u, v), but beyond the zero-order
-constraints v = 0, one per remaining control, no constraint involves v.  So
-the set is held as rows over (x, p, u), and the zero-order rows are implied:
-they enter the count, the bracket matrix (as its leading rows) and the final
-split, which take the extended set from
-:func:`~lqreduce.constraints.with_zero_order`.
-
-Each rank decision is paid for once, at the size it needs.  The primary
-rows are factored once (:func:`~lqreduce.linalg.scaled_row_space`, a QR
-for a large stack), for both the orthonormal basis the set is held in and
-the data-scaled rows that seed ``step``.  Each pass counts second-class
-rows as the rank of their Poisson brackets; only the final set is split.
-The bracket matrix is carried from pass to pass and bordered by the
-brackets of each pass's new rows; a feedback fold changes coordinates, so
-the count after it rebuilds the matrix in full, in block form, with one
-product over (x, p) alone.  Rank 0 is decided from the matrix's Frobenius
-norm without an SVD (:func:`~lqreduce.linalg.rank_tol`), which covers
-every pass of a chain whose brackets vanish.  A pass's matrix is counted
-only once the next ``step`` shows that the loop goes on, so the last
-count is the split's own rank decision, on the carried matrix, and the
-reported rp is the last pass's second-class count whenever that pass did
-not fold.  At rank 0 every row is first class and the held rows are the
-stripped set, and a negligible matrix, as on every chain whose brackets
-vanish, is not even factored.  Otherwise the strip decides on the block of
-the split's coefficients that combines the held rows, k x q, rather than
-on k rows over (x, p, u).
-
-The loop holds the Hessian blocks of the running quadratic Hamiltonian
-rather than its vector field G = -J M, so J G = M is symmetric to
-rounding.  It starts from hess0 = J G0, which
+stationarity constraints dH/du = S (x; p) - R u = 0, each iteration
+(:func:`step`) splits the control coefficients R by SVD: the range part
+solves some rotated controls as linear feedback in (x, p), the cokernel
+part yields the next level of constraints, obtained by differentiating
+along the (feedback updated) flow.  The loop holds the Hessian blocks of
+the running quadratic Hamiltonian rather than its vector field G = -J M,
+so J G = M is symmetric to rounding; it starts from hess0 = J G0, which
 :func:`~lqreduce.model.initial_matrices` builds block by block.
 
-A pass that solves no control and adds one row, every pass of a long
-chain, factors nothing.  Its rank 0 is read from ||rk||_F <= tol by
-:func:`~lqreduce.linalg.rank_svd`, the one row is appended by the one-row
-path of :func:`~lqreduce.linalg.extend_rows`, and the
-bracket border is one product.  The constraint set and its bracket matrix
-are held in the leading rows of buffers that each pass appends to, grown
-by half when full, instead of being restacked on every pass.  A fold
-starts new buffers, so no array that a pass handed out is written again.
+The constraint set lives on the symplectically extended space
+(x, p, u, v), but beyond the zero-order constraints v = 0, one per
+remaining control, no constraint involves v.  So the set is held as one
+orthonormal basis of rows over (x, p, u), from seed to split, and the
+zero-order rows are implied: they add m_cur to each count, stand first in
+the bracket matrix, which reads [[0, -U'], [U, P0]] with U the u block of
+the held rows and P0 their own brackets, and join the set only in the
+reported first- and second-class sets
+(:func:`~lqreduce.constraints.with_zero_order`).
+
+Each rank decision is paid for once, at the size it needs:
+
+- The primary rows [S1, -R] are factored once
+  (:func:`~lqreduce.linalg.scaled_row_space`, a QR for a large stack).
+  Their orthonormal basis is the held set, and their rows at the data's
+  scale seed ``step``: the stack itself at full row rank, since the rank
+  and feedback of ``step`` do not change under an orthogonal change of
+  rows.
+- The bracket matrix is carried from pass to pass and bordered by the
+  brackets of each pass's new rows; a feedback fold changes coordinates,
+  so the count after it rebuilds the matrix in full, in block form, with
+  one product over (x, p) alone.
+- A pass's matrix is counted only once the next ``step`` shows that the
+  loop goes on, so the last count is the split's own rank decision.
+- At rank 0 every row is first class and the held rows are the stripped
+  set; a negligible matrix, as on every chain whose brackets vanish, is
+  not even factored.  Otherwise the strip decides on the k x q block of
+  the split's coefficients that combines the held rows, rather than on
+  k rows over (x, p, u).
+- A pass that solves no control and adds one row, every pass of a long
+  chain, factors nothing: its rk is negligible, the row takes the one-row
+  path of :func:`~lqreduce.linalg.extend_rows`, and the bracket border is
+  one product.  The set and its bracket matrix are held in the leading
+  rows of buffers that each pass appends to, grown by half when full; a
+  fold starts new buffers, so no array that a pass handed out is written
+  again.
 """
 
 from __future__ import annotations
@@ -58,7 +56,6 @@ import numpy as np
 
 from .classify import class_counts, extend_brackets, split_first_second
 from .constraints import (
-    ConstraintMatrix,
     apply_feedback_to_constraints,
     strip_coisotropic,
     with_zero_order,
@@ -120,8 +117,9 @@ class ReductionResult:
             u_res = nofeed . u.
         phi_first/phi_second: first/second-class constraint rows over the
             reduced coordinates (x, p, u_res), coisotropic columns stripped.
-        phi_first_ext/phi_second_ext: the same sets before stripping, over
-            (x, p, u_res, v_res); needed to evaluate Poisson brackets.
+        phi_first_ext/phi_second_ext: the same sets before stripping, plain
+            arrays over (x, p, u_res, v_res) with 2n + 2 m_res columns;
+            ``classify.poisson_brackets(rows, n)`` gives their brackets.
         ax, ap, qx, qp: n x n blocks of the reduced drift,
             xdot = ax x + ap p + bu u_res, pdot = qx x + qp p + nu u_res.
         bu, nu: n x m_res control blocks (zero-width when all solved).
@@ -143,8 +141,8 @@ class ReductionResult:
     nofeed: np.ndarray
     phi_first: np.ndarray
     phi_second: np.ndarray
-    phi_first_ext: ConstraintMatrix
-    phi_second_ext: ConstraintMatrix
+    phi_first_ext: np.ndarray
+    phi_second_ext: np.ndarray
     ax: np.ndarray
     ap: np.ndarray
     qx: np.ndarray
@@ -180,9 +178,9 @@ class ReductionResult:
         so the rows cut out the same subspace of R^{2n+m} that the plain
         recursive algorithm finds.  The rows returned are orthonormal:
         :func:`~lqreduce.linalg.row_space_basis` of the equilibrated stack,
-        whose rank is the count of its singular values > tol, the same rank
-        decision as :meth:`final_constraints`.  A stack of full row rank
-        gets its basis from a QR, with no singular vector computed.
+        the same rank decision as :meth:`final_constraints`.  A stack of
+        full row rank gets its basis from a QR, with no singular vector
+        computed.
         """
         two_n = 2 * self.n
         blocks = []
@@ -205,16 +203,15 @@ def step(
 ) -> tuple[StepState, np.ndarray, np.ndarray, int]:
     """One iteration of the matrix recursion on the Hessian blocks.
 
-    Returns ``(state', feed, v_rot, r)`` where r is the number of singular
-    values of the current control coefficients rk above ``tol``.  For r > 0
-    the SVD rk = U Sigma V' splits the rotated controls: the first r satisfy
-    (V' u)[:r] = feed (x; p) with feed = Sigma^{-1} (U' s)[:r], and the
-    cokernel rows s_c = (U' s)[r:] are differentiated along the updated
-    flow.  For r = 0 the rows s are differentiated as they are, with no
-    feedback, no change to the Hessian blocks and v_rot the identity.  An
-    rk with ||rk||_F <= tol has r = 0 without an SVD
-    (:func:`~lqreduce.linalg.rank_svd`), the count the SVD would give,
-    since no singular value exceeds the Frobenius norm.
+    Returns ``(state', feed, v_rot, r)`` where r is the rank of the current
+    control coefficients rk and v_rot = V from their SVD rk = U Sigma V'
+    (:func:`~lqreduce.linalg.rank_svd`, the identity for a negligible rk),
+    which ``reduce`` reads only when r > 0.  For r > 0 the SVD splits the
+    rotated controls: the first r satisfy (V' u)[:r] = feed (x; p) with
+    feed = Sigma^{-1} (U' s)[:r], and the cokernel rows s_c = (U' s)[r:]
+    are differentiated along the updated flow.  For r = 0 the rows s are
+    differentiated as they are, with no feedback and no change to the
+    Hessian blocks.
 
     Eliminating the solved controls from the quadratic Hamiltonian
     H = z'Mz/2 + z'Wu + u'Pu/2 (z = (x; p), M = hess, W = w, P = p_hess)
@@ -231,11 +228,11 @@ def step(
     """
     hess, w, p_hess, rows = state.hess, state.w, state.p_hess, state.s
     u, sig, vt, r = rank_svd(state.rk, tol, full_matrices=True)
+    v_rot = vt.T
     if r == 0:
-        feed, v_rot = empty_matrix(rows.shape[1]), np.eye(state.m_cur)
+        feed = empty_matrix(rows.shape[1])
     else:
         feed = (u[:, :r].T @ state.s) / sig[:r, None]
-        v_rot = vt.T
         w_rot = w @ v_rot
         p_rot = v_rot.T @ p_hess @ v_rot
         # K F + F'K' = W1 F + F'W1' + F'(P11 + P11')/2 F
@@ -268,45 +265,26 @@ def _room(buf: np.ndarray | None, need: int, held: int, cols: int | None = None)
 def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     """Reduce an LQ problem to its consistent Hamiltonian form.
 
-    One loop runs over one constraint set, held as an orthonormal basis of
-    rows over (x, p, u) from seed to split.  The seed, the primary
-    constraints, is factored once (:func:`scaled_row_space`): its
-    orthonormal basis is the held set, and ``step`` starts from its rows
-    at the data's scale, the stack [S1, -R] itself when it has full row
-    rank, since ``step``'s rank and feedback do not change under an
-    orthogonal change of rows.  The zero-order constraints v = 0, the only
-    ones in which the coisotropic coordinates appear, are implied.  They
-    add m_cur to each count, stand first in the bracket matrix, which
-    reads [[0, -U'], [U, P0]] with U the u block of the held rows and P0
-    their own brackets, and join the set, over (x, p, u, v), only in the
-    reported first- and second-class sets (:func:`with_zero_order`).
-
     Each pass solves what it can of the current control coefficients as
-    partial feedback and folds it into the set (the fold returns an
-    orthonormal basis), extends the set by what the next constraint level
-    adds (:func:`extend_rows` factors only the projected new rows), and
-    borders the bracket matrix by [U_new | brackets of its new rows with
-    the held ones] (:func:`extend_brackets`); the first pass after a fold
-    rebuilds it in full, in the same block form.  A pass's matrix is
-    counted once the next ``step`` shows the loop goes on; the count is
-    its rank, and a matrix of Frobenius norm <= tol counts rank 0 without
-    an SVD (:func:`~lqreduce.classify.class_counts`).  The loop runs
-    while some control is unsolved and the previous pass raised the
-    effective count of independent constraints (rows plus two per solved
-    control).  A regular problem solves every control on its first pass,
-    where its primary rows fold to zero.  After a flat-count pass a
-    feedback that is still solvable is folded in before the loop exits,
-    without a new constraint level.  Only the final set, zero-order rows
-    included, is split into first and second class, by one factorization
-    of the last pass's bracket matrix (:func:`split_first_second`), which
-    is that pass's count as well; when the last pass folded, it was
-    counted before the fold, and the split factors the matrix rebuilt
-    after it.  The coisotropic columns are then stripped from the reported
-    sets on the k x q block of the split's coefficients that combines the
-    held rows (:func:`strip_coisotropic`).  A matrix of rank 0 has no
-    second-class rows, and its stripped first-class rows are the held
-    rows, which are orthonormal, since the e_v rows project to zero; a
-    negligible one is not factored.
+    partial feedback and folds it into the held set
+    (:func:`~lqreduce.constraints.apply_feedback_to_constraints`), extends
+    the set by what the next constraint level adds
+    (:func:`~lqreduce.linalg.extend_rows`) and borders the bracket matrix
+    (:func:`~lqreduce.classify.extend_brackets`).  The loop runs while some
+    control is unsolved and the previous pass raised the effective count
+    of independent constraints: the rows held, plus one zero-order row per
+    remaining control, plus two per solved control.  A regular problem
+    solves every control on its first pass, where its primary rows fold to
+    zero.  After a flat-count pass a feedback that is still solvable is
+    folded in before the loop exits, without a new constraint level.
+
+    Only the final set, zero-order rows included, is split into first and
+    second class (:func:`~lqreduce.classify.split_first_second`), by one
+    factorization of the last pass's bracket matrix, which is that pass's
+    count as well; when the last pass folded, it was counted before the
+    fold, and the split factors the matrix rebuilt after it.  The
+    coisotropic columns are then stripped from the reported sets
+    (:func:`~lqreduce.constraints.strip_coisotropic`).
 
     Raises InvalidTolerance unless ``tol`` is finite and positive, a
     ValidationError subclass for inconsistent problem data, and
@@ -414,7 +392,7 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     return ReductionResult(
         index_k=index_k,
         m_res=state.m_cur,
-        rp=phi2.n_rows,
+        rp=second_c.shape[0],
         feedtot=feedtot,
         feedsel=feedsel,
         nofeed=nofeed,

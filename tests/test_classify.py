@@ -1,73 +1,77 @@
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
-from lqreduce import (
-    ConstraintMatrix,
-    numerical_ker,
+from lqreduce import DimensionMismatch, subspace_angle
+from lqreduce.classify import (
+    class_counts,
+    extend_brackets,
     poisson_brackets,
-    rank_tol,
     split_first_second,
-    subspace_angle,
 )
-from lqreduce.classify import class_counts, extend_brackets
 from lqreduce.constraints import with_zero_order
+from lqreduce.linalg import numerical_ker, rank_tol
 
 TOL = 1e-6
-
-
-def cm(rows, n, m_cur):
-    return ConstraintMatrix(np.asarray(rows, dtype=float), n, m_cur)
 
 
 class TestPoissonBrackets:
     def test_canonical_state_pair(self):
         # rows {x, p} with no control block: {x, p} = 1
-        phi = cm([[1, 0], [0, 1]], n=1, m_cur=0)
-        assert_allclose(poisson_brackets(phi), [[0, 1], [-1, 0]])
+        phi = np.array([[1.0, 0], [0, 1]])
+        assert_allclose(poisson_brackets(phi, 1), [[0, 1], [-1, 0]])
 
     def test_coisotropic_commutes_with_costate(self):
-        phi = cm([[0, 0, 0, 1], [0, 1, 0, 0]], n=1, m_cur=1)
-        assert_allclose(poisson_brackets(phi), np.zeros((2, 2)))
+        phi = np.array([[0.0, 0, 0, 1], [0, 1, 0, 0]])
+        assert_allclose(poisson_brackets(phi, 1), np.zeros((2, 2)))
 
     def test_control_pair_hand_expansion(self):
         # {v, -2u} = -2 {v, u} = +2 since {u, v} = 1
-        phi = cm([[0, 0, 0, 1], [0, 0, -2, 0]], n=1, m_cur=1)
-        assert_allclose(poisson_brackets(phi), [[0, 2], [-2, 0]])
+        phi = np.array([[0.0, 0, 0, 1], [0, 0, -2, 0]])
+        assert_allclose(poisson_brackets(phi, 1), [[0, 2], [-2, 0]])
 
     def test_empty(self):
-        phi = cm(np.zeros((0, 4)), n=1, m_cur=1)
-        assert poisson_brackets(phi).shape == (0, 0)
+        phi = np.zeros((0, 4))
+        assert poisson_brackets(phi, 1).shape == (0, 0)
+
+    def test_wrong_width_rejected(self):
+        # the width must be 2n + 2m for some m >= 0
+        for width in (3, 5):  # odd
+            with pytest.raises(DimensionMismatch):
+                poisson_brackets(np.ones((1, width)), 1)
+        with pytest.raises(DimensionMismatch):  # narrower than 2n
+            poisson_brackets(np.ones((1, 2)), 2)
 
     def test_antisymmetric_and_even_rank(self, rng):
         for _ in range(20):
             n = int(rng.integers(1, 4))
             m = int(rng.integers(0, 3))
             q = int(rng.integers(1, 2 * n + 2 * m + 1))
-            phi = cm(rng.standard_normal((q, 2 * n + 2 * m)), n, m)
-            poi = poisson_brackets(phi)
+            phi = rng.standard_normal((q, 2 * n + 2 * m))
+            poi = poisson_brackets(phi, n)
             assert_allclose(poi, -poi.T, atol=1e-15)
             assert rank_tol(poi, TOL) % 2 == 0
 
 
 class TestSplitFirstSecond:
     def test_commuting_pair_all_first_class(self):
-        phi = cm([[0, 0, 0, 1], [0, 1, 0, 0]], n=1, m_cur=1)
-        first, second = split_first_second(poisson_brackets(phi), TOL)
+        phi = np.array([[0.0, 0, 0, 1], [0, 1, 0, 0]])
+        first, second = split_first_second(poisson_brackets(phi, 1), TOL)
         assert first.shape[0] == 2 and second.shape[0] == 0
 
     def test_canonical_pair_all_second_class(self):
-        phi = cm([[0, 0, 0, 1], [0, 0, 1, 0]], n=1, m_cur=1)
-        first, second = split_first_second(poisson_brackets(phi), TOL)
+        phi = np.array([[0.0, 0, 0, 1], [0, 0, 1, 0]])
+        first, second = split_first_second(poisson_brackets(phi, 1), TOL)
         assert first.shape[0] == 0 and second.shape[0] == 2
 
     def test_mixed_set(self):
         # {x, p, v}: v commutes with everything, (x, p) pair up
-        phi = cm([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]], n=1, m_cur=1)
-        first, second = split_first_second(poisson_brackets(phi), TOL)
+        phi = np.array([[1.0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+        first, second = split_first_second(poisson_brackets(phi, 1), TOL)
         assert first.shape[0] == 1 and second.shape[0] == 2
-        assert subspace_angle(first @ phi.rows, [[0, 0, 0, 1]], TOL) < 1e-10
+        assert subspace_angle(first @ phi, [[0, 0, 0, 1]], TOL) < 1e-10
         assert subspace_angle(
-            second @ phi.rows, [[1, 0, 0, 0], [0, 1, 0, 0]], TOL
+            second @ phi, [[1, 0, 0, 0], [0, 1, 0, 0]], TOL
         ) < 1e-10
 
     def test_counts_partition_rows(self, rng):
@@ -75,11 +79,11 @@ class TestSplitFirstSecond:
             n = int(rng.integers(1, 4))
             m = int(rng.integers(0, 3))
             q = int(rng.integers(1, 2 * n + 2 * m + 1))
-            phi = cm(rng.standard_normal((q, 2 * n + 2 * m)), n, m)
-            first, second = split_first_second(poisson_brackets(phi), TOL)
+            phi = rng.standard_normal((q, 2 * n + 2 * m))
+            first, second = split_first_second(poisson_brackets(phi, n), TOL)
             assert first.shape[0] + second.shape[0] == q
             assert second.shape[0] % 2 == 0
-            counts = class_counts(poisson_brackets(phi), TOL)
+            counts = class_counts(poisson_brackets(phi, n), TOL)
             assert counts == (first.shape[0], second.shape[0])
 
     def test_first_class_kernel_residual(self, rng):
@@ -87,8 +91,8 @@ class TestSplitFirstSecond:
             n = int(rng.integers(1, 4))
             m = int(rng.integers(0, 3))
             q = int(rng.integers(1, 2 * n + 2 * m + 1))
-            phi = cm(rng.standard_normal((q, 2 * n + 2 * m)), n, m)
-            poi = poisson_brackets(phi)
+            phi = rng.standard_normal((q, 2 * n + 2 * m))
+            poi = poisson_brackets(phi, n)
             ker, _ = numerical_ker(poi, TOL)
             if ker.shape[1]:
                 residuals = np.linalg.norm(ker.T @ poi, axis=1)
@@ -114,7 +118,7 @@ class TestExtendBrackets:
             q = m + held + t
             for out in (None, np.full((q + 3, q + 3), np.nan)):
                 got = extend_brackets(poi, after, n, out=out)
-                fresh = poisson_brackets(with_zero_order(after, n))
+                fresh = poisson_brackets(with_zero_order(after, n), n)
                 assert got.shape == (q, q)
                 assert np.abs(got - fresh).max() <= 1e-15
                 assert np.array_equal(got, -got.T)

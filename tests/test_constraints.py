@@ -1,40 +1,23 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from lqreduce import (
-    ConstraintMatrix,
     DimensionMismatch,
-    apply_feedback_to_constraints,
     gen_exp1,
     perturb,
-    poisson_brackets,
     reduce,
-    strip_coisotropic,
     subspace_angle,
 )
 from lqreduce import reduction
-from lqreduce.classify import extend_brackets
-from lqreduce.constraints import with_zero_order
+from lqreduce.classify import extend_brackets, poisson_brackets
+from lqreduce.constraints import (
+    apply_feedback_to_constraints,
+    strip_coisotropic,
+    with_zero_order,
+)
 from lqreduce.linalg import independent_rows, row_space_basis
 
 TOL = 1e-6
-
-
-def cm(rows, n, m_cur):
-    return ConstraintMatrix(np.asarray(rows, dtype=float), n, m_cur)
-
-
-class TestConstraintMatrix:
-    def test_block_views(self):
-        phi = cm([[1, 2, 3, 4, 5, 6]], n=1, m_cur=2)
-        assert_allclose(phi.xp, [[1, 2]])
-        assert_allclose(phi.rows[:, 2:4], [[3, 4]])
-        assert_allclose(phi.rows[:, 4:], [[5, 6]])
-
-    def test_wrong_width_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            cm([[1, 2, 3]], n=1, m_cur=1)
 
 
 class TestWithZeroOrder:
@@ -42,25 +25,25 @@ class TestWithZeroOrder:
         n, m = 2, 3
         rows = rng.standard_normal((4, 2 * n + m))
         ext = with_zero_order(rows, n)
-        assert (ext.n, ext.m_cur, ext.n_rows) == (n, m, m + 4)
+        assert ext.shape == (m + 4, 2 * n + 2 * m)
         e_v = np.hstack([np.zeros((m, 2 * n + m)), np.eye(m)])
-        assert np.array_equal(ext.rows[:m], e_v)
-        assert np.array_equal(ext.rows[m:, : 2 * n + m], rows)
-        assert not ext.rows[m:, 2 * n + m :].any()
+        assert np.array_equal(ext[:m], e_v)
+        assert np.array_equal(ext[m:, : 2 * n + m], rows)
+        assert not ext[m:, 2 * n + m :].any()
 
     def test_combinations_are_formed_by_blocks(self, rng):
         n, m = 2, 3
         rows = rng.standard_normal((4, 2 * n + m))
         coeffs = rng.standard_normal((5, m + 4))
         got = with_zero_order(rows, n, coeffs)
-        assert (got.n, got.m_cur) == (n, m)
-        assert np.abs(got.rows - coeffs @ with_zero_order(rows, n).rows).max() <= 1e-14
+        assert got.shape == (5, 2 * n + 2 * m)
+        assert np.abs(got - coeffs @ with_zero_order(rows, n)).max() <= 1e-14
 
     def test_full_bracket_build_is_that_of_the_extended_set(self, rng):
         n, m = 3, 2
         rows = rng.standard_normal((5, 2 * n + m))
         got = extend_brackets(None, rows, n)
-        assert np.array_equal(got, poisson_brackets(with_zero_order(rows, n)))
+        assert np.array_equal(got, poisson_brackets(with_zero_order(rows, n), n))
 
 
 class TestApplyFeedback:
@@ -139,7 +122,7 @@ class TestStripCoisotropic:
         coeffs = np.linalg.qr(rng.standard_normal((m + q, m + q)))[0].T[:4]
         coeffs[:, m:] *= np.array([1.0, 1e-3, 1e-9, 1.0])[:, None]
         out = strip_coisotropic(coeffs, rows, TOL)
-        kept = with_zero_order(rows, n, coeffs).rows[:, : 2 * n + m]
+        kept = with_zero_order(rows, n, coeffs)[:, : 2 * n + m]
         ref = independent_rows(kept, TOL)
         assert out.shape == ref.shape == (3, 2 * n + m)
         assert subspace_angle(out, ref, TOL) <= 1e-12

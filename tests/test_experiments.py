@@ -12,13 +12,13 @@ from lqreduce import (
     gen_exp3,
     make_problem,
     perturb,
-    rank_tol,
     recursive_reduce,
     reduce,
     run_sweep,
     subspace_angle,
 )
 from lqreduce.experiments import sweep_child_seed
+from lqreduce.linalg import rank_tol
 
 TOL = 1e-6
 

@@ -1,3 +1,5 @@
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -11,17 +13,20 @@ from hypothesis import strategies as st
 
 import lqreduce
 from lqreduce import linalg
-from lqreduce.linalg import principal_angle, signed_swap
 from lqreduce import (
     DimensionMismatch,
     EmptySubspace,
     NonConvergence,
+    independent_rows,
+    subspace_angle,
+)
+from lqreduce.linalg import (
     equilibrate_rows,
     extend_rows,
-    independent_rows,
     numerical_ker,
+    principal_angle,
     rank_tol,
-    subspace_angle,
+    signed_swap,
     symplectic_matrix,
 )
 
@@ -857,11 +862,40 @@ def test_import_loads_no_scipy():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
+# what a user of the reducer needs; internals are imported from their modules
+PUBLIC_API = {
+    "DEFAULT_TOL", "AsymmetricQ", "AsymmetricR", "DimensionMismatch",
+    "EmptySubspace", "ExperimentRecord", "InitialMatrices", "InsufficientData",
+    "InvalidShape", "InvalidTolerance", "LQProblem", "LQReduceError",
+    "NonConvergence", "NonFiniteEntry", "OracleResult", "ReductionResult",
+    "ValidationError", "compare_final_subspaces", "fit_loglog_slope",
+    "gen_exp1", "gen_exp2", "gen_exp3", "independent_rows", "initial_matrices",
+    "make_problem", "perturb", "pontryagin_hamiltonian", "recursive_reduce",
+    "reduce", "run_sweep", "subspace_angle", "validate",
+}
+MODULE_LEVEL = {
+    "reduction": ("StepState", "step"),
+    "linalg": ("numerical_ker", "rank_tol", "equilibrate_rows", "extend_rows",
+               "symplectic_matrix"),
+    "constraints": ("apply_feedback_to_constraints", "strip_coisotropic"),
+    "classify": ("split_first_second", "poisson_brackets"),
+}
+
+
 def test_exports_resolve_once():
     names = lqreduce.__all__
     assert len(names) == len(set(names))
+    assert set(names) == PUBLIC_API
     for name in names:
         getattr(lqreduce, name)
+    # the internals left out of the package's names stay public in their modules
+    for module_name, attrs in MODULE_LEVEL.items():
+        module = importlib.import_module(f"lqreduce.{module_name}")
+        for attr in attrs:
+            obj = getattr(module, attr)
+            assert inspect.isfunction(obj) or inspect.isclass(obj)
+            assert obj.__module__ == module.__name__
+            assert attr not in names
 
 
 def test_signed_swap_is_minus_rows_j(rng):

@@ -10,9 +10,9 @@ from lqreduce import (
     NonFiniteEntry,
     initial_matrices,
     pontryagin_hamiltonian,
-    symplectic_matrix,
     validate,
 )
+from lqreduce.linalg import symplectic_matrix
 from conftest import random_problem
 
 

@@ -84,10 +84,8 @@ class TestRecursiveReduce:
         # Rabier-Rheinboldt rule, adds nothing; the tiny gen_exp3(2) draws
         # are left out, because near the tolerance that rule is the defect
         # test_family3_n2_draw_matches_reduction pins
-        from lqreduce import (
-            equilibrate_rows, independent_rows, initial_matrices, symplectic_matrix,
-        )
-        from lqreduce.linalg import numerical_ker
+        from lqreduce import independent_rows, initial_matrices
+        from lqreduce.linalg import equilibrate_rows, numerical_ker, symplectic_matrix
 
         problems = (
             random_problem(rng, 4, 2, singular_r=True),

@@ -7,32 +7,28 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lqreduce import (
-    ConstraintMatrix,
     InvalidTolerance,
     LQProblem,
     NonConvergence,
-    StepState,
-    apply_feedback_to_constraints,
     compare_final_subspaces,
-    extend_rows,
     gen_exp1,
     gen_exp2,
     gen_exp3,
     initial_matrices,
     perturb,
-    poisson_brackets,
-    rank_tol,
     recursive_reduce,
     reduce,
-    split_first_second,
-    step,
-    strip_coisotropic,
     subspace_angle,
-    symplectic_matrix,
 )
 from lqreduce import classify, linalg, reduction
-from lqreduce.constraints import with_zero_order
-from lqreduce.linalg import principal_angle
+from lqreduce.classify import poisson_brackets, split_first_second
+from lqreduce.constraints import (
+    apply_feedback_to_constraints,
+    strip_coisotropic,
+    with_zero_order,
+)
+from lqreduce.linalg import extend_rows, principal_angle, rank_tol, symplectic_matrix
+from lqreduce.reduction import StepState, step
 from conftest import random_problem
 from test_structure_snapshot import SNAPSHOT, structure_cases
 
@@ -397,9 +393,9 @@ class TestReduceSingular:
             finally:
                 stripping.pop()
 
-        def brackets(phi):
-            bracket_widths.append(phi.rows.shape[1])
-            return real_brackets(phi)
+        def brackets(rows, n):
+            bracket_widths.append(rows.shape[1])
+            return real_brackets(rows, n)
 
         monkeypatch.setattr(np.linalg, "svd", svd)
         monkeypatch.setattr(np.linalg, "qr", qr)
@@ -414,7 +410,7 @@ class TestReduceSingular:
         factored = svds + strip_svds + qrs
         assert [same(a, stack.T) for a in qrs].count(True) == 1
         assert not any(same(a, stack) or same(a, stack.T) for a in svds + strip_svds)
-        final = res.phi_first_ext.n_rows + res.phi_second_ext.n_rows
+        final = res.phi_first_ext.shape[0] + res.phi_second_ext.shape[0]
         held = final - res.m_res
         assert strip_svds and all(a.shape[1] <= held for a in strip_svds)
         last = [a for a in svds if a.shape == (final, final) and np.array_equal(a, -a.T)]
@@ -471,9 +467,9 @@ class TestReduceSingular:
                 square.append(rows)
             return real_svd(a, *args, **kwargs)
 
-        def recording_brackets(phi):
-            built.append(phi.n_rows)
-            return real_brackets(phi)
+        def recording_brackets(rows, n):
+            built.append(rows.shape[0])
+            return real_brackets(rows, n)
 
         monkeypatch.setattr(linalg, "_svd", recording_svd)
         monkeypatch.setattr(classify, "poisson_brackets", recording_brackets)
@@ -510,7 +506,7 @@ class TestReduceSingular:
         for prob in problems:
             reduce(prob, TOL)
         for _, rows, n, poi in seen:
-            fresh = poisson_brackets(with_zero_order(rows, n))
+            fresh = poisson_brackets(with_zero_order(rows, n), n)
             bound = 1e-13 * max(1.0, np.linalg.norm(fresh))
             assert np.linalg.norm(poi - fresh) <= bound
         assert sum(not rebuilt for rebuilt, *_ in seen) > 25
@@ -571,7 +567,7 @@ class TestReduceSingular:
                 continue
             width = 2 * prob.n + 2 * res.m_res
             e_v = np.eye(width)[width - res.m_res :]
-            final = np.vstack([res.phi_first_ext.rows, res.phi_second_ext.rows])
+            final = np.vstack([res.phi_first_ext, res.phi_second_ext])
             assert principal_angle(e_v, final) <= 1e-12
             checked += 1
         assert checked >= 10
@@ -593,9 +589,9 @@ class TestReduceSingular:
         built = []
         real_brackets = classify.poisson_brackets
 
-        def recording_brackets(phi):
-            built.append(phi.n_rows)
-            return real_brackets(phi)
+        def recording_brackets(rows, n):
+            built.append(rows.shape[0])
+            return real_brackets(rows, n)
 
         monkeypatch.setattr(classify, "poisson_brackets", recording_brackets)
         res = reduce(prob, TOL)
@@ -604,7 +600,7 @@ class TestReduceSingular:
         assert (len(res.feedback_ranks) == len(res.class_counts)) == last_pass_folds
         assert len(built) == 1 + folds
         if last_pass_folds:
-            assert built[-1] == res.phi_first_ext.n_rows + res.phi_second_ext.n_rows
+            assert built[-1] == res.phi_first_ext.shape[0] + res.phi_second_ext.shape[0]
 
     def test_overflowing_level_raises(self):
         # reduce differentiates its levels at the data's scale: with a drift
@@ -663,7 +659,7 @@ class TestReduceSingular:
         for prob in problems:
             res = reduce(prob, TOL)
             for phi in (res.phi_first_ext, res.phi_second_ext):
-                assert orthonormality_error(phi.rows) <= 1e-12
+                assert orthonormality_error(phi) <= 1e-12
         assert len(bases) > len(problems)
         assert max(orthonormality_error(basis) for basis in bases) <= 1e-12
 
@@ -686,8 +682,8 @@ class TestReduceSingular:
         assert res.feedback_ranks == (3, 2, 2, 1)
         assert len(res.feedback_ranks) == len(res.class_counts) == 4
         assert res.m_res == 0
-        rows = np.vstack([res.phi_first_ext.rows, res.phi_second_ext.rows])
-        poi = poisson_brackets(ConstraintMatrix(rows, res.n, res.m_res))
+        rows = np.vstack([res.phi_first_ext, res.phi_second_ext])
+        poi = poisson_brackets(rows, res.n)
         assert res.rp == res.phi_second.shape[0] == rank_tol(poi, TOL)
         assert res.rp % 2 == 0
 
@@ -773,11 +769,11 @@ class TestRankZeroExit:
             # a loop that ends on a fold rebuilds its brackets after the count
             folded += len(res.feedback_ranks) == len(res.class_counts)
             ext = res.phi_first_ext
-            assert res.phi_second_ext.n_rows == 0 and res.phi_second.shape[0] == 0
-            first, second = split_first_second(poisson_brackets(ext), TOL)
+            assert res.phi_second_ext.shape[0] == 0 and res.phi_second.shape[0] == 0
+            first, second = split_first_second(poisson_brackets(ext, res.n), TOL)
             assert second.shape[0] == 0
             # the held rows follow the zero-order rows, over (x, p, u_res)
-            held = ext.rows[res.m_res :, : 2 * res.n + res.m_res]
+            held = ext[res.m_res :, : 2 * res.n + res.m_res]
             stripped = strip_coisotropic(first, held, TOL)
             assert res.phi_first.shape == stripped.shape
             if stripped.shape[0]:

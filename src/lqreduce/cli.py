@@ -2,8 +2,12 @@
 
 Problems are JSON documents with keys "A", "B", "Q", "N", "R" (rectangular
 arrays of arrays of finite numbers) and an optional "name".  Reports are
-JSON on stdout; sweeps are CSV.  Exit codes: 0 success, 2 input error,
-3 non-convergence.
+JSON on stdout; sweeps are CSV.  Exit codes: 0 success, 1 output pipe
+closed by its reader, 2 input error, 3 non-convergence.
+
+The argument parser is built once per process, on the first call of
+:func:`main`, and reused: it holds only constants and the subcommands'
+functions, so a later call parses as a first one would.
 """
 
 from __future__ import annotations
@@ -11,7 +15,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
+from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -212,11 +218,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use."""
+    return build_parser()
+
+
+def _stdout_fd() -> int | None:
+    """The file descriptor of stdout, or None for a stream without one."""
     try:
-        return args.func(args)
+        return sys.stdout.fileno()
+    except (AttributeError, OSError):  # io.UnsupportedOperation is an OSError
+        return None
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout's pipe.  As the signal module's notes on
+        # SIGPIPE advise, the descriptor is pointed at os.devnull, so the
+        # interpreter's last flush has nowhere to fail, and the exit code is
+        # 1, without a traceback.  A stream with no descriptor, as an
+        # in-process caller redirects it, keeps the error
+        fd = _stdout_fd()
+        if fd is None:
+            raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 1
     except (ProblemFileError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,15 +10,21 @@ The rank rule, which the rest of the package cites rather than restates:
 - A matrix with ``||m||_F <= tol`` is :func:`negligible`: since
   sigma_max <= ||m||_F, its rank is 0, the answer its singular values
   would give, and it is not factored.  A NaN or overflowing norm is not
-  negligible, so such a matrix goes on to its SVD.
+  negligible, so such a matrix goes on to its SVD.  The comparison is
+  :func:`negligible_squares`, which a caller that carries a matrix's sum
+  of squares, as ``reduce`` does for its bracket matrix, applies to that
+  sum without reading the matrix.
 - The seam is :func:`rank_svd`, which owns rank 0: a negligible matrix,
   the empty one included, gets the exact SVD of the zero matrix (identity
   factors in the shapes ``np.linalg.svd`` returns, zero values, r = 0),
-  so the routines built on it only slice its factors.  Every other SVD
-  goes to LAPACK through ``_svd``.  The one other factorization is the
-  Householder QR with which :func:`row_space_basis` and
-  :func:`scaled_row_space` reduce a large wide matrix to a square
-  triangle; its rank is the same count, of the triangle's singular values.
+  so the routines built on it only slice its factors.  For a matrix of
+  at most 64 rows and columns those factors are read-only views of one
+  identity and one zero vector, so such a rank-0 decision allocates no
+  array data.  Every other SVD goes to LAPACK through ``_svd``.  The one
+  other factorization is the Householder QR with which
+  :func:`row_space_basis` and :func:`scaled_row_space` reduce a large
+  wide matrix to a square triangle; its rank is the same count, of the
+  triangle's singular values.
 - One decision bypasses the seam and keeps the count: a single row that
   :func:`extend_rows` appends is judged from two norms, each one dot
   product: the row's own, against which it is dropped or normalized, and
@@ -53,15 +59,34 @@ _SMALL_SQUARE = 1e-200
 # row_space_basis factors a matrix of at least this many entries through a
 # QR of its transpose; below it one SVD is faster
 _QR_MIN_ENTRIES = 2048
+# rank_svd hands out the zero matrix's factors, up to this many rows and
+# columns, as read-only views of these, so a rank-0 decision allocates no
+# array data.  They are made at import: a cache filled on first use would
+# leave small arrays alive above the large ones of the first problems,
+# where they keep the heap from shrinking (5.6 MB more peak RSS over a run
+# of family 1 and 2 problems at n = 160 and 640)
+_SHARED_SIZE = 64
+_EYE = np.eye(_SHARED_SIZE)
+_ZEROS = np.zeros(_SHARED_SIZE)
+_EYE.flags.writeable = _ZEROS.flags.writeable = False
 
 
 def check_tol(tol) -> None:
-    """Raise InvalidTolerance unless ``tol`` is finite and positive.
+    """Raise InvalidTolerance unless ``tol`` is a finite, positive real number.
 
     A negative threshold counts every singular value and a NaN or infinite
-    one counts none, so either would decide every rank wrongly.
+    one counts none, so either would decide every rank wrongly.  A Python
+    or NumPy integer or float, or a 0-d array of one, is a real number; a
+    bool, string, None, complex number or array with a shape is not, even
+    where NumPy would coerce it (``True`` would read as 1).
     """
-    if not (np.isfinite(tol) and tol > 0):
+    try:
+        value = np.asarray(tol)
+    except ValueError:  # a ragged sequence
+        value = None
+    if value is None or value.ndim or value.dtype.kind not in "fiu":
+        raise InvalidTolerance(f"tolerance must be a real number, got {tol!r}")
+    if not (np.isfinite(value) and value > 0):
         raise InvalidTolerance(f"tolerance must be finite and positive, got {tol!r}")
 
 
@@ -145,7 +170,16 @@ def negligible(m, tol: float = DEFAULT_TOL) -> bool:
     """
     flat = np.asarray(m, dtype=float).ravel(order="K")
     with np.errstate(over="ignore"):
-        return bool(np.sqrt(flat.dot(flat)) <= tol)
+        return negligible_squares(flat.dot(flat), tol)
+
+
+def negligible_squares(squares, tol: float = DEFAULT_TOL) -> bool:
+    """Whether a matrix whose entries' squares sum to ``squares`` is :func:`negligible`.
+
+    ``squares`` is ||m||_F^2; an overflowing (inf) or NaN sum is not
+    negligible.
+    """
+    return bool(np.sqrt(squares) <= tol)
 
 
 def rank_tol(m, tol: float = DEFAULT_TOL) -> int:
@@ -171,12 +205,16 @@ def rank_svd(m: np.ndarray, tol: float = DEFAULT_TOL, full_matrices: bool = Fals
 
     Returns ``(u, s, vt, r)``; the first r rows of vt span the numerical
     row space and the rest its kernel.  A :func:`negligible` matrix gets
-    the exact SVD of the zero matrix without a factorization.
+    the exact SVD of the zero matrix without a factorization: identities
+    and zeros, which for a matrix of at most 64 rows and columns are
+    read-only views of arrays made once, at import.
     """
     if negligible(m, tol):
         k, c = m.shape
         p = min(k, c)
         size_u, size_v = (k, c) if full_matrices else (p, p)
+        if max(k, c) <= _SHARED_SIZE:
+            return _EYE[:k, :size_u], _ZEROS[:p], _EYE[:size_v, :c], 0
         return np.eye(k, size_u), np.zeros(p), np.eye(size_v, c), 0
     u, s, vt = _svd(m, full_matrices=full_matrices)
     return u, s, vt, _count_above(s, tol)
@@ -324,7 +362,8 @@ def numerical_ker(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     singular values <= tol) and the columns of ``w`` complete them to an
     orthonormal basis of R^cols.  ``v`` has cols - r columns and ``w`` has r,
     with r the rank.  Both are slices of the full vt of :func:`rank_svd`,
-    so a :func:`negligible` matrix gives ``(I, empty)``.
+    so a :func:`negligible` matrix gives ``(I, empty)``, read-only views
+    when it has at most 64 rows and columns.
     """
     _, _, vt, r = rank_svd(as_matrix(a), tol, full_matrices=True)
     return vt[r:, :].T, vt[:r, :].T

@@ -31,7 +31,10 @@ Each rank decision is paid for once, at the size it needs:
 - The bracket matrix is carried from pass to pass and bordered by the
   brackets of each pass's new rows; a feedback fold changes coordinates,
   so the count after it rebuilds the matrix in full, in block form, with
-  one product over (x, p) alone.
+  one product over (x, p) alone.  Its sum of squares is carried beside
+  it, updated from each border (:func:`~lqreduce.classify.bracket_squares`),
+  and a count whose sum shows the matrix negligible reads rank 0 from it
+  without touching the matrix.
 - A pass's matrix is counted only once the next ``step`` shows that the
   loop goes on, so the last count is the split's own rank decision.
 - At rank 0 every row is first class and the held rows are the stripped
@@ -46,6 +49,11 @@ Each rank decision is paid for once, at the size it needs:
   rows of buffers that each pass appends to, grown by half when full; a
   fold starts new buffers, so no array that a pass handed out is written
   again.
+
+Each fold's feedback rows come as pairs sel . u = feed . (x; p), whose
+common sign the SVD picks; the pair is stored with its ``feedsel`` row's
+largest entry positive, so ``feedtot`` and ``feedsel`` do not depend on
+that pick and ``feedback_law()`` is the same to the bit.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import class_counts, extend_brackets, split_first_second
+from .classify import bracket_squares, class_counts, extend_brackets, split_first_second
 from .constraints import (
     apply_feedback_to_constraints,
     strip_coisotropic,
@@ -112,7 +120,8 @@ class ReductionResult:
             (x; p) to the values of every solved control combination.
         feedsel: the matching combination directions in original control
             coordinates (orthonormal rows); row i of feedsel paired with row
-            i of feedtot reads  feedsel[i] . u = feedtot[i] . (x; p).
+            i of feedtot reads  feedsel[i] . u = feedtot[i] . (x; p).  The
+            entry of largest magnitude of each feedsel row is positive.
         nofeed: m_res x m selector of the residual free controls,
             u_res = nofeed . u.
         phi_first/phi_second: first/second-class constraint rows over the
@@ -246,6 +255,20 @@ def step(
     return new_state, feed, v_rot, r
 
 
+def _sign_canonical(sel: np.ndarray, feed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(sel, feed)`` with each row pair's sign fixed by its ``sel`` row.
+
+    A pair of rows sel[i] . u = feed[i] . (x; p) holds for either sign,
+    and the SVD that finds it picks one.  The pairs whose ``sel`` row has a
+    negative entry of largest magnitude (the first such, on a tie) are
+    negated, both rows at once, so the rows do not depend on that choice
+    and their products sel' feed keep every bit.
+    """
+    rows = np.arange(sel.shape[0])
+    flip = sel[rows, np.abs(sel).argmax(axis=1)] < 0
+    return np.where(flip[:, None], -sel, sel), np.where(flip[:, None], -feed, feed)
+
+
 def _room(buf: np.ndarray | None, need: int, held: int, cols: int | None = None):
     """``buf`` if it has ``need`` rows, else a new empty buffer.
 
@@ -312,6 +335,8 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
 
     counts = [m + rows.shape[0]]
     poi = extend_brackets(None, rows, n)
+    # ||poi||_F^2, carried beside poi so that a count reads rank 0 from it
+    squares = bracket_squares(poi)
     # a pass's bracket matrix is counted once the next step shows that the
     # loop goes on; the last one is counted by the split's factorization
     pass_classes: list[tuple[int, int]] = []
@@ -331,12 +356,13 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
             nxt, feed, v_rot, r = step(state, tol)
         if r == 0 and not increased:
             break  # flat count and nothing left to solve
-        pass_classes.append(class_counts(poi, tol))
+        pass_classes.append(class_counts(poi, tol, squares))
         state = nxt
         feedback_ranks.append(r)
         if r > 0:
-            feed_blocks.append(feed)
-            sel_blocks.append(v_rot.T[:r] @ nofeed)
+            sel, signed_feed = _sign_canonical(v_rot.T[:r] @ nofeed, feed)
+            sel_blocks.append(sel)
+            feed_blocks.append(signed_feed)
             nofeed = (v_rot.T @ nofeed)[r:]
             rows = apply_feedback_to_constraints(rows, n, v_rot, feed, r, tol)
             poi = None  # new coordinates; the next count rebuilds the brackets
@@ -360,9 +386,14 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
                 f"constraint count fell from {counts[-2]} to {counts[-1]} "
                 f"at pass {index_k}; check the tolerance against the problem scaling"
             )
-        if poi is not None:
-            brackets_buf = _room(brackets_buf, state.m_cur + rows.shape[0], poi.shape[0])
-        poi = extend_brackets(poi, rows, n, out=brackets_buf)
+        if poi is None:
+            poi = extend_brackets(None, rows, n)
+            squares = bracket_squares(poi)
+        else:
+            k = poi.shape[0]
+            brackets_buf = _room(brackets_buf, state.m_cur + rows.shape[0], k)
+            poi = extend_brackets(poi, rows, n, out=brackets_buf)
+            squares += bracket_squares(poi, k)
         increased = counts[-1] > counts[-2]
 
     # rp, the rank of the bracket matrix, is the second-class row count.

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from lqreduce import DimensionMismatch, subspace_angle
 from lqreduce.classify import (
+    bracket_squares,
     class_counts,
     extend_brackets,
     poisson_brackets,
@@ -141,3 +144,52 @@ class TestExtendBrackets:
         assert np.shares_memory(got, buf)
         assert np.array_equal(held, kept)
         assert np.array_equal(got, extend_brackets(poi, after, n))
+
+
+class TestCarriedSquares:
+    # reduce carries ||poi||_F^2 beside its bracket matrix and updates it
+    # from each border; a count reads rank 0 from that sum
+
+    def test_border_sum_is_the_direct_one(self, rng):
+        for _ in range(30):
+            q = int(rng.integers(1, 12))
+            k = int(rng.integers(0, q + 1))
+            a = rng.standard_normal((q, q))
+            poi = (a - a.T) / 2.0
+            buf = np.full((q + 3, q + 3), np.nan)
+            buf[:q, :q] = poi
+            lead = np.linalg.norm(poi[:k, :k]) ** 2
+            got = lead + bracket_squares(buf[:q, :q], k)
+            assert got == pytest.approx(np.linalg.norm(poi) ** 2, rel=1e-13)
+
+    def test_overflowing_sum_is_not_negligible(self):
+        poi = np.array([[0.0, 1e200], [-1e200, 0.0]])
+        assert bracket_squares(poi) == np.inf
+        assert bracket_squares(poi, 1) == np.inf
+        assert class_counts(poi, TOL, np.inf) == (0, 2)
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        q=st.integers(2, 9),
+        rank=st.integers(1, 4),
+        size=st.floats(0.5, 2.0),
+    )
+    def test_carried_count_is_the_direct_one(self, seed, q, rank, size):
+        # exactly antisymmetric, of Frobenius norm 0.5 tol to 2 tol, where
+        # the carried and the direct rank-0 tests may disagree by rounding,
+        # bordered one row at a time as reduce borders its matrix
+        rng = np.random.default_rng(seed)
+        a, b = rng.standard_normal((2, q, rank))
+        poi = a @ b.T - b @ a.T
+        poi *= size * TOL / np.linalg.norm(poi)
+        poi = (poi - poi.T) / 2.0
+        buf = np.full((q + 2, q + 2), np.nan)
+        buf[:q, :q] = poi
+        squares = bracket_squares(buf[:1, :1])
+        for k in range(1, q + 1):
+            if k > 1:
+                squares += bracket_squares(buf[:k, :k], k - 1)
+            lead = poi[:k, :k]
+            assert class_counts(lead, TOL, squares) == class_counts(lead, TOL)
+            assert class_counts(lead, TOL)[1] == rank_tol(lead, TOL)

@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lqreduce import gen_exp2, reduce, reduction, subspace_angle
+import lqreduce
+from lqreduce import cli, gen_exp1, gen_exp2, reduce, reduction, subspace_angle
 from lqreduce.cli import load_problem, main, render_report
 
 
@@ -354,6 +358,62 @@ class TestCmdExperiment:
         ) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc[0]["steps"] == 3 and doc[0]["m1"] == 0
+
+
+class TestParserReuse:
+    @pytest.fixture
+    def fresh_parser(self, monkeypatch):
+        # count the parsers built from here on; the cache is emptied before
+        # and after, so no other test sees a parser this one built
+        built = []
+        build = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return build()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counting)
+        yield built
+        cli._parser.cache_clear()
+
+    def test_built_once_per_process(self, fresh_parser, singular_file, capsys):
+        assert main(["reduce", singular_file]) == 0
+        assert main(["oracle", singular_file]) == 0
+        assert fresh_parser == [1]
+
+    def test_error_leaves_the_parser_as_built(self, fresh_parser, singular_file, capsys):
+        # what a first call prints, on a parser of its own
+        assert main(["oracle", singular_file]) == 0
+        first = capsys.readouterr().out
+        cli._parser.cache_clear()
+        with pytest.raises(SystemExit) as exc:
+            main(["reduce", singular_file, "--tol", "tiny"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+        assert main(["oracle", singular_file]) == 0
+        assert capsys.readouterr().out == first
+        assert fresh_parser == [1, 1]
+
+
+def test_closed_pipe_ends_quietly(tmp_path):
+    # the report (about 0.9 MB) outgrows the pipe's buffer, so writing it
+    # meets the closed pipe
+    prob = gen_exp1(60, 20, 5, seed=0)
+    path = write_problem(tmp_path / "big.json", *(getattr(prob, k).tolist() for k in "ABQNR"))
+    src = os.path.dirname(os.path.dirname(lqreduce.__file__))
+    with subprocess.Popen(
+        [sys.executable, "-m", "lqreduce.cli", "reduce", path],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+    ) as proc:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert len(head) == 100 and head.startswith(b"{")
+    assert b"Traceback" not in err
+    assert err == b""
+    assert code == 1
 
 
 class TestReportRoundTrip:

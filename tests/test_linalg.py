@@ -110,6 +110,13 @@ class TestNegligible:
         assert not linalg.negligible(np.diag([0.8, 0.8]) * TOL, TOL)
         assert linalg.negligible(np.zeros((0, 3)), TOL)
 
+    def test_sum_of_squares_takes_the_same_comparison(self):
+        assert linalg.negligible_squares(TOL ** 2, TOL)
+        assert not linalg.negligible_squares(1.28 * TOL ** 2, TOL)
+        assert linalg.negligible_squares(0.0, TOL)
+        assert not linalg.negligible_squares(np.inf, TOL)
+        assert not linalg.negligible_squares(np.nan, TOL)
+
     def test_nan_and_overflowing_norms_are_not_negligible(self):
         assert not linalg.negligible(np.array([[np.nan, 0.0]]), TOL)
         assert not linalg.negligible(np.array([[1e200, 1e200]]), TOL)
@@ -284,6 +291,36 @@ class TestRankSvd:
     def test_threshold_is_strict(self):
         _, _, _, r = linalg.rank_svd(np.diag([1.0, TOL]), TOL)
         assert r == 1
+
+    @pytest.mark.parametrize("full_matrices", [True, False])
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (5, 2), (0, 4), (4, 0), (64, 9)])
+    def test_rank_zero_factors_are_shared_and_read_only(self, shape, full_matrices):
+        # a small negligible matrix allocates no array data: its identity
+        # and zero factors are views of arrays shared by every call, and
+        # nobody can write to them
+        m = np.full(shape, 0.1 * TOL / max(1, np.prod(shape)))
+        u, s, vt, r = linalg.rank_svd(m, TOL, full_matrices=full_matrices)
+        assert r == 0
+        ref = np.linalg.svd(np.zeros(shape), full_matrices=full_matrices)
+        assert [u.shape, s.shape, vt.shape] == [x.shape for x in ref]
+        assert np.array_equal(u, np.eye(*u.shape))
+        assert np.array_equal(vt, np.eye(*vt.shape))
+        assert np.array_equal(s, np.zeros(s.shape))
+        for factor in (u, s, vt):
+            assert not factor.flags.writeable
+            with pytest.raises(ValueError):
+                factor[...] = 1.0
+        again = linalg.rank_svd(np.zeros(shape), TOL, full_matrices=full_matrices)
+        for x, y in zip(again[:3], (u, s, vt)):
+            assert x.base is not None and x.base is y.base
+
+    @pytest.mark.parametrize("full_matrices", [True, False])
+    def test_large_zero_matrix_gets_built_factors(self, full_matrices):
+        u, s, vt, r = linalg.rank_svd(np.zeros((65, 3)), TOL, full_matrices=full_matrices)
+        ref = np.linalg.svd(np.zeros((65, 3)), full_matrices=full_matrices)
+        assert r == 0
+        assert [u.shape, s.shape, vt.shape] == [x.shape for x in ref]
+        assert np.array_equal(u, np.eye(*u.shape)) and np.array_equal(vt, np.eye(3))
 
     # rank_svd is the one seam for rank 0: on inputs at and around the
     # Frobenius shortcut it must be LAPACK's count with LAPACK's shapes, and

@@ -864,9 +864,111 @@ class TestValidationPropagation:
         with pytest.raises(Exception):
             reduce(prob, TOL)
 
-    @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "tol",
+        [-1.0, 0.0, np.nan, np.inf,
+         # not real numbers, though numpy would coerce some: True reads as 1
+         True, np.bool_(True), "1e-6", None, 1e-6 + 0j, np.array([1e-6, 1e-6]),
+         np.array([1e-6])],
+    )
     def test_bad_tolerance_rejected(self, tol):
         with pytest.raises(InvalidTolerance):
             reduce(gen_exp2(4), tol)
         with pytest.raises(InvalidTolerance):
             recursive_reduce(gen_exp2(4), tol)
+
+    @pytest.mark.parametrize(
+        "tol", [1e-6, np.float64(1e-6), np.float32(1e-6), np.array(1e-6)]
+    )
+    def test_real_tolerances_accepted(self, tol):
+        assert reduce(gen_exp3(4), tol).index_k == 4
+        assert recursive_reduce(gen_exp3(4), tol).index_k == 4
+
+    @pytest.mark.parametrize("tol", [1, np.int64(1), np.array(1)])
+    def test_integer_tolerance_is_its_value(self, tol):
+        # at tol = 1 the chain's levels are negligible from the first one
+        assert reduce(gen_exp3(4), tol).index_k == reduce(gen_exp3(4), 1.0).index_k == 1
+
+
+class TestCarriedBracketNorm:
+    def test_lean_passes_read_no_bracket_matrix(self, monkeypatch):
+        # every count of this chain reads rank 0 from the carried sum of
+        # squares: neither the Frobenius test nor an SVD sees the matrix
+        inside, seen = [], []
+        counts = reduction.class_counts
+
+        def counting(poi, *args):
+            inside.append(poi.shape[0])
+            try:
+                return counts(poi, *args)
+            finally:
+                inside.pop()
+
+        def spy(name, fn):
+            def recording(m, *args):
+                if inside:
+                    seen.append((name, np.shape(m)))
+                return fn(m, *args)
+            return recording
+
+        monkeypatch.setattr(reduction, "class_counts", counting)
+        monkeypatch.setattr(linalg, "negligible", spy("negligible", linalg.negligible))
+        monkeypatch.setattr(classify, "rank_tol", spy("rank_tol", classify.rank_tol))
+        res = reduce(perturb(gen_exp3(40), 1e-10, seed=0, preserve_structure=True), TOL)
+        assert (res.index_k, res.m_res, res.rp) == (40, 1, 0)
+        assert len(res.class_counts) == 41
+        assert seen == []
+
+    def test_carried_sum_is_the_matrix_norm(self, monkeypatch, rng):
+        # bordered between folds, rebuilt after one: the carried sum is
+        # ||poi||_F^2 of the matrix each count reads
+        seen = []
+        counts = reduction.class_counts
+
+        def recording(poi, tol, squares):
+            seen.append((np.linalg.norm(poi) ** 2, squares))
+            return counts(poi, tol, squares)
+
+        monkeypatch.setattr(reduction, "class_counts", recording)
+        problems = [gen_exp1(24, 9, 6), perturb(gen_exp1(16, 6, 4, seed=3), 1e-8, seed=3)]
+        problems += [random_problem(rng, 6, 3, singular_r=True) for _ in range(20)]
+        for prob in problems:
+            reduce(prob, TOL)
+        assert sum(direct > TOL ** 2 for direct, _ in seen) > 20
+        for direct, carried in seen:
+            assert carried == pytest.approx(direct, rel=1e-12, abs=1e-300)
+
+
+class TestFeedbackSigns:
+    @staticmethod
+    def leading_entries(sel):
+        return sel[np.arange(sel.shape[0]), np.abs(sel).argmax(axis=1)]
+
+    def test_every_feedsel_row_leads_positive(self):
+        # the convention holds on every snapshot problem that folds
+        folded = 0
+        for _, prob in structure_cases():
+            res = reduce(prob, TOL)
+            if res.feedsel.shape[0]:
+                folded += 1
+                assert np.all(self.leading_entries(res.feedsel) > 0)
+                assert res.feedtot.shape[0] == res.feedsel.shape[0]
+        assert folded > 300
+
+    def test_flip_keeps_the_feedback_law(self, monkeypatch):
+        # a flip of both rows of a pair is exact, so feedback_law() keeps
+        # its bytes against the rows as the SVD picked them
+        problems = [prob for _, prob in itertools.islice(structure_cases(), 150)]
+        problems.append(perturb(gen_exp1(24, 9, 6), 1e-10, seed=0))
+        results = [reduce(prob, TOL) for prob in problems]
+        monkeypatch.setattr(reduction, "_sign_canonical", lambda sel, feed: (sel, feed))
+        flipped = 0
+        for prob, res in zip(problems, results):
+            raw = reduce(prob, TOL)
+            law = res.feedback_law()
+            assert law.tobytes() == raw.feedback_law().tobytes()
+            signs = np.sign(self.leading_entries(raw.feedsel))
+            assert np.array_equal(res.feedsel, signs[:, None] * raw.feedsel)
+            assert np.array_equal(res.feedtot, signs[:, None] * raw.feedtot)
+            flipped += int(np.sum(signs < 0))
+        assert flipped > 20

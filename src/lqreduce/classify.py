@@ -14,14 +14,14 @@ by appended rows keeps its bracket matrix as the leading block of the next
 one, so :func:`extend_brackets` computes only the brackets of the new rows;
 a change of coordinates (a feedback fold) needs a full rebuild.  Counting
 classes takes the rank of that matrix by the rank rule of
-:mod:`lqreduce.linalg`.  Its rank-0 test needs only the matrix's sum of
-squares, which a bordered matrix updates from its border
-(:func:`bracket_squares`), so a count whose brackets all vanish reads
-neither the matrix nor its singular values.  The final split takes the
-same matrix and its kernel from one SVD, which also decides the last
-pass's count, so the last count and the split read one factorization.  The split returns coefficient
-rows over the extended set rather than the combined rows, so the
-coisotropic strip can decide on their kernel block.
+:mod:`lqreduce.linalg`.  Between two folds, every pass's matrix is a
+leading block of the last one, so :func:`class_counts` counts them all
+from that one matrix, and when it is negligible, reads no block.  The
+final split takes the same matrix and its kernel from one SVD, which also
+decides the last pass's count, so the last count and the split read one
+factorization.  The split returns coefficient rows over the extended set
+rather than the combined rows, so the coisotropic strip can decide on
+their kernel block.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import DimensionMismatch
 from .linalg import (
     DEFAULT_TOL,
     as_matrix,
-    negligible_squares,
+    negligible,
     numerical_ker,
     rank_tol,
     signed_swap,
@@ -121,42 +121,29 @@ def extend_brackets(
     return out[:size, :size]
 
 
-def bracket_squares(poi: np.ndarray, k: int = 0) -> float:
-    """The part of ||poi||_F^2 that lies outside the leading k x k block of ``poi``.
-
-    ``poi`` is an exactly antisymmetric bracket matrix, as
-    :func:`extend_brackets` returns it.  With B its rows from k on
-    against its first k columns, and C its trailing block, that part is
-    2 ||B||^2 + ||C||^2, since the block above C is -B'.  So ``k = 0``
-    gives the whole sum of squares, and a caller that knows the sum of
-    the leading block adds this to it after a border of t rows, in
-    O(t q) for a q x q matrix.  Each block is one dot product of its
-    entries; only a block of several rows of a larger buffer is copied
-    for it.
-    """
-    b, c = poi[k:, :k].ravel(), poi[k:, k:].ravel()
-    with np.errstate(over="ignore"):  # an overflowing sum is inf, not negligible
-        return float(2.0 * b.dot(b) + c.dot(c))
-
-
 def class_counts(
-    poi: np.ndarray, tol: float = DEFAULT_TOL, squares: float | None = None
-) -> tuple[int, int]:
-    """First- and second-class row counts from the bracket matrix ``poi``.
+    poi: np.ndarray, sizes, tol: float = DEFAULT_TOL
+) -> list[tuple[int, int]]:
+    """First- and second-class row counts of the leading blocks of ``poi``.
 
-    The second-class count is :func:`rank_tol` of ``poi``, so a set whose
-    brackets all vanish is counted without an SVD.  ``squares``, when
-    given, is ||poi||_F^2 as :func:`bracket_squares` carries it, and a
-    matrix that it shows :func:`~lqreduce.linalg.negligible` is counted
-    rank 0 without reading ``poi``.  The count is that of ``poi`` itself:
-    ``poi`` is antisymmetric, so sigma_max <= ||poi||_F / sqrt(2), and a
-    carried sum that differs from the direct one by rounding cannot move
-    a singular value across ``tol``.
+    Returns one ``(first, second)`` for each k in ``sizes``, counted from
+    the leading k x k block of the bracket matrix ``poi``: the
+    second-class count is :func:`rank_tol` of that block.  A set that
+    only grows keeps each of its matrices, bit for bit, as a leading block
+    of the next (:func:`extend_brackets`), so one call counts every pass
+    between two folds.  No block's Frobenius norm exceeds that of ``poi``,
+    so a :func:`~lqreduce.linalg.negligible` ``poi`` counts every block
+    rank 0 without reading one.  Where rounding makes a block's norm
+    exceed the whole matrix's, the block is still rank 0: it is
+    antisymmetric, so sigma_max <= ||block||_F / sqrt(2).
     """
-    if squares is not None and negligible_squares(squares, tol):
-        return poi.shape[0], 0
-    second = rank_tol(poi, tol)
-    return poi.shape[0] - second, second
+    if negligible(poi, tol):
+        return [(k, 0) for k in sizes]
+    counts = []
+    for k in sizes:
+        second = rank_tol(poi[:k, :k], tol)
+        counts.append((k - second, second))
+    return counts
 
 
 def split_first_second(

@@ -254,6 +254,9 @@ def main(argv=None) -> int:
     except (ProblemFileError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a size whose arrays cannot be allocated
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
+        return 2
     except NonConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -49,14 +49,30 @@ def _seeded_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or NumPy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_seed(seed) -> None:
     """Raise InvalidShape unless ``seed`` is a nonnegative integer.
 
     numpy's SeedSequence takes only those; without the check a bad seed
     surfaces as its bare ValueError or TypeError.
     """
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    if not (_is_integer(seed) and seed >= 0):
         raise InvalidShape(f"seed must be a nonnegative integer, got {seed}")
+
+
+def _check_sizes(**sizes) -> None:
+    """Raise InvalidShape unless every size is a Python or NumPy integer.
+
+    numpy's constructors reject a float size such as 4.0 with a bare
+    TypeError, and would read a bool as 0 or 1.
+    """
+    for name, value in sizes.items():
+        if not _is_integer(value):
+            raise InvalidShape(f"{name} must be an integer, got {value!r}")
 
 
 def gen_exp1(n: int, r: int, l: int, seed: int = 0) -> LQProblem:
@@ -69,6 +85,7 @@ def gen_exp1(n: int, r: int, l: int, seed: int = 0) -> LQProblem:
     B'QB - 2V = B' (Q - D_l) B of rank exactly l.  The reduction then takes
     3 steps and leaves m = n - (r + l) residual controls.
     """
+    _check_sizes(n=n, r=r, l=l)
     if not (0 < r <= n):
         raise InvalidShape(f"need 0 < r <= n, got r={r}, n={n}")
     if not (0 < l <= n) or (r < n and r + l > n):
@@ -94,6 +111,7 @@ def gen_exp2(n: int) -> LQProblem:
     Exact reduction facts, independent of n: 3 steps, residual controls 0,
     two second-class constraints, final subspace sum(x) = sum(p) = u = 0.
     """
+    _check_sizes(n=n)
     if n < 2:
         raise InvalidShape(f"need n >= 2, got n={n}")
     return LQProblem(
@@ -113,6 +131,7 @@ def gen_exp3(n: int) -> LQProblem:
     ever produces feedback, the chain stabilizes after n passes, and the
     single control stays free; every surviving constraint is first class.
     """
+    _check_sizes(n=n)
     if n < 2:
         raise InvalidShape(f"need n >= 2, got n={n}")
     a = np.diag(np.ones(n - 1), 1)
@@ -143,16 +162,18 @@ def perturb(
     and R perturbations are symmetrized before rescaling so the result
     stays a valid problem.  With ``preserve_structure`` the perturbed Q is
     rebuilt as A~ + A~' instead of perturbed independently (family 3 keeps
-    its structure that way).  delta = 0 returns the problem as is; a fixed
-    seed gives identical output.
+    its structure that way).  delta is a Python or NumPy integer or float,
+    not a bool; delta = 0 returns the problem as is; a fixed seed gives
+    identical output.
 
     Perturbing R matters only for launching the chain: once delta reaches
     the rank tolerance, a singular R gains spurious full rank and the
     reduction solves every control on its first pass, which is the
     breakdown mode the sweep is meant to expose.
     """
-    if not (np.isfinite(delta) and delta >= 0):
-        raise InvalidShape(f"need a finite delta >= 0, got {delta}")
+    real = isinstance(delta, (int, float, np.integer, np.floating))
+    if isinstance(delta, bool) or not (real and np.isfinite(delta) and delta >= 0):
+        raise InvalidShape(f"need a real, finite delta >= 0, got {delta!r}")
     _check_seed(seed)
     if delta == 0.0:
         return problem

@@ -10,10 +10,7 @@ The rank rule, which the rest of the package cites rather than restates:
 - A matrix with ``||m||_F <= tol`` is :func:`negligible`: since
   sigma_max <= ||m||_F, its rank is 0, the answer its singular values
   would give, and it is not factored.  A NaN or overflowing norm is not
-  negligible, so such a matrix goes on to its SVD.  The comparison is
-  :func:`negligible_squares`, which a caller that carries a matrix's sum
-  of squares, as ``reduce`` does for its bracket matrix, applies to that
-  sum without reading the matrix.
+  negligible, so such a matrix goes on to its SVD.
 - The seam is :func:`rank_svd`, which owns rank 0: a negligible matrix,
   the empty one included, gets the exact SVD of the zero matrix (identity
   factors in the shapes ``np.linalg.svd`` returns, zero values, r = 0),
@@ -170,16 +167,7 @@ def negligible(m, tol: float = DEFAULT_TOL) -> bool:
     """
     flat = np.asarray(m, dtype=float).ravel(order="K")
     with np.errstate(over="ignore"):
-        return negligible_squares(flat.dot(flat), tol)
-
-
-def negligible_squares(squares, tol: float = DEFAULT_TOL) -> bool:
-    """Whether a matrix whose entries' squares sum to ``squares`` is :func:`negligible`.
-
-    ``squares`` is ||m||_F^2; an overflowing (inf) or NaN sum is not
-    negligible.
-    """
-    return bool(np.sqrt(squares) <= tol)
+        return bool(np.sqrt(flat.dot(flat)) <= tol)
 
 
 def rank_tol(m, tol: float = DEFAULT_TOL) -> int:

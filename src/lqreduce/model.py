@@ -19,14 +19,24 @@ from .errors import (
     AsymmetricR,
     DimensionMismatch,
     NonFiniteEntry,
+    ValidationError,
 )
 from .linalg import asymmetry
 
 _SYM_RTOL = 1e-12
 
 
-def _as_float_matrix(a) -> np.ndarray:
-    m = np.asarray(a, dtype=float)
+def _as_float_matrix(a, label: str) -> np.ndarray:
+    """``a`` as a 2-d float array; integers are read as doubles.
+
+    Complex, bool, string and object entries raise ValidationError rather
+    than being cast: a cast would drop an imaginary part or read ``True``
+    and ``"1"`` as 1.0.
+    """
+    m = np.asarray(a)
+    if m.dtype.kind not in "fiu":
+        raise ValidationError(f"matrix {label} has {m.dtype} entries, not real numbers")
+    m = np.asarray(m, dtype=float)
     if m.ndim != 2:
         raise DimensionMismatch(f"matrix expected, got array of ndim={m.ndim}")
     return m
@@ -54,7 +64,7 @@ class LQProblem:
 
     def __post_init__(self):
         for attr in ("A", "B", "Q", "N", "R"):
-            object.__setattr__(self, attr, _as_float_matrix(getattr(self, attr)))
+            object.__setattr__(self, attr, _as_float_matrix(getattr(self, attr), attr))
 
     @property
     def n(self) -> int:

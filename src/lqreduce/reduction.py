@@ -30,13 +30,13 @@ Each rank decision is paid for once, at the size it needs:
   rows.
 - The bracket matrix is carried from pass to pass and bordered by the
   brackets of each pass's new rows; a feedback fold changes coordinates,
-  so the count after it rebuilds the matrix in full, in block form, with
-  one product over (x, p) alone.  Its sum of squares is carried beside
-  it, updated from each border (:func:`~lqreduce.classify.bracket_squares`),
-  and a count whose sum shows the matrix negligible reads rank 0 from it
-  without touching the matrix.
+  so the pass after it rebuilds the matrix in full, in block form, with
+  one product over (x, p) alone.
 - A pass's matrix is counted only once the next ``step`` shows that the
-  loop goes on, so the last count is the split's own rank decision.
+  loop goes on, so the last count is the split's own rank decision.  The
+  passes between two folds are counted together at the next fold or the
+  exit, from leading blocks of the last one's matrix
+  (:func:`~lqreduce.classify.class_counts`).
 - At rank 0 every row is first class and the held rows are the stripped
   set; a negligible matrix, as on every chain whose brackets vanish, is
   not even factored.  Otherwise the strip decides on the k x q block of
@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import bracket_squares, class_counts, extend_brackets, split_first_second
+from .classify import class_counts, extend_brackets, split_first_second
 from .constraints import (
     apply_feedback_to_constraints,
     strip_coisotropic,
@@ -335,10 +335,10 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
 
     counts = [m + rows.shape[0]]
     poi = extend_brackets(None, rows, n)
-    # ||poi||_F^2, carried beside poi so that a count reads rank 0 from it
-    squares = bracket_squares(poi)
     # a pass's bracket matrix is counted once the next step shows that the
-    # loop goes on; the last one is counted by the split's factorization
+    # loop goes on; the last one is counted by the split's factorization.
+    # Those since the last fold are leading blocks of poi, of these sizes
+    sizes: list[int] = []
     pass_classes: list[tuple[int, int]] = []
     feedback_ranks: list[int] = []
 
@@ -356,7 +356,7 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
             nxt, feed, v_rot, r = step(state, tol)
         if r == 0 and not increased:
             break  # flat count and nothing left to solve
-        pass_classes.append(class_counts(poi, tol, squares))
+        sizes.append(poi.shape[0])
         state = nxt
         feedback_ranks.append(r)
         if r > 0:
@@ -365,7 +365,9 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
             feed_blocks.append(signed_feed)
             nofeed = (v_rot.T @ nofeed)[r:]
             rows = apply_feedback_to_constraints(rows, n, v_rot, feed, r, tol)
-            poi = None  # new coordinates; the next count rebuilds the brackets
+            pass_classes += class_counts(poi, sizes, tol)
+            sizes = []
+            poi = None  # new coordinates; the next pass rebuilds the brackets
             rows_buf = brackets_buf = None
         if not increased:
             break  # after a flat count, fold in what is solvable, no level
@@ -386,21 +388,18 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
                 f"constraint count fell from {counts[-2]} to {counts[-1]} "
                 f"at pass {index_k}; check the tolerance against the problem scaling"
             )
-        if poi is None:
-            poi = extend_brackets(None, rows, n)
-            squares = bracket_squares(poi)
-        else:
-            k = poi.shape[0]
-            brackets_buf = _room(brackets_buf, state.m_cur + rows.shape[0], k)
-            poi = extend_brackets(poi, rows, n, out=brackets_buf)
-            squares += bracket_squares(poi, k)
+        if poi is not None:
+            brackets_buf = _room(brackets_buf, state.m_cur + rows.shape[0], poi.shape[0])
+        poi = extend_brackets(poi, rows, n, out=brackets_buf)
         increased = counts[-1] > counts[-2]
 
     # rp, the rank of the bracket matrix, is the second-class row count.
     # The carried matrix is stale only when the last pass folded, and then
-    # that pass was counted before its fold; otherwise the split's one
+    # that pass was counted at its fold; otherwise the split's one
     # factorization decides the last count too
     folded_exit = poi is None
+    if sizes:  # the segment's passes before the last; none after a fold
+        pass_classes += class_counts(poi, sizes, tol)
     if folded_exit:
         poi = extend_brackets(None, rows, n)
     first_c, second_c = split_first_second(poi, tol)

@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from lqreduce import DimensionMismatch, subspace_angle
+from lqreduce import DimensionMismatch, classify, subspace_angle
 from lqreduce.classify import (
-    bracket_squares,
     class_counts,
     extend_brackets,
     poisson_brackets,
@@ -86,8 +85,8 @@ class TestSplitFirstSecond:
             first, second = split_first_second(poisson_brackets(phi, n), TOL)
             assert first.shape[0] + second.shape[0] == q
             assert second.shape[0] % 2 == 0
-            counts = class_counts(poisson_brackets(phi, n), TOL)
-            assert counts == (first.shape[0], second.shape[0])
+            counts = class_counts(poisson_brackets(phi, n), [q], TOL)
+            assert counts == [(first.shape[0], second.shape[0])]
 
     def test_first_class_kernel_residual(self, rng):
         for _ in range(20):
@@ -146,27 +145,35 @@ class TestExtendBrackets:
         assert np.array_equal(got, extend_brackets(poi, after, n))
 
 
-class TestCarriedSquares:
-    # reduce carries ||poi||_F^2 beside its bracket matrix and updates it
-    # from each border; a count reads rank 0 from that sum
+class TestNestedCounts:
+    # reduce counts the passes between two folds from the leading blocks of
+    # the last one's bracket matrix; a negligible matrix reads no block
 
-    def test_border_sum_is_the_direct_one(self, rng):
+    @staticmethod
+    def direct(poi, sizes):
+        return [(k - rank_tol(poi[:k, :k], TOL), rank_tol(poi[:k, :k], TOL)) for k in sizes]
+
+    def test_each_block_is_counted(self, rng):
         for _ in range(30):
             q = int(rng.integers(1, 12))
-            k = int(rng.integers(0, q + 1))
-            a = rng.standard_normal((q, q))
-            poi = (a - a.T) / 2.0
+            a, b = rng.standard_normal((2, q, int(rng.integers(1, 4))))
+            poi = a @ b.T - b @ a.T
             buf = np.full((q + 3, q + 3), np.nan)
             buf[:q, :q] = poi
-            lead = np.linalg.norm(poi[:k, :k]) ** 2
-            got = lead + bracket_squares(buf[:q, :q], k)
-            assert got == pytest.approx(np.linalg.norm(poi) ** 2, rel=1e-13)
+            sizes = sorted(rng.integers(0, q + 1, size=4).tolist())
+            assert class_counts(buf[:q, :q], sizes, TOL) == self.direct(poi, sizes)
 
-    def test_overflowing_sum_is_not_negligible(self):
+    def test_negligible_matrix_reads_no_block(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(classify, "rank_tol", lambda m, tol: seen.append(m))
+        poi = np.zeros((5, 5))
+        poi[4, 0], poi[0, 4] = TOL / 2, -TOL / 2
+        assert class_counts(poi, [1, 3, 5], TOL) == [(1, 0), (3, 0), (5, 0)]
+        assert seen == []
+
+    def test_overflowing_norm_is_not_negligible(self):
         poi = np.array([[0.0, 1e200], [-1e200, 0.0]])
-        assert bracket_squares(poi) == np.inf
-        assert bracket_squares(poi, 1) == np.inf
-        assert class_counts(poi, TOL, np.inf) == (0, 2)
+        assert class_counts(poi, [1, 2], TOL) == [(1, 0), (0, 2)]
 
     @settings(derandomize=True, max_examples=120, deadline=None)
     @given(
@@ -175,21 +182,13 @@ class TestCarriedSquares:
         rank=st.integers(1, 4),
         size=st.floats(0.5, 2.0),
     )
-    def test_carried_count_is_the_direct_one(self, seed, q, rank, size):
+    def test_nested_count_is_the_direct_one(self, seed, q, rank, size):
         # exactly antisymmetric, of Frobenius norm 0.5 tol to 2 tol, where
-        # the carried and the direct rank-0 tests may disagree by rounding,
-        # bordered one row at a time as reduce borders its matrix
+        # the whole matrix's rank-0 test and a block's may disagree by rounding
         rng = np.random.default_rng(seed)
         a, b = rng.standard_normal((2, q, rank))
         poi = a @ b.T - b @ a.T
         poi *= size * TOL / np.linalg.norm(poi)
         poi = (poi - poi.T) / 2.0
-        buf = np.full((q + 2, q + 2), np.nan)
-        buf[:q, :q] = poi
-        squares = bracket_squares(buf[:1, :1])
-        for k in range(1, q + 1):
-            if k > 1:
-                squares += bracket_squares(buf[:k, :k], k - 1)
-            lead = poi[:k, :k]
-            assert class_counts(lead, TOL, squares) == class_counts(lead, TOL)
-            assert class_counts(lead, TOL)[1] == rank_tol(lead, TOL)
+        sizes = range(1, q + 1)
+        assert class_counts(poi, sizes, TOL) == self.direct(poi, sizes)

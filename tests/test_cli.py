@@ -351,6 +351,17 @@ class TestCmdExperiment:
         err = capsys.readouterr().err
         assert err.startswith("error: seed must be")
 
+    def test_size_beyond_memory_exit_2(self, capsys):
+        # n = 10**8 asks for an n x n array of 71 PiB, beyond the address
+        # space, so the allocation fails at once
+        assert main(
+            ["experiment", "--family", "2", "--n", str(10**8), "--deltas", "1e-8"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: not enough memory: ")
+        assert captured.err.count("\n") == 1
+
     def test_json_format(self, capsys):
         assert main(
             ["experiment", "--family", "2", "--n", "10", "--deltas", "1e-10",

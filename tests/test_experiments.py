@@ -62,6 +62,18 @@ class TestGenExp1:
         with pytest.raises(InvalidShape):
             gen_exp1(8, 5, 4)
 
+    @pytest.mark.parametrize(
+        "sizes, name",
+        [((4.0, 2, 1), "n"), ((4, 2.0, 1), "r"), ((4, 2, np.float64(1)), "l"),
+         ((True, 1, 1), "n"), ((4, True, 1), "r"), ((4, 2, "1"), "l")],
+    )
+    def test_sizes_must_be_integers(self, sizes, name):
+        with pytest.raises(InvalidShape, match=f"{name} must be an integer"):
+            gen_exp1(*sizes)
+
+    def test_numpy_integer_sizes(self):
+        assert gen_exp1(np.int64(8), np.int32(3), np.uint8(2)).B.shape == (8, 8)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(InvalidShape, match="seed must be a nonnegative integer, got -1"):
             gen_exp1(6, 3, 2, seed=-1)
@@ -83,6 +95,11 @@ class TestGenExp2:
         with pytest.raises(InvalidShape):
             gen_exp2(1)
 
+    @pytest.mark.parametrize("n", [3.5, 4.0, True, np.bool_(True), None])
+    def test_size_must_be_an_integer(self, n):
+        with pytest.raises(InvalidShape, match="n must be an integer"):
+            gen_exp2(n)
+
 
 class TestGenExp3:
     @pytest.mark.parametrize("n", [2, 4, 6])
@@ -99,6 +116,14 @@ class TestGenExp3:
     def test_invalid(self):
         with pytest.raises(InvalidShape):
             gen_exp3(1)
+
+    @pytest.mark.parametrize("n", [3.5, 4.0, True])
+    def test_size_must_be_an_integer(self, n):
+        with pytest.raises(InvalidShape, match="n must be an integer"):
+            gen_exp3(n)
+
+    def test_numpy_integer_size(self):
+        assert gen_exp3(np.int64(4)).A.shape == (4, 4)
 
 
 class TestMakeProblem:
@@ -145,6 +170,16 @@ class TestPerturb:
         for delta in (-1.0, np.nan, np.inf):
             with pytest.raises(InvalidShape):
                 perturb(gen_exp2(3), delta)
+
+    @pytest.mark.parametrize("delta", [True, False, np.bool_(True), "1e-8", None, 1e-8j])
+    def test_delta_must_be_a_real_number(self, delta):
+        # True once read as delta = 1
+        with pytest.raises(InvalidShape, match="delta"):
+            perturb(gen_exp2(3), delta)
+
+    @pytest.mark.parametrize("delta", [0, np.int64(0), np.float32(1e-8), 1e-8])
+    def test_integer_and_float_deltas(self, delta):
+        assert perturb(gen_exp2(3), delta, seed=1).A.shape == (3, 3)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(InvalidShape, match="seed must be a nonnegative integer, got -1"):

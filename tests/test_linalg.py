@@ -110,13 +110,6 @@ class TestNegligible:
         assert not linalg.negligible(np.diag([0.8, 0.8]) * TOL, TOL)
         assert linalg.negligible(np.zeros((0, 3)), TOL)
 
-    def test_sum_of_squares_takes_the_same_comparison(self):
-        assert linalg.negligible_squares(TOL ** 2, TOL)
-        assert not linalg.negligible_squares(1.28 * TOL ** 2, TOL)
-        assert linalg.negligible_squares(0.0, TOL)
-        assert not linalg.negligible_squares(np.inf, TOL)
-        assert not linalg.negligible_squares(np.nan, TOL)
-
     def test_nan_and_overflowing_norms_are_not_negligible(self):
         assert not linalg.negligible(np.array([[np.nan, 0.0]]), TOL)
         assert not linalg.negligible(np.array([[1e200, 1e200]]), TOL)

@@ -8,6 +8,7 @@ from lqreduce import (
     DimensionMismatch,
     LQProblem,
     NonFiniteEntry,
+    ValidationError,
     initial_matrices,
     pontryagin_hamiltonian,
     validate,
@@ -92,6 +93,29 @@ class TestValidate:
         p = LQProblem(A=[[np.nan]], B=[[1.0]], Q=[[0.0]], N=[[0.0]], R=[[1.0]])
         with pytest.raises(NonFiniteEntry):
             validate(p)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            np.array([[1 + 1j]]),  # a cast would drop the imaginary part
+            [[True]],
+            [["1"]],
+            np.array([[1.0]], dtype=object),
+        ],
+        ids=["complex", "bool", "str", "object"],
+    )
+    @pytest.mark.parametrize("label", ["A", "R"])
+    def test_entries_that_are_not_real_numbers(self, entries, label):
+        blocks = dict(A=[[1.0]], B=[[1.0]], Q=[[1.0]], N=[[0.0]], R=[[0.0]])
+        blocks[label] = entries
+        with pytest.raises(ValidationError, match=f"matrix {label} "):
+            LQProblem(**blocks)
+
+    @pytest.mark.parametrize("entries", [[[1]], np.array([[1]], dtype=np.int32),
+                                         np.array([[1.0]], dtype=np.float32)])
+    def test_integer_and_float_entries_are_doubles(self, entries):
+        p = LQProblem(A=entries, B=[[1.0]], Q=[[1.0]], N=[[0.0]], R=[[0.0]])
+        assert p.A.dtype == np.float64 and p.A[0, 0] == 1.0
 
 
 class TestHamiltonian:

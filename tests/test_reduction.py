@@ -891,9 +891,13 @@ class TestValidationPropagation:
 
 
 class TestCarriedBracketNorm:
+    # the passes between two folds are counted at the segment's end, from
+    # the leading blocks of its last bracket matrix, whose norm decides
+    # every count of a segment whose brackets vanish
+
     def test_lean_passes_read_no_bracket_matrix(self, monkeypatch):
-        # every count of this chain reads rank 0 from the carried sum of
-        # squares: neither the Frobenius test nor an SVD sees the matrix
+        # this chain never folds: its one segment is counted at the exit by
+        # one negligible test of the last matrix, and no block is read
         inside, seen = [], []
         counts = reduction.class_counts
 
@@ -912,31 +916,38 @@ class TestCarriedBracketNorm:
             return recording
 
         monkeypatch.setattr(reduction, "class_counts", counting)
-        monkeypatch.setattr(linalg, "negligible", spy("negligible", linalg.negligible))
+        for module in (linalg, classify):
+            monkeypatch.setattr(module, "negligible", spy("negligible", module.negligible))
         monkeypatch.setattr(classify, "rank_tol", spy("rank_tol", classify.rank_tol))
         res = reduce(perturb(gen_exp3(40), 1e-10, seed=0, preserve_structure=True), TOL)
         assert (res.index_k, res.m_res, res.rp) == (40, 1, 0)
         assert len(res.class_counts) == 41
-        assert seen == []
+        q = sum(res.class_counts[-1])
+        assert seen == [("negligible", (q, q))]
 
-    def test_carried_sum_is_the_matrix_norm(self, monkeypatch, rng):
-        # bordered between folds, rebuilt after one: the carried sum is
-        # ||poi||_F^2 of the matrix each count reads
-        seen = []
-        counts = reduction.class_counts
+    def test_each_count_is_its_pass_matrix_rank(self, monkeypatch, rng):
+        # extend_brackets returns each pass's matrix in turn; a count taken
+        # at the segment's end is the rank of the matrix its pass held
+        held = []
 
-        def recording(poi, tol, squares):
-            seen.append((np.linalg.norm(poi) ** 2, squares))
-            return counts(poi, tol, squares)
+        def recording(poi, rows, n, out=None):
+            out = classify.extend_brackets(poi, rows, n, out=out)
+            held.append(out.copy())
+            return out
 
-        monkeypatch.setattr(reduction, "class_counts", recording)
+        monkeypatch.setattr(reduction, "extend_brackets", recording)
         problems = [gen_exp1(24, 9, 6), perturb(gen_exp1(16, 6, 4, seed=3), 1e-8, seed=3)]
         problems += [random_problem(rng, 6, 3, singular_r=True) for _ in range(20)]
+        mixed = 0
         for prob in problems:
-            reduce(prob, TOL)
-        assert sum(direct > TOL ** 2 for direct, _ in seen) > 20
-        for direct, carried in seen:
-            assert carried == pytest.approx(direct, rel=1e-12, abs=1e-300)
+            held.clear()
+            res = reduce(prob, TOL)
+            assert len(held) >= len(res.class_counts)
+            for poi, count in zip(held, res.class_counts):
+                second = rank_tol(poi, TOL)
+                assert count == (poi.shape[0] - second, second)
+                mixed += 0 < second < poi.shape[0]
+        assert mixed > 20
 
 
 class TestFeedbackSigns:

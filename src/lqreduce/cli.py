@@ -18,7 +18,6 @@ import json
 import os
 import sys
 from functools import cache
-from itertools import chain
 
 import numpy as np
 
@@ -39,8 +38,9 @@ class ProblemFileError(ValueError):
 def load_problem(path: str) -> LQProblem:
     """Parse a problem file, naming the bad field on failure.
 
-    Matrix entries must be JSON numbers, not strings, booleans or null.
-    Integers are read as doubles: one beyond double range is inf.
+    The file must hold one JSON object with the five matrices; the checks
+    of their entries are :class:`LQProblem`'s, re-raised with the path in
+    front.  Integers are read as doubles: one beyond double range is inf.
     """
     try:
         with open(path) as handle:
@@ -51,25 +51,13 @@ def load_problem(path: str) -> LQProblem:
         raise ProblemFileError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProblemFileError(f"{path}: top level must be an object")
-    blocks = {}
     for key in _MATRIX_KEYS:
         if key not in doc:
             raise ProblemFileError(f"{path}: missing matrix {key!r}")
-        try:
-            block = np.asarray(doc[key], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ProblemFileError(f"{path}: matrix {key!r} is not numeric") from exc
-        if block.ndim != 2:
-            raise ProblemFileError(f"{path}: matrix {key!r} must be an array of arrays")
-        if not set(map(type, chain.from_iterable(doc[key]))) <= {float}:
-            raise ProblemFileError(f"{path}: matrix {key!r} has an entry that is not a number")
-        if not np.all(np.isfinite(block)):
-            raise ProblemFileError(f"{path}: matrix {key!r} contains non-finite entries")
-        blocks[key] = block
-    name = doc.get("name")
-    if name is not None and not isinstance(name, str):
-        raise ProblemFileError(f"{path}: 'name' must be a string")
-    return LQProblem(**blocks, name=name)
+    try:
+        return LQProblem(**{key: doc[key] for key in _MATRIX_KEYS}, name=doc.get("name"))
+    except ValidationError as exc:
+        raise ProblemFileError(f"{path}: {exc}") from exc
 
 
 def _listify(a: np.ndarray) -> list:
@@ -107,12 +95,6 @@ def render_report(result: ReductionResult, name: str | None = None) -> dict:
     }
 
 
-def _format_alpha(alpha: float | None) -> str:
-    if alpha is None:
-        return "not_computable"
-    return f"{alpha:.16f}"
-
-
 def render_csv(records, family: int, n: int, seed: int, tol: float) -> str:
     """CSV document for a sweep, one row per delta, plus a slope comment."""
     lines = [
@@ -120,9 +102,10 @@ def render_csv(records, family: int, n: int, seed: int, tol: float) -> str:
         "n,delta,steps_exact,steps,m,m1,rp,rp1,alpha",
     ]
     for rec in records:
+        alpha = "not_computable" if rec.alpha is None else f"{rec.alpha:.16f}"
         lines.append(
             f"{rec.n},{rec.delta:g},{rec.steps_exact},{rec.steps},"
-            f"{rec.m},{rec.m1},{rec.rp},{rec.rp1},{_format_alpha(rec.alpha)}"
+            f"{rec.m},{rec.m1},{rec.rp},{rec.rp1},{alpha}"
         )
     try:
         lines.append(f"# slope={fit_loglog_slope(records):.6f}")

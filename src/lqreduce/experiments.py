@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySubspace, InsufficientData, InvalidShape
-from .linalg import DEFAULT_TOL, principal_angle, row_space_basis
+from .linalg import DEFAULT_TOL, is_integer, principal_angle, real_number, row_space_basis
 from .model import LQProblem
 from .reduction import reduce
 
@@ -49,30 +49,17 @@ def _seeded_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def _is_integer(value) -> bool:
-    """Whether ``value`` is a Python or NumPy integer; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _check_integers(**values) -> None:
+    """Raise InvalidShape unless every value is an integer, a ``seed`` a nonnegative one.
 
-
-def _check_seed(seed) -> None:
-    """Raise InvalidShape unless ``seed`` is a nonnegative integer.
-
-    numpy's SeedSequence takes only those; without the check a bad seed
-    surfaces as its bare ValueError or TypeError.
+    Without the check numpy's constructors reject a float size such as 4.0
+    with a bare TypeError and read a bool as 0 or 1, and SeedSequence raises
+    a bare ValueError or TypeError.
     """
-    if not (_is_integer(seed) and seed >= 0):
-        raise InvalidShape(f"seed must be a nonnegative integer, got {seed}")
-
-
-def _check_sizes(**sizes) -> None:
-    """Raise InvalidShape unless every size is a Python or NumPy integer.
-
-    numpy's constructors reject a float size such as 4.0 with a bare
-    TypeError, and would read a bool as 0 or 1.
-    """
-    for name, value in sizes.items():
-        if not _is_integer(value):
-            raise InvalidShape(f"{name} must be an integer, got {value!r}")
+    for name, value in values.items():
+        if not is_integer(value) or (name == "seed" and value < 0):
+            kind = "a nonnegative integer" if name == "seed" else "an integer"
+            raise InvalidShape(f"{name} must be {kind}, got {value!r}")
 
 
 def gen_exp1(n: int, r: int, l: int, seed: int = 0) -> LQProblem:
@@ -85,12 +72,11 @@ def gen_exp1(n: int, r: int, l: int, seed: int = 0) -> LQProblem:
     B'QB - 2V = B' (Q - D_l) B of rank exactly l.  The reduction then takes
     3 steps and leaves m = n - (r + l) residual controls.
     """
-    _check_sizes(n=n, r=r, l=l)
+    _check_integers(n=n, r=r, l=l, seed=seed)
     if not (0 < r <= n):
         raise InvalidShape(f"need 0 < r <= n, got r={r}, n={n}")
     if not (0 < l <= n) or (r < n and r + l > n):
         raise InvalidShape(f"need 0 < l and r + l <= n, got r={r}, l={l}, n={n}")
-    _check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     u = _seeded_orthogonal(rng, n)
     s_vals = np.zeros(n)
@@ -111,7 +97,7 @@ def gen_exp2(n: int) -> LQProblem:
     Exact reduction facts, independent of n: 3 steps, residual controls 0,
     two second-class constraints, final subspace sum(x) = sum(p) = u = 0.
     """
-    _check_sizes(n=n)
+    _check_integers(n=n)
     if n < 2:
         raise InvalidShape(f"need n >= 2, got n={n}")
     return LQProblem(
@@ -131,12 +117,18 @@ def gen_exp3(n: int) -> LQProblem:
     ever produces feedback, the chain stabilizes after n passes, and the
     single control stays free; every surviving constraint is first class.
     """
-    _check_sizes(n=n)
+    _check_integers(n=n)
     if n < 2:
         raise InvalidShape(f"need n >= 2, got n={n}")
     a = np.diag(np.ones(n - 1), 1)
     ones = np.ones((n, 1))
     return LQProblem(A=a, B=ones, Q=a + a.T, N=ones, R=np.zeros((1, 1)), name=f"exp3(n={n})")
+
+
+def _perturbation_size(delta) -> float | None:
+    """``delta`` as a float if it is a finite :func:`~lqreduce.linalg.real_number` >= 0."""
+    size = real_number(delta)
+    return size if size is not None and np.isfinite(size) and size >= 0 else None
 
 
 def _norm_bounded(rng: np.random.Generator, shape, bound: float, symmetric=False):
@@ -162,33 +154,32 @@ def perturb(
     and R perturbations are symmetrized before rescaling so the result
     stays a valid problem.  With ``preserve_structure`` the perturbed Q is
     rebuilt as A~ + A~' instead of perturbed independently (family 3 keeps
-    its structure that way).  delta is a Python or NumPy integer or float,
-    not a bool; delta = 0 returns the problem as is; a fixed seed gives
-    identical output.
+    its structure that way).  delta is a finite real number >= 0; delta = 0
+    returns the problem as is; a fixed seed gives identical output.
 
     Perturbing R matters only for launching the chain: once delta reaches
     the rank tolerance, a singular R gains spurious full rank and the
     reduction solves every control on its first pass, which is the
     breakdown mode the sweep is meant to expose.
     """
-    real = isinstance(delta, (int, float, np.integer, np.floating))
-    if isinstance(delta, bool) or not (real and np.isfinite(delta) and delta >= 0):
+    size = _perturbation_size(delta)
+    if size is None:
         raise InvalidShape(f"need a real, finite delta >= 0, got {delta!r}")
-    _check_seed(seed)
-    if delta == 0.0:
+    _check_integers(seed=seed)
+    if size == 0.0:
         return problem
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-    a = problem.A + _norm_bounded(rng, problem.A.shape, delta * rng.uniform())
-    b = problem.B + _norm_bounded(rng, problem.B.shape, delta * rng.uniform())
-    n_mat = problem.N + _norm_bounded(rng, problem.N.shape, delta * rng.uniform())
+    a = problem.A + _norm_bounded(rng, problem.A.shape, size * rng.uniform())
+    b = problem.B + _norm_bounded(rng, problem.B.shape, size * rng.uniform())
+    n_mat = problem.N + _norm_bounded(rng, problem.N.shape, size * rng.uniform())
     if preserve_structure:
         q = a + a.T
     else:
         q = problem.Q + _norm_bounded(
-            rng, problem.Q.shape, delta * rng.uniform(), symmetric=True
+            rng, problem.Q.shape, size * rng.uniform(), symmetric=True
         )
     r_mat = problem.R + _norm_bounded(
-        rng, problem.R.shape, delta * rng.uniform(), symmetric=True
+        rng, problem.R.shape, size * rng.uniform(), symmetric=True
     )
     return LQProblem(A=a, B=b, Q=q, N=n_mat, R=r_mat, name=problem.name)
 
@@ -203,8 +194,9 @@ def make_problem(family: int, n: int, r: int | None = None, l: int | None = None
     """Build the exact problem of one family; family 1 needs r and l.
 
     Families 2 and 3 take no r or l: a value given for either raises
-    InvalidShape rather than being ignored.
+    InvalidShape rather than being ignored, as does a non-integer family.
     """
+    _check_integers(family=family)
     if family == 1:
         if r is None or l is None:
             raise InvalidShape("family 1 needs the rank r and truncation l")
@@ -235,9 +227,9 @@ def run_sweep(
     once, so each delta factors only its own rows; the angle is the one
     :func:`~lqreduce.linalg.subspace_angle` gives, bit for bit.
     """
-    _check_seed(seed)
-    deltas = [float(d) for d in deltas]
-    if not deltas or not all(np.isfinite(d) and d >= 0 for d in deltas):
+    _check_integers(seed=seed)
+    deltas = [_perturbation_size(d) for d in deltas] if np.iterable(deltas) else []
+    if not deltas or None in deltas:
         raise InvalidShape("deltas must be a nonempty list of finite nonnegative reals")
     problem = make_problem(family, n, r=r, l=l, seed=seed)
     exact = reduce(problem, tol)

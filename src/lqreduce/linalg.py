@@ -68,23 +68,35 @@ _ZEROS = np.zeros(_SHARED_SIZE)
 _EYE.flags.writeable = _ZEROS.flags.writeable = False
 
 
+def real_number(value) -> float | None:
+    """``value`` as a float if it is a real number, else None: the one rule
+    for real scalar inputs.  A real number is a Python or NumPy int or float,
+    or a 0-d array of one, and not a bool, even where NumPy would coerce it
+    (``True`` would read as 1).  An int beyond double range reads as inf."""
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value[()]
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return np.inf if value > 0 else -np.inf
+
+
+def is_integer(value) -> bool:
+    """The one rule for integer inputs: a Python int of any size or a NumPy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_tol(tol) -> None:
-    """Raise InvalidTolerance unless ``tol`` is a finite, positive real number.
+    """Raise InvalidTolerance unless ``tol`` is a finite, positive :func:`real_number`.
 
     A negative threshold counts every singular value and a NaN or infinite
-    one counts none, so either would decide every rank wrongly.  A Python
-    or NumPy integer or float, or a 0-d array of one, is a real number; a
-    bool, string, None, complex number or array with a shape is not, even
-    where NumPy would coerce it (``True`` would read as 1).
+    one counts none, so either would decide every rank wrongly.
     """
-    try:
-        value = np.asarray(tol)
-    except ValueError:  # a ragged sequence
-        value = None
-    if value is None or value.ndim or value.dtype.kind not in "fiu":
-        raise InvalidTolerance(f"tolerance must be a real number, got {tol!r}")
-    if not (np.isfinite(value) and value > 0):
-        raise InvalidTolerance(f"tolerance must be finite and positive, got {tol!r}")
+    value = real_number(tol)
+    if value is None or not (np.isfinite(value) and value > 0):
+        raise InvalidTolerance(f"tolerance must be a finite, positive real number, got {tol!r}")
 
 
 def as_matrix(a) -> np.ndarray:

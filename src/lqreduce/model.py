@@ -5,12 +5,14 @@ xdot = A x + B u and quadratic running cost
 L(x, u) = x'Qx/2 + x'Nu + u'Ru/2, with Q and R symmetric.  When R is
 invertible the stationarity condition dH/du = 0 has the closed-form
 feedback solution; when R is singular the problem requires the constraint
-reduction implemented in :mod:`lqreduce.reduction`.
+reduction implemented in :mod:`lqreduce.reduction`.  An :class:`LQProblem`
+is checked once, when it is built, and never again: its blocks are read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -27,18 +29,24 @@ _SYM_RTOL = 1e-12
 
 
 def _as_float_matrix(a, label: str) -> np.ndarray:
-    """``a`` as a 2-d float array; integers are read as doubles.
+    """``a`` as a read-only 2-d float view, not a copy; integers are read as doubles.
 
     Complex, bool, string and object entries raise ValidationError rather
     than being cast: a cast would drop an imaginary part or read ``True``
-    and ``"1"`` as 1.0.
+    and ``"1"`` as 1.0, as NumPy reads a bool among numbers in a list.  A
+    ragged list or an ndim other than 2 raises DimensionMismatch.
     """
-    m = np.asarray(a)
-    if m.dtype.kind not in "fiu":
-        raise ValidationError(f"matrix {label} has {m.dtype} entries, not real numbers")
-    m = np.asarray(m, dtype=float)
+    try:
+        m = np.asarray(a)
+    except ValueError as exc:  # a ragged list
+        raise DimensionMismatch(f"matrix {label} is ragged, not a rectangular array") from exc
     if m.ndim != 2:
-        raise DimensionMismatch(f"matrix expected, got array of ndim={m.ndim}")
+        raise DimensionMismatch(f"matrix {label} must be 2-d, got ndim={m.ndim}")
+    entries = set(map(type, chain.from_iterable(a))) if isinstance(a, (list, tuple)) else ()
+    if m.dtype.kind not in "fiu" or bool in entries or np.bool_ in entries:
+        raise ValidationError(f"matrix {label} has entries that are not real numbers")
+    m = np.asarray(m, dtype=float).view()
+    m.flags.writeable = False
     return m
 
 
@@ -53,6 +61,9 @@ class LQProblem:
         N: n x m cross-cost matrix.
         R: m x m symmetric control-cost matrix.
         name: optional label carried through reports.
+
+    Building a problem checks each block, that ``name`` is None or a string,
+    and then the whole (:func:`validate`), raising a ValidationError subclass.
     """
 
     A: np.ndarray
@@ -65,6 +76,9 @@ class LQProblem:
     def __post_init__(self):
         for attr in ("A", "B", "Q", "N", "R"):
             object.__setattr__(self, attr, _as_float_matrix(getattr(self, attr), attr))
+        if self.name is not None and not isinstance(self.name, str):
+            raise ValidationError(f"name must be a string, got {self.name!r}")
+        validate(self)
 
     @property
     def n(self) -> int:
@@ -83,8 +97,8 @@ class InitialMatrices:
 
     hess0 = J G0 = [[-Q, A'], [A, 0]] is the 2n x 2n Hessian of the
     Hamiltonian in (x; p), where G0 = -J hess0 = [[A, 0], [Q, -A']] is the
-    drift block of the Hamilton equations (x; p)' = G0 (x; p) + z0 u.  Both
-    reduction routes differentiate along hess0, so G0 is never built.  z0
+    drift block of the Hamilton equations (x; p)' = G0 (x; p) + z0 u.
+    :func:`~lqreduce.reduction.reduce` differentiates along hess0.  z0
     is the 2n x m control block and (s1, r1) the coefficients of the
     primary constraints dH/du = s1 (x; p) - r1 u.  They satisfy
     s1 = -z0' J.
@@ -99,10 +113,10 @@ class InitialMatrices:
 def validate(problem: LQProblem) -> None:
     """Raise a ValidationError subclass if the problem data is inconsistent.
 
-    Checks, in order: finiteness of all entries, mutual shape consistency of
-    the five blocks, and symmetry of Q and R (relative tolerance 1e-12).
-    Symmetry is enforced rather than silently repaired so that user input
-    errors surface.
+    Building an :class:`LQProblem` calls it.  Checks, in order: finiteness
+    of all entries, mutual shape consistency of the five blocks, and
+    symmetry of Q and R (relative tolerance 1e-12).  Symmetry is enforced
+    rather than silently repaired so that user input errors surface.
     """
     for label in ("A", "B", "Q", "N", "R"):
         block = getattr(problem, label)
@@ -144,11 +158,10 @@ def pontryagin_hamiltonian(problem: LQProblem, x, p, u) -> float:
 def initial_matrices(problem: LQProblem) -> InitialMatrices:
     """Build hess0 = J G0, Z0 and the primary-constraint coefficients S1, R1.
 
-    hess0 = [[-Q, A'], [A, 0]], Z0 = [B; N], S1 = [-N' | B'] and R1 = R.
-    hess0 is written block by block into one array.  The identity
-    S1 = -Z0' J holds exactly by construction.
+    hess0 = [[-Q, A'], [A, 0]], Z0 = [B; N], S1 = [-N' | B'] and R1 = R,
+    the problem's read-only block itself.  hess0 is written block by block
+    into one array.  The identity S1 = -Z0' J holds exactly by construction.
     """
-    validate(problem)
     n = problem.n
     hess0 = np.zeros((2 * n, 2 * n))
     np.negative(problem.Q, out=hess0[:n, :n])
@@ -156,8 +169,7 @@ def initial_matrices(problem: LQProblem) -> InitialMatrices:
     hess0[n:, :n] = problem.A
     z0 = np.vstack([problem.B, problem.N])
     s1 = np.hstack([-problem.N.T, problem.B.T])
-    r1 = problem.R.copy()
-    return InitialMatrices(hess0=hess0, z0=z0, s1=s1, r1=r1)
+    return InitialMatrices(hess0=hess0, z0=z0, s1=s1, r1=problem.R)
 
 
 __all__ = [

@@ -1,10 +1,12 @@
 """Plain recursive constraints algorithm, used as an independent reference.
 
-No feedback, no symplectic extension: the dynamics G0, Z0 are never
-modified.  The constraints over (x, p, u) are differentiated along the flow
-with a free control derivative; the combinations that no choice of control
-derivative can absorb (those whose u-block vanishes) become the next
-constraints (Rabier & Rheinboldt 1994, J. Differential Equations 109).
+No feedback, no symplectic extension: the dynamics G0 = [[A, 0], [Q, -A']],
+Z0 = [B; N] are never modified, nor built.  The constraints over (x, p, u),
+from dH/du = [-N', B', -R], are differentiated along the flow with a free
+control derivative, a row (z_x, z_p) giving [z_x A + z_p Q, -z_p A',
+z_x B + z_p N] from the problem's blocks; the combinations that no choice
+of control derivative can absorb (those whose u-block vanishes) become the
+next constraints (Rabier & Rheinboldt 1994, J. Differential Equations 109).
 
 The constraint set is held as one orthonormal row basis that each pass
 extends (:func:`~lqreduce.linalg.extend_rows`).  A zero-u combination of
@@ -33,9 +35,8 @@ from .linalg import (
     principal_angle,
     rank_tol,
     row_space_basis,
-    signed_swap,
 )
-from .model import LQProblem, initial_matrices
+from .model import LQProblem
 
 if TYPE_CHECKING:
     from .reduction import ReductionResult
@@ -64,17 +65,16 @@ def recursive_reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> OracleResu
     independent rows, the primary constraints included; a regular problem
     therefore has index 1.
 
-    Raises InvalidTolerance unless ``tol`` is finite and positive, and
-    NonConvergence if the chain exceeds 2n + m + 2 passes or a new
-    constraint level overflows to non-finite coefficients.
+    Raises InvalidTolerance unless ``tol`` is a finite, positive real
+    number, and NonConvergence if the chain exceeds 2n + m + 2 passes or a
+    new level overflows; the problem data is not checked again.
     """
     check_tol(tol)
+    a, b, q, n_mat = problem.A, problem.B, problem.Q, problem.N
     n, m = problem.n, problem.m
     two_n = 2 * n
-    init = initial_matrices(problem)
-    hess0, z0 = init.hess0, init.z0
 
-    rows = row_space_basis(np.hstack([init.s1, -init.r1]), tol)
+    rows = row_space_basis(np.hstack([-n_mat.T, b.T, -problem.R]), tol)
     index_k = 1 if rows.shape[0] else 0
     # piv: rows of the span whose u-block has full row rank; new: the rows
     # the last pass added.  Every other row of the span has a zero u-block
@@ -88,11 +88,11 @@ def recursive_reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> OracleResu
         zero_u = ker.T @ block[:, :two_n]
         piv = compl.T @ block
         held = rows.shape[0]
-        # zero_u G0 = sf hess0 with sf = -zero_u J, a signed swap of the x
-        # and p columns.  An overflowing product leaves inf or NaN in the
-        # new level, which extend_rows rejects with NonConvergence
+        zx, zp = zero_u[:, :n], zero_u[:, n:]
+        # [zero_u G0, zero_u Z0].  An overflowing product leaves inf or NaN
+        # in the new level, which extend_rows rejects with NonConvergence
         with np.errstate(over="ignore", invalid="ignore"):
-            level = np.hstack([signed_swap(zero_u) @ hess0, zero_u @ z0])
+            level = np.hstack([zx @ a + zp @ q, -(zp @ a.T), zx @ b + zp @ n_mat])
         rows = extend_rows(rows, level, tol)
         new = rows[held:]
         if new.shape[0] == 0:

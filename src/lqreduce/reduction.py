@@ -309,11 +309,11 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     coisotropic columns are then stripped from the reported sets
     (:func:`~lqreduce.constraints.strip_coisotropic`).
 
-    Raises InvalidTolerance unless ``tol`` is finite and positive, a
-    ValidationError subclass for inconsistent problem data, and
-    NonConvergence if the loop exceeds 2(n + m) + 2 passes, the effective
-    constraint count falls, which consistent linear data cannot do, or a
-    new constraint level overflows to non-finite coefficients.
+    Raises InvalidTolerance unless ``tol`` is a finite, positive real
+    number, and NonConvergence if the loop exceeds 2(n + m) + 2 passes, the
+    constraint count falls, which consistent linear data cannot do, or a new
+    level overflows to non-finite coefficients; the problem data is not
+    checked again (LQProblem checks it when it is built).
     """
     check_tol(tol)
     n, m = problem.n, problem.m

@@ -83,7 +83,7 @@ class TestCmdReduce:
         assert main([command, str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"matrix '{key}' has an entry that is not a number" in captured.err
+        assert f"entry.json: matrix {key} has entries that are not real numbers" in captured.err
 
     @pytest.mark.parametrize("command", ["reduce", "oracle"])
     def test_integer_beyond_double_range_exit_2(self, tmp_path, capsys, command):
@@ -94,7 +94,38 @@ class TestCmdReduce:
         assert main([command, path]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "matrix 'A' contains non-finite entries" in captured.err
+        assert "huge_int.json: matrix A contains NaN or Inf" in captured.err
+
+    @pytest.mark.parametrize("command", ["reduce", "oracle"])
+    @pytest.mark.parametrize(
+        "a, expected",
+        [([[True, 0.0], [0.0, 1.0]], "matrix A has entries that are not real numbers"),
+         ([[1.0, 2.0], [3.0]], "matrix A is ragged"),
+         ([1.0, 2.0], "matrix A must be 2-d"),
+         ({"0": [1.0]}, "matrix A must be 2-d")],
+        ids=["nested-bool", "ragged", "1-d", "object"],
+    )
+    def test_block_that_is_not_a_matrix_of_numbers_exit_2(
+        self, tmp_path, capsys, command, a, expected
+    ):
+        # a bool among numbers once read as 1.0, and a ragged matrix once
+        # escaped as numpy's bare ValueError
+        path = write_problem(
+            tmp_path / "block.json", a, [[1.0], [0.0]], [[1.0, 0.0], [0.0, 1.0]],
+            [[0.0], [0.0]], [[0.0]],
+        )
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: {expected}")
+        assert captured.err.count("\n") == 1
+
+    def test_name_that_is_not_a_string_exit_2(self, tmp_path, capsys):
+        path = write_problem(
+            tmp_path / "named.json", [[0.0]], [[1.0]], [[1.0]], [[0.0]], [[1.0]], name=3
+        )
+        assert main(["reduce", path]) == 2
+        assert "named.json: name must be a string" in capsys.readouterr().err
 
     def test_integers_within_double_range_load(self, tmp_path, capsys):
         path = write_problem(

@@ -134,6 +134,15 @@ class TestMakeProblem:
                 make_problem(family, 4, r=r, l=l)
         assert make_problem(family, 4, r=None, l=None).n == 4
 
+    @pytest.mark.parametrize("family", [True, 3.0, np.float64(2), "1", None])
+    def test_family_must_be_an_integer(self, family):
+        # True once built family 1, and 3.0 family 3
+        with pytest.raises(InvalidShape, match="family must be an integer"):
+            make_problem(family, 4, r=2, l=1)
+
+    def test_numpy_integer_family(self):
+        assert make_problem(np.int64(3), 4).name == "exp3(n=4)"
+
 
 class TestPerturb:
     def test_zero_delta_identity(self):
@@ -177,7 +186,9 @@ class TestPerturb:
         with pytest.raises(InvalidShape, match="delta"):
             perturb(gen_exp2(3), delta)
 
-    @pytest.mark.parametrize("delta", [0, np.int64(0), np.float32(1e-8), 1e-8])
+    @pytest.mark.parametrize(
+        "delta", [0, np.int64(0), np.float32(1e-8), 1e-8, np.array(1e-8), np.array(0)]
+    )
     def test_integer_and_float_deltas(self, delta):
         assert perturb(gen_exp2(3), delta, seed=1).A.shape == (3, 3)
 
@@ -235,6 +246,21 @@ class TestRunSweep:
     def test_negative_seed_rejected(self):
         with pytest.raises(InvalidShape, match="seed"):
             run_sweep(2, 4, [1e-10], seed=-1)
+
+    @pytest.mark.parametrize(
+        "deltas", [[True], ["1e-9"], "1e-9", [None], 1e-9, [1e-9j], [np.array([1e-9])]],
+        ids=["bool", "string-entry", "string", "none", "bare-float", "complex", "array"],
+    )
+    def test_deltas_must_be_real_numbers(self, deltas):
+        # [True] once ran at delta = 1 and ["1e-9"] at 1e-9; the others
+        # raised a bare ValueError or TypeError
+        with pytest.raises(InvalidShape, match="deltas"):
+            run_sweep(3, 4, deltas)
+
+    def test_real_deltas_are_recorded_as_floats(self):
+        records = run_sweep(2, 4, (0, np.float32(1e-9), np.array(1e-10)), seed=0)
+        assert [type(rec.delta) for rec in records] == [float] * 3
+        assert records[2].delta == 1e-10
 
     @pytest.mark.parametrize(
         "family, n, r, l", [(1, 8, 3, 2), (3, 6, None, None)], ids=["family1", "family3"]

@@ -850,6 +850,37 @@ class TestSubspaceAngle:
             assert 0.0 <= a <= np.pi / 2
 
 
+class TestScalarRule:
+    @pytest.mark.parametrize(
+        "value, expected",
+        [(1e-6, 1e-6), (3, 3.0), (np.int8(-2), -2.0), (np.float32(0.5), 0.5),
+         (np.array(2.5), 2.5), (np.array(7), 7.0), (10**400, np.inf), (-(10**400), -np.inf)],
+    )
+    def test_real_numbers(self, value, expected):
+        got = linalg.real_number(value)
+        assert type(got) is float and got == expected
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, np.bool_(False), np.array(True), "1e-6", None, 1e-6j, np.complex128(1),
+         np.array([1e-6]), [1e-6]],
+    )
+    def test_not_real_numbers(self, value):
+        assert linalg.real_number(value) is None
+
+    @pytest.mark.parametrize("value", [0, -3, 10**400, np.int64(4), np.uint8(1)])
+    def test_integers(self, value):
+        assert linalg.is_integer(value)
+
+    @pytest.mark.parametrize("value", [True, np.bool_(True), 4.0, np.float64(4), np.array(4), "4"])
+    def test_not_integers(self, value):
+        assert not linalg.is_integer(value)
+
+    def test_tolerance_beyond_double_range_rejected(self):
+        with pytest.raises(lqreduce.InvalidTolerance, match="finite, positive real number"):
+            linalg.check_tol(10**400)
+
+
 class TestEquilibrateRows:
     def test_unit_norms(self, rng):
         m = rng.standard_normal((4, 5)) * 100.0

@@ -26,51 +26,47 @@ class TestValidate:
         validate(minimal_problem())
 
     def test_asymmetric_q(self):
-        p = LQProblem(
-            A=np.zeros((2, 2)),
-            B=np.zeros((2, 1)),
-            Q=[[0.0, 1.0], [0.0, 0.0]],
-            N=np.zeros((2, 1)),
-            R=[[1.0]],
-        )
         with pytest.raises(AsymmetricQ):
-            validate(p)
+            LQProblem(
+                A=np.zeros((2, 2)),
+                B=np.zeros((2, 1)),
+                Q=[[0.0, 1.0], [0.0, 0.0]],
+                N=np.zeros((2, 1)),
+                R=[[1.0]],
+            )
 
     def test_asymmetric_r(self):
-        p = LQProblem(
-            A=np.zeros((1, 1)),
-            B=np.zeros((1, 2)),
-            Q=np.zeros((1, 1)),
-            N=np.zeros((1, 2)),
-            R=[[0.0, 1.0], [0.0, 0.0]],
-        )
         with pytest.raises(AsymmetricR):
-            validate(p)
+            LQProblem(
+                A=np.zeros((1, 1)),
+                B=np.zeros((1, 2)),
+                Q=np.zeros((1, 1)),
+                N=np.zeros((1, 2)),
+                R=[[0.0, 1.0], [0.0, 0.0]],
+            )
 
     # entries above about 1e154 overflow both Frobenius norms, which once
     # made the asymmetry NaN and let such a matrix through
 
     def test_asymmetric_q_with_huge_entries(self):
-        p = LQProblem(
-            A=np.zeros((2, 2)),
-            B=np.zeros((2, 1)),
-            Q=[[1e200, 1e200], [0.0, 1e200]],
-            N=np.zeros((2, 1)),
-            R=[[1.0]],
-        )
         with pytest.raises(AsymmetricQ):
-            validate(p)
+            LQProblem(
+                A=np.zeros((2, 2)),
+                B=np.zeros((2, 1)),
+                Q=[[1e200, 1e200], [0.0, 1e200]],
+                N=np.zeros((2, 1)),
+                R=[[1.0]],
+            )
 
     def test_asymmetric_r_with_huge_entries(self):
-        p = LQProblem(
-            A=np.zeros((1, 1)),
-            B=np.zeros((1, 2)),
-            Q=np.zeros((1, 1)),
-            N=np.zeros((1, 2)),
-            R=[[1e200, 1e200], [0.0, 1e200]],
-        )
         with pytest.raises(AsymmetricR):
-            validate(p)
+            LQProblem(
+                A=np.zeros((1, 1)),
+                B=np.zeros((1, 2)),
+                Q=np.zeros((1, 1)),
+                N=np.zeros((1, 2)),
+                R=[[1e200, 1e200], [0.0, 1e200]],
+            )
 
     def test_symmetric_huge_entries_pass(self):
         huge = [[1e300, -1e300], [-1e300, 1e300]]
@@ -79,20 +75,18 @@ class TestValidate:
 
     def test_dimension_mismatch(self):
         # R sized 3x3 against a 2-column B
-        p = LQProblem(
-            A=np.zeros((2, 2)),
-            B=np.zeros((2, 2)),
-            Q=np.zeros((2, 2)),
-            N=np.zeros((2, 2)),
-            R=np.zeros((3, 3)),
-        )
         with pytest.raises(DimensionMismatch):
-            validate(p)
+            LQProblem(
+                A=np.zeros((2, 2)),
+                B=np.zeros((2, 2)),
+                Q=np.zeros((2, 2)),
+                N=np.zeros((2, 2)),
+                R=np.zeros((3, 3)),
+            )
 
     def test_non_finite(self):
-        p = LQProblem(A=[[np.nan]], B=[[1.0]], Q=[[0.0]], N=[[0.0]], R=[[1.0]])
         with pytest.raises(NonFiniteEntry):
-            validate(p)
+            LQProblem(A=[[np.nan]], B=[[1.0]], Q=[[0.0]], N=[[0.0]], R=[[1.0]])
 
     @pytest.mark.parametrize(
         "entries",
@@ -101,8 +95,11 @@ class TestValidate:
             [[True]],
             [["1"]],
             np.array([[1.0]], dtype=object),
+            # numpy reads these as floats; each once read as 1.0
+            [[True, 0.0], [0.0, 1.0]],
+            [[1.0, np.bool_(True)]],
         ],
-        ids=["complex", "bool", "str", "object"],
+        ids=["complex", "bool", "str", "object", "nested-bool", "nested-numpy-bool"],
     )
     @pytest.mark.parametrize("label", ["A", "R"])
     def test_entries_that_are_not_real_numbers(self, entries, label):
@@ -110,6 +107,35 @@ class TestValidate:
         blocks[label] = entries
         with pytest.raises(ValidationError, match=f"matrix {label} "):
             LQProblem(**blocks)
+
+    @pytest.mark.parametrize(
+        "entries, expected",
+        [([[1.0, 2.0], [3.0]], "is ragged"),
+         ([1.0, 2.0], "must be 2-d, got ndim=1"),
+         (np.zeros((1, 1, 1)), "must be 2-d, got ndim=3")],
+        ids=["ragged", "1-d", "3-d"],
+    )
+    @pytest.mark.parametrize("label", ["A", "N"])
+    def test_blocks_that_are_not_matrices(self, entries, expected, label):
+        # a ragged list once escaped as numpy's bare ValueError
+        blocks = dict(A=[[1.0]], B=[[1.0]], Q=[[1.0]], N=[[0.0]], R=[[0.0]])
+        blocks[label] = entries
+        with pytest.raises(DimensionMismatch, match=f"matrix {label} {expected}"):
+            LQProblem(**blocks)
+
+    @pytest.mark.parametrize("name", [3, b"p", ["p"]])
+    def test_name_that_is_not_a_string(self, name):
+        with pytest.raises(ValidationError, match="name must be a string"):
+            LQProblem(A=[[0.0]], B=[[1.0]], Q=[[1.0]], N=[[0.0]], R=[[1.0]], name=name)
+
+    def test_blocks_are_read_only_views(self):
+        a = np.zeros((2, 2))
+        p = LQProblem(A=a, B=np.ones((2, 1)), Q=np.eye(2), N=np.zeros((2, 1)), R=[[0.0]])
+        for label in "ABQNR":
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(p, label)[0, 0] = 1.0
+        # a view, not a copy, and the caller's array stays writable
+        assert np.shares_memory(p.A, a) and a.flags.writeable
 
     @pytest.mark.parametrize("entries", [[[1]], np.array([[1]], dtype=np.int32),
                                          np.array([[1.0]], dtype=np.float32)])

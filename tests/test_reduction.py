@@ -10,6 +10,7 @@ from lqreduce import (
     InvalidTolerance,
     LQProblem,
     NonConvergence,
+    NonFiniteEntry,
     compare_final_subspaces,
     gen_exp1,
     gen_exp2,
@@ -18,9 +19,10 @@ from lqreduce import (
     perturb,
     recursive_reduce,
     reduce,
+    run_sweep,
     subspace_angle,
 )
-from lqreduce import classify, linalg, reduction
+from lqreduce import classify, linalg, model, reduction
 from lqreduce.classify import poisson_brackets, split_first_second
 from lqreduce.constraints import (
     apply_feedback_to_constraints,
@@ -858,11 +860,29 @@ class TestRankZeroExit:
 
 class TestValidationPropagation:
     def test_invalid_problem_rejected(self):
-        prob = LQProblem(
-            A=[[0.0]], B=[[1.0]], Q=[[np.inf]], N=[[0.0]], R=[[1.0]]
+        # a problem is checked when it is built, so none reaches reduce
+        with pytest.raises(NonFiniteEntry):
+            LQProblem(A=[[0.0]], B=[[1.0]], Q=[[np.inf]], N=[[0.0]], R=[[1.0]])
+
+    def test_built_problems_are_not_validated_again(self, monkeypatch):
+        # each problem is validated once, when it is built, and never by
+        # the routes that take it
+        validated = []
+        original = model.validate
+        monkeypatch.setattr(
+            model, "validate", lambda problem: validated.append(problem) or original(problem)
         )
-        with pytest.raises(Exception):
-            reduce(prob, TOL)
+        problems = [gen_exp1(8, 3, 2), gen_exp2(6), gen_exp3(5)]
+        assert len(validated) == 3
+        for problem in problems:
+            reduce(problem, TOL)
+            recursive_reduce(problem, TOL)
+        assert len(validated) == 3
+        # the exact problem and the two nonzero perturbations; delta = 0
+        # reuses the exact problem
+        run_sweep(2, 6, [1e-10, 0.0, 1e-9], seed=1)
+        assert len(validated) == 6
+        assert len({id(problem) for problem in validated[3:]}) == 3
 
     @pytest.mark.parametrize(
         "tol",

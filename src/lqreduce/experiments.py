@@ -49,6 +49,17 @@ def _seeded_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
+def _handed_over(name: str, **blocks: np.ndarray) -> LQProblem:
+    """An LQProblem of arrays made here and held nowhere else.
+
+    They are made read-only first, so the problem keeps them rather than
+    copying arrays that no caller can write any more.
+    """
+    for block in blocks.values():
+        block.flags.writeable = False
+    return LQProblem(**blocks, name=name)
+
+
 def _check_integers(**values) -> None:
     """Raise InvalidShape unless every value is an integer, a ``seed`` a nonnegative one.
 
@@ -88,7 +99,7 @@ def gen_exp1(n: int, r: int, l: int, seed: int = 0) -> LQProblem:
     d_l = d.copy()
     d_l[:l, :l] = 0.0
     v = 0.5 * b.T @ d_l @ b
-    return LQProblem(A=np.eye(n), B=b, Q=d, N=b @ v, R=r_mat, name=f"exp1(n={n},r={r},l={l})")
+    return _handed_over(f"exp1(n={n},r={r},l={l})", A=np.eye(n), B=b, Q=d, N=b @ v, R=r_mat)
 
 
 def gen_exp2(n: int) -> LQProblem:
@@ -100,13 +111,13 @@ def gen_exp2(n: int) -> LQProblem:
     _check_integers(n=n)
     if n < 2:
         raise InvalidShape(f"need n >= 2, got n={n}")
-    return LQProblem(
+    return _handed_over(
+        f"exp2(n={n})",
         A=np.eye(n),
         B=np.ones((n, 1)),
         Q=np.eye(n),
         N=np.zeros((n, 1)),
         R=np.zeros((1, 1)),
-        name=f"exp2(n={n})",
     )
 
 
@@ -122,7 +133,7 @@ def gen_exp3(n: int) -> LQProblem:
         raise InvalidShape(f"need n >= 2, got n={n}")
     a = np.diag(np.ones(n - 1), 1)
     ones = np.ones((n, 1))
-    return LQProblem(A=a, B=ones, Q=a + a.T, N=ones, R=np.zeros((1, 1)), name=f"exp3(n={n})")
+    return _handed_over(f"exp3(n={n})", A=a, B=ones, Q=a + a.T, N=ones, R=np.zeros((1, 1)))
 
 
 def _perturbation_size(delta) -> float | None:
@@ -181,7 +192,7 @@ def perturb(
     r_mat = problem.R + _norm_bounded(
         rng, problem.R.shape, size * rng.uniform(), symmetric=True
     )
-    return LQProblem(A=a, B=b, Q=q, N=n_mat, R=r_mat, name=problem.name)
+    return _handed_over(problem.name, A=a, B=b, Q=q, N=n_mat, R=r_mat)
 
 
 def sweep_child_seed(seed: int, index: int) -> int:

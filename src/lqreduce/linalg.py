@@ -519,8 +519,9 @@ def signed_swap(rows) -> np.ndarray:
 
     J is that of :func:`symplectic_matrix`, but it is not formed.  For rows
     a and b over (x, p), ``signed_swap(a) @ b.T`` holds their canonical
-    brackets a_x.b_p - a_p.b_x, and ``signed_swap(a) @ hess`` is the
-    derivative of a along the field z' = -J hess z.
+    brackets a_x.b_p - a_p.b_x, and for a symmetric M,
+    ``signed_swap(a) @ M`` is the derivative of a along the field
+    z' = -J M z.
     """
     rows = as_matrix(rows)
     half = rows.shape[1] // 2

@@ -1,4 +1,4 @@
-"""Problem data, Pontryagin's Hamiltonian, and the initial reduction matrices.
+"""Problem data, Pontryagin's Hamiltonian, and the primary constraints.
 
 An LQ optimal control problem is the data (A, B, Q, N, R): dynamics
 xdot = A x + B u and quadratic running cost
@@ -23,18 +23,27 @@ from .errors import (
     NonFiniteEntry,
     ValidationError,
 )
-from .linalg import asymmetry
+from .linalg import asymmetry, real_number
 
 _SYM_RTOL = 1e-12
 
 
 def _as_float_matrix(a, label: str) -> np.ndarray:
-    """``a`` as a read-only 2-d float view, not a copy; integers are read as doubles.
+    """``a`` as a read-only 2-d float array that no caller can write.
 
-    Complex, bool, string and object entries raise ValidationError rather
-    than being cast: a cast would drop an imaginary part or read ``True``
-    and ``"1"`` as 1.0, as NumPy reads a bool among numbers in a list.  A
-    ragged list or an ndim other than 2 raises DimensionMismatch.
+    Integers are read as doubles.  A nested list with a Python int too
+    large for int64, of which NumPy makes an object array, is read entry
+    by entry by the scalar rule (:func:`~lqreduce.linalg.real_number`), so
+    an int beyond double range is inf, which :func:`validate` rejects.
+    Complex, bool, string and other object entries raise ValidationError
+    rather than being cast: a cast would drop an imaginary part or read
+    ``True`` and ``"1"`` as 1.0, as NumPy reads a bool among numbers in a
+    list.  A ragged list or an ndim other than 2 raises DimensionMismatch.
+
+    An array that NumPy makes here, from a list or by a cast, is private
+    and kept as it is; so is a read-only array that owns its data, such
+    as another problem's block.  Any other array is copied, since its
+    caller could still write it: a writable one given as it is, or a view.
     """
     try:
         m = np.asarray(a)
@@ -42,10 +51,19 @@ def _as_float_matrix(a, label: str) -> np.ndarray:
         raise DimensionMismatch(f"matrix {label} is ragged, not a rectangular array") from exc
     if m.ndim != 2:
         raise DimensionMismatch(f"matrix {label} must be 2-d, got ndim={m.ndim}")
-    entries = set(map(type, chain.from_iterable(a))) if isinstance(a, (list, tuple)) else ()
-    if m.dtype.kind not in "fiu" or bool in entries or np.bool_ in entries:
-        raise ValidationError(f"matrix {label} has entries that are not real numbers")
-    m = np.asarray(m, dtype=float).view()
+    nested = isinstance(a, (list, tuple))
+    if nested and m.dtype == object:
+        entries = [real_number(entry) for entry in m.flat]
+        if None in entries:
+            raise ValidationError(f"matrix {label} has entries that are not real numbers")
+        m = np.array(entries).reshape(m.shape)
+    else:
+        types = set(map(type, chain.from_iterable(a))) if nested else ()
+        if m.dtype.kind not in "fiu" or bool in types or np.bool_ in types:
+            raise ValidationError(f"matrix {label} has entries that are not real numbers")
+        m = np.asarray(m, dtype=float)
+        if m.base is not None or (m is a and m.flags.writeable):
+            m = m.copy()
     m.flags.writeable = False
     return m
 
@@ -93,19 +111,16 @@ class LQProblem:
 
 @dataclass(frozen=True)
 class InitialMatrices:
-    """Seed matrices of the reduction.
+    """The primary stack of the reduction.
 
-    hess0 = J G0 = [[-Q, A'], [A, 0]] is the 2n x 2n Hessian of the
-    Hamiltonian in (x; p), where G0 = -J hess0 = [[A, 0], [Q, -A']] is the
-    drift block of the Hamilton equations (x; p)' = G0 (x; p) + z0 u.
-    :func:`~lqreduce.reduction.reduce` differentiates along hess0.  z0
-    is the 2n x m control block and (s1, r1) the coefficients of the
-    primary constraints dH/du = s1 (x; p) - r1 u.  They satisfy
-    s1 = -z0' J.
+    (s1, r1) are the coefficients of the primary constraints
+    dH/du = s1 (x; p) - r1 u.  The Hamilton equations
+    (x; p)' = G0 (x; p) + Z0 u have G0 = [[A, 0], [Q, -A']] and
+    Z0 = [B; N], which satisfy s1 = -Z0' J;
+    :func:`~lqreduce.reduction.reduce` and the oracle read G0 and Z0 from
+    the problem's own blocks, so neither is built.
     """
 
-    hess0: np.ndarray
-    z0: np.ndarray
     s1: np.ndarray
     r1: np.ndarray
 
@@ -156,20 +171,13 @@ def pontryagin_hamiltonian(problem: LQProblem, x, p, u) -> float:
 
 
 def initial_matrices(problem: LQProblem) -> InitialMatrices:
-    """Build hess0 = J G0, Z0 and the primary-constraint coefficients S1, R1.
+    """The primary-constraint coefficients S1 = [-N' | B'] and R1 = R.
 
-    hess0 = [[-Q, A'], [A, 0]], Z0 = [B; N], S1 = [-N' | B'] and R1 = R,
-    the problem's read-only block itself.  hess0 is written block by block
-    into one array.  The identity S1 = -Z0' J holds exactly by construction.
+    R1 is the problem's read-only block itself.  The identity S1 = -Z0' J,
+    with Z0 = [B; N], holds exactly by construction.
     """
-    n = problem.n
-    hess0 = np.zeros((2 * n, 2 * n))
-    np.negative(problem.Q, out=hess0[:n, :n])
-    hess0[:n, n:] = problem.A.T
-    hess0[n:, :n] = problem.A
-    z0 = np.vstack([problem.B, problem.N])
     s1 = np.hstack([-problem.N.T, problem.B.T])
-    return InitialMatrices(hess0=hess0, z0=z0, s1=s1, r1=problem.R)
+    return InitialMatrices(s1=s1, r1=problem.R)
 
 
 __all__ = [

@@ -5,10 +5,14 @@ stationarity constraints dH/du = S (x; p) - R u = 0, each iteration
 (:func:`step`) splits the control coefficients R by SVD: the range part
 solves some rotated controls as linear feedback in (x, p), the cokernel
 part yields the next level of constraints, obtained by differentiating
-along the (feedback updated) flow.  The loop holds the Hessian blocks of
-the running quadratic Hamiltonian rather than its vector field G = -J M,
-so J G = M is symmetric to rounding; it starts from hess0 = J G0, which
-:func:`~lqreduce.model.initial_matrices` builds block by block.
+along the (feedback updated) flow.  The running quadratic Hamiltonian's
+Hessian M, whose field is G = -J M, is never formed: it is
+hess0 = J G0 = [[-Q, A'], [A, 0]] plus one symmetric rank-2r term per
+feedback fold, so the loop holds the problem's read-only A and Q and the
+fold factors, stacked (:class:`StepState`).  A row c = (c_x, c_p) then
+differentiates to the oracle's own product [c_x A + c_p Q, -c_p A'] plus
+two thin products through the factors, and the reduced drift blocks are
+formed once, at the exit, from the same sum; no 2n x 2n array is made.
 
 The constraint set lives on the symplectically extended space
 (x, p, u, v), but beyond the zero-order constraints v = 0, one per
@@ -79,7 +83,6 @@ from .linalg import (
     rank_svd,
     row_space_basis,
     scaled_row_space,
-    signed_swap,
 )
 from .model import LQProblem, initial_matrices
 
@@ -88,23 +91,35 @@ from .model import LQProblem, initial_matrices
 class StepState:
     """Per-iteration matrices of the reduction.
 
-    hess, w and p_hess are the Hessian blocks of the running Hamiltonian
+    They define the running Hamiltonian
     H = z'(hess)z/2 + z'(w)u + u'(p_hess)u/2 over z = (x; p) and the
-    remaining m_cur controls, where (x; p)' = G (x; p) + Z u is the field
-    they define: hess = J G (2n x 2n, symmetric to rounding), w = J Z
-    (2n x m_cur) and p_hess = d2H/du2 (initially -R).  s/rk are the
+    remaining m_cur controls, whose field is (x; p)' = G (x; p) + Z u with
+    G = -J hess and Z = -J w.  hess is never formed: each fold adds a
+    symmetric rank-2r term K F + F'K' to it, so
+
+        hess = hess0 + [K_1, F_1', ...] [F_1; K_1'; ...],
+        G = G0 - left right,
+
+    with hess0 = [[-Q, A'], [A, 0]] and G0 = [[A, 0], [Q, -A']] read from
+    the problem's own read-only blocks a = A and q = Q, left = J [K_1,
+    F_1', ...] (2n x 2R) and right = [F_1; K_1'; ...] (2R x 2n) over the
+    R controls solved so far.  w_jw = [w; J w] (4n x m_cur) holds w with
+    J w below it, and p_hess = d2H/du2 (initially -R).  s/rk are the
     coefficients of the current constraint level s (x; p) - rk u = 0.
     """
 
-    hess: np.ndarray
-    w: np.ndarray
+    a: np.ndarray
+    q: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    w_jw: np.ndarray
     s: np.ndarray
     rk: np.ndarray
     p_hess: np.ndarray
 
     @property
     def m_cur(self) -> int:
-        return self.w.shape[1]
+        return self.w_jw.shape[1]
 
 
 @dataclass(frozen=True)
@@ -225,33 +240,46 @@ def step(
     Eliminating the solved controls from the quadratic Hamiltonian
     H = z'Mz/2 + z'Wu + u'Pu/2 (z = (x; p), M = hess, W = w, P = p_hess)
     gives, in rotated control blocks, M' = M + W1 F + F'W1' + F'P11 F,
-    W' = W2 + F'P12 and P' = P22.  M' is formed as one rank-2r product
-    M + [K, F'] [F; K'] with K = W1 + F'P11/2, which also averages P11's
-    rounding asymmetry out of it, so M' is symmetric to rounding.  Its
-    field z' = -J (M' z + W' u) agrees with the bare substitution of the
+    W' = W2 + F'P12 and P' = P22.  M' is M + [K, F'] [F; K'] with
+    K = W1 + F'P11/2, which also averages P11's rounding asymmetry out of
+    it; the fold appends J K and J F' to ``left`` and F and K' to
+    ``right``, and holds J W' below W'.  J X = [-X_p; X_x] is a copy of
+    X's rows with one block negated, not a product.  The field
+    z' = -J (M' z + W' u) agrees with the bare substitution of the
     feedback on the constraint subspace (they differ by multiples of
-    already-found constraints).  A row c acting on z therefore has the
-    time derivative sf (M' z + W' u) with sf = -c J, a signed swap of its
-    x and p columns (:func:`~lqreduce.linalg.signed_swap`): s' = sf M' and
-    rk' = -sf W'.
+    already-found constraints).  A row c = (c_x, c_p) acting on z
+    therefore has the time derivative -c J (M' z + W' u):
+    s' = [c_x A + c_p Q, -c_p A'] - (c left) right, the first term the
+    oracle's own product, and rk' = c J W'.  Held premultiplied by J,
+    the factors and w need no swap of c.
     """
-    hess, w, p_hess, rows = state.hess, state.w, state.p_hess, state.s
+    a, q, left, right, w_jw, p_hess, rows = (
+        state.a, state.q, state.left, state.right, state.w_jw, state.p_hess, state.s)
+    n = a.shape[0]
+    two_n = 2 * n
     u, sig, vt, r = rank_svd(state.rk, tol, full_matrices=True)
     v_rot = vt.T
     if r == 0:
-        feed = empty_matrix(rows.shape[1])
+        feed = empty_matrix(two_n)
     else:
-        feed = (u[:, :r].T @ state.s) / sig[:r, None]
-        w_rot = w @ v_rot
+        feed = (u[:, :r].T @ rows) / sig[:r, None]
+        ft = feed.T
+        w_rot = w_jw[:two_n] @ v_rot
         p_rot = v_rot.T @ p_hess @ v_rot
-        # K F + F'K' = W1 F + F'W1' + F'(P11 + P11')/2 F
-        k = w_rot[:, :r] + (feed.T @ p_rot[:r, :r]) / 2.0
-        hess = hess + np.hstack([k, feed.T]) @ np.vstack([feed, k.T])
-        w = w_rot[:, r:] + feed.T @ p_rot[:r, r:]
+        k = w_rot[:, :r] + ft @ (p_rot[:r, :r] / 2.0)
+        w = w_rot[:, r:] + ft @ p_rot[:r, r:]
+        # J X = [-X_p; X_x], a copy of rows, not a product
+        k_f = np.concatenate((k, ft), axis=1)
+        left = np.concatenate((left, np.concatenate((-k_f[n:], k_f[:n]))), axis=1)
+        right = np.concatenate((right, feed, k.T))
+        w_jw = np.concatenate((w, -w[n:], w[:n]))
         p_hess = (p_rot[r:, r:] + p_rot[r:, r:].T) / 2.0
         rows = u[:, r:].T @ state.s
-    sf = signed_swap(rows)
-    new_state = StepState(hess, w, sf @ hess, -(sf @ w), p_hess)
+    cx, cp = rows[:, :n], rows[:, n:]
+    s = np.concatenate((cx.dot(a) + cp.dot(q), (-cp).dot(a.T)), axis=1)
+    if right.shape[0]:
+        s -= rows.dot(left).dot(right)
+    new_state = StepState(a, q, left, right, w_jw, s, rows.dot(w_jw[two_n:]), p_hess)
     return new_state, feed, v_rot, r
 
 
@@ -326,8 +354,13 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     # data's scale for step (the stack itself at full row rank).  The
     # zero-order rows v = 0 are implied (see with_zero_order)
     sr, rows = scaled_row_space(np.hstack([init.s1, -init.r1]), tol)
-    # J Z0 = s1' by the primary-constraint identity
-    state = StepState(init.hess0, init.s1.T, sr[:, :two_n], -sr[:, two_n:], -init.r1)
+    # w = J Z0 = s1' by the primary-constraint identity, so J w = -Z0; no
+    # control is solved yet, so there are no fold factors
+    state = StepState(
+        problem.A, problem.Q, np.zeros((two_n, 0)), empty_matrix(two_n),
+        np.vstack([init.s1.T, -problem.B, -problem.N]),
+        sr[:, :two_n], -sr[:, two_n:], -init.r1,
+    )
 
     feed_blocks: list[np.ndarray] = []
     sel_blocks: list[np.ndarray] = []
@@ -377,7 +410,7 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
                 "check the tolerance against the problem scaling"
             )
         index_k += 1
-        level = np.hstack([state.s, -state.rk])
+        level = np.concatenate((state.s, -state.rk), axis=1)
         held = rows.shape[0]
         rows_buf = _room(rows_buf, held + level.shape[0], held, level.shape[1])
         rows = extend_rows(rows, level, tol, out=rows_buf)
@@ -418,7 +451,18 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     feedtot = np.vstack(feed_blocks) if feed_blocks else empty_matrix(two_n)
     feedsel = np.vstack(sel_blocks) if sel_blocks else empty_matrix(m)
 
-    hess, w = state.hess, state.w
+    # G = G0 - left right = [[A, 0], [Q, -A']] - left right, each block
+    # formed in place in its own product; qp is formed as its transpose,
+    # so that A is read in memory order
+    lx, lp = state.left[:n], state.left[n:]
+    rx, rp = state.right[:, :n], state.right[:, n:]
+    ax, ap, qx, qp_t = lx.dot(rx), lx.dot(rp), lp.dot(rx), rp.T.dot(lp.T)
+    np.subtract(problem.A, ax, ax)
+    np.negative(ap, ap)
+    np.subtract(problem.Q, qx, qx)
+    qp_t += problem.A
+    np.negative(qp_t, qp_t)
+    w = state.w_jw[:two_n]
     return ReductionResult(
         index_k=index_k,
         m_res=state.m_cur,
@@ -430,11 +474,11 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
         phi_second=strip_coisotropic(second_c, rows, tol),
         phi_first_ext=phi1,
         phi_second_ext=phi2,
-        # G = -J hess and Z = -J w: the same signed swap of row blocks
-        ax=hess[n:, :n],
-        ap=hess[n:, n:],
-        qx=-hess[:n, :n],
-        qp=-hess[:n, n:],
+        ax=ax,
+        ap=ap,
+        qx=qx,
+        qp=qp_t.T,
+        # Z = -J w
         bu=w[n:],
         nu=-w[:n],
         constraint_counts=tuple(counts),

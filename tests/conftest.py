@@ -23,6 +23,14 @@ def random_problem(rng, n, m, spd_r=False, singular_r=False):
     return LQProblem(A=a, B=b, Q=q, N=nm, R=r)
 
 
+def drift_blocks(problem):
+    """G0 = [[A, 0], [Q, -A']] and Z0 = [B; N] of the Hamilton equations
+    (x; p)' = G0 (x; p) + Z0 u, built densely from the problem's blocks."""
+    n = problem.n
+    g0 = np.block([[problem.A, np.zeros((n, n))], [problem.Q, -problem.A.T]])
+    return g0, np.vstack([problem.B, problem.N])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

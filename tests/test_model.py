@@ -11,10 +11,11 @@ from lqreduce import (
     ValidationError,
     initial_matrices,
     pontryagin_hamiltonian,
+    reduce,
     validate,
 )
 from lqreduce.linalg import symplectic_matrix
-from conftest import random_problem
+from conftest import drift_blocks, random_problem
 
 
 def minimal_problem():
@@ -128,14 +129,46 @@ class TestValidate:
         with pytest.raises(ValidationError, match="name must be a string"):
             LQProblem(A=[[0.0]], B=[[1.0]], Q=[[1.0]], N=[[0.0]], R=[[1.0]], name=name)
 
-    def test_blocks_are_read_only_views(self):
+    def test_blocks_are_read_only_and_private(self):
         a = np.zeros((2, 2))
         p = LQProblem(A=a, B=np.ones((2, 1)), Q=np.eye(2), N=np.zeros((2, 1)), R=[[0.0]])
         for label in "ABQNR":
             with pytest.raises(ValueError, match="read-only"):
                 getattr(p, label)[0, 0] = 1.0
-        # a view, not a copy, and the caller's array stays writable
-        assert np.shares_memory(p.A, a) and a.flags.writeable
+        # a copy of an array the caller can still write, which stays writable
+        assert not np.shares_memory(p.A, a) and a.flags.writeable
+        # a read-only view of it is copied too; a list, a cast, and
+        # another problem's block are not
+        frozen = a.view()
+        frozen.flags.writeable = False
+        assert not np.shares_memory(LQProblem(A=frozen, B=p.B, Q=p.Q, N=p.N, R=p.R).A, a)
+        again = LQProblem(A=p.A, B=p.B, Q=p.Q, N=p.N, R=p.R)
+        assert all(getattr(again, label) is getattr(p, label) for label in "ABQNR")
+        ints = np.zeros((2, 2), dtype=int)
+        assert LQProblem(A=ints, B=p.B, Q=p.Q, N=p.N, R=p.R).A.base is None
+
+    def test_caller_writes_do_not_reach_a_built_problem(self):
+        # reduce reads the problem's blocks on every pass, so a write to
+        # the caller's array after the check must not reach them
+        a, b, q, n_mat = np.eye(2), np.ones((2, 1)), np.eye(2), np.zeros((2, 1))
+        p = LQProblem(A=a, B=b, Q=q, N=n_mat, R=[[0.0]])
+        before = reduce(p, 1e-6)
+        for block in (a, b, q, n_mat):
+            block[0, -1] = np.nan
+        after = reduce(p, 1e-6)
+        assert (after.index_k, after.m_res, after.rp) == (before.index_k, before.m_res, before.rp)
+        for label in ("ax", "ap", "qx", "qp", "bu", "nu", "feedtot"):
+            assert np.array_equal(getattr(after, label), getattr(before, label))
+
+    def test_huge_integers_in_nested_lists(self):
+        # NumPy keeps an int beyond int64 as an object; it is read as the
+        # scalar rule and the problem file reader read it
+        p = LQProblem(A=[[10**30]], B=[[1.0]], Q=[[1.0]], N=[[0.0]], R=[[0.0]])
+        assert p.A.dtype == np.float64 and p.A[0, 0] == 1e30
+        with pytest.raises(NonFiniteEntry, match="matrix A "):
+            LQProblem(A=[[10**400]], B=[[1.0]], Q=[[1.0]], N=[[0.0]], R=[[0.0]])
+        with pytest.raises(ValidationError, match="matrix Q "):
+            LQProblem(A=[[1.0]], B=[[1.0]], Q=[[10**30, None]], N=[[0.0]], R=[[0.0]])
 
     @pytest.mark.parametrize("entries", [[[1]], np.array([[1]], dtype=np.int32),
                                          np.array([[1.0]], dtype=np.float32)])
@@ -172,38 +205,37 @@ class TestInitialMatrices:
         a, b, q, nu, r = 2.0, 3.0, 5.0, 7.0, 11.0
         p = LQProblem(A=[[a]], B=[[b]], Q=[[q]], N=[[nu]], R=[[r]])
         init = initial_matrices(p)
-        # hess0 = J G0 = [[-Q, A'], [A, 0]]
-        assert_allclose(init.hess0, [[-q, a], [a, 0.0]])
-        assert_allclose(init.z0, [[b], [nu]])
         assert_allclose(init.s1, [[-nu, b]])
         assert_allclose(init.r1, [[r]])
+        # J G0 = [[-Q, A'], [A, 0]] is the Hessian of H in (x; p)
+        g0, z0 = drift_blocks(p)
+        assert_allclose(symplectic_matrix(1) @ g0, [[-q, a], [a, 0.0]])
+        assert_allclose(z0, [[b], [nu]])
 
     def test_zero_problem(self):
         p = LQProblem(A=[[0.0]], B=[[0.0]], Q=[[0.0]], N=[[0.0]], R=[[0.0]])
         init = initial_matrices(p)
-        assert_allclose(init.hess0, np.zeros((2, 2)))
-        assert_allclose(init.z0, np.zeros((2, 1)))
         assert_allclose(init.s1, np.zeros((1, 2)))
+        assert_allclose(init.r1, np.zeros((1, 1)))
 
     def test_two_state_blocks(self):
         p = LQProblem(
             A=np.eye(2), B=[[1.0], [1.0]], Q=np.eye(2), N=np.zeros((2, 1)), R=[[0.0]]
         )
         init = initial_matrices(p)
-        assert_allclose(init.hess0, np.block([[-np.eye(2), np.eye(2)],
-                                              [np.eye(2), np.zeros((2, 2))]]))
-        assert_allclose(init.z0, [[1.0], [1.0], [0.0], [0.0]])
         assert_allclose(init.s1, [[0.0, 0.0, 1.0, 1.0]])
         assert_allclose(init.r1, [[0.0]])
+        assert init.r1 is p.R
 
     def test_primary_constraint_identity(self, rng):
+        # S1 = -Z0' J
         for _ in range(20):
             n = int(rng.integers(1, 6))
             m = int(rng.integers(1, 6))
             p = random_problem(rng, n, m)
             init = initial_matrices(p)
-            j = symplectic_matrix(n)
-            assert_allclose(init.s1, -init.z0.T @ j, atol=1e-14)
+            _, z0 = drift_blocks(p)
+            assert_allclose(init.s1, -z0.T @ symplectic_matrix(n), atol=1e-14)
 
 
 def _fd_gradient(f, z, h=1e-6):
@@ -218,14 +250,12 @@ def _fd_gradient(f, z, h=1e-6):
 
 class TestHamiltonEquationsConsistency:
     def test_drift_matches_gradient(self, rng):
-        # G0 (x;p) + Z0 u must equal (dH/dp; -dH/dx) by finite differences,
-        # with the drift block G0 = -J hess0
+        # G0 (x;p) + Z0 u must equal (dH/dp; -dH/dx) by finite differences
         for _ in range(10):
             n = int(rng.integers(1, 5))
             m = int(rng.integers(1, 4))
             prob = random_problem(rng, n, m)
-            init = initial_matrices(prob)
-            g0 = -symplectic_matrix(n) @ init.hess0
+            g0, z0 = drift_blocks(prob)
             x = rng.standard_normal(n)
             p = rng.standard_normal(n)
             u = rng.standard_normal(m)
@@ -235,7 +265,7 @@ class TestHamiltonEquationsConsistency:
 
             grad = _fd_gradient(ham, np.concatenate([x, p]))
             expected = np.concatenate([grad[n:], -grad[:n]])
-            got = g0 @ np.concatenate([x, p]) + init.z0 @ u
+            got = g0 @ np.concatenate([x, p]) + z0 @ u
             assert_allclose(got, expected, rtol=1e-6, atol=1e-6)
 
     def test_control_gradient_matches_primary_constraints(self, rng):

@@ -14,7 +14,7 @@ from lqreduce import (
     subspace_angle,
 )
 from lqreduce import linalg
-from conftest import random_problem
+from conftest import drift_blocks, random_problem
 from test_structure_snapshot import structure_cases
 
 TOL = 1e-6
@@ -84,8 +84,8 @@ class TestRecursiveReduce:
         # Rabier-Rheinboldt rule, adds nothing; the tiny gen_exp3(2) draws
         # are left out, because near the tolerance that rule is the defect
         # test_family3_n2_draw_matches_reduction pins
-        from lqreduce import independent_rows, initial_matrices
-        from lqreduce.linalg import equilibrate_rows, numerical_ker, symplectic_matrix
+        from lqreduce import independent_rows
+        from lqreduce.linalg import equilibrate_rows, numerical_ker
 
         problems = (
             random_problem(rng, 4, 2, singular_r=True),
@@ -95,13 +95,12 @@ class TestRecursiveReduce:
         )
         for prob in problems:
             out = recursive_reduce(prob, TOL)
-            init = initial_matrices(prob)
-            g0 = -symplectic_matrix(prob.n) @ init.hess0
+            g0, z0 = drift_blocks(prob)
             rows = out.final_constraints
             two_n = 2 * prob.n
             ker, _ = numerical_ker(rows[:, two_n:].T, TOL)
             s_all = rows[:, :two_n]
-            cands = ker.T @ np.hstack([s_all @ g0, s_all @ init.z0])
+            cands = ker.T @ np.hstack([s_all @ g0, s_all @ z0])
             stacked = independent_rows(
                 equilibrate_rows(np.vstack([rows, cands]), TOL), TOL
             )

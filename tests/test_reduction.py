@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from lqreduce.constraints import (
 )
 from lqreduce.linalg import extend_rows, principal_angle, rank_tol, symplectic_matrix
 from lqreduce.reduction import StepState, step
-from conftest import random_problem
+from conftest import drift_blocks, random_problem
 from test_structure_snapshot import SNAPSHOT, structure_cases
 
 TOL = 1e-6
@@ -56,18 +57,60 @@ def singular_1x1():
     return LQProblem(A=[[0.0]], B=[[1.0]], Q=[[1.0]], N=[[0.0]], R=[[0.0]])
 
 
+def unfolded_state(a, q, z, s, rk, p_hess):
+    """The state of the field G0 = [[A, 0], [Q, -A']], Z before any fold."""
+    a, q, z = (np.asarray(x, dtype=float) for x in (a, q, z))
+    n = a.shape[0]
+    w = symplectic_matrix(n) @ z  # w = J Z, so J w = -Z
+    return StepState(a=a, q=q, left=np.zeros((2 * n, 0)), right=np.zeros((0, 2 * n)),
+                     w_jw=np.vstack([w, -z]), s=np.asarray(s, dtype=float),
+                     rk=np.asarray(rk, dtype=float), p_hess=np.asarray(p_hess, dtype=float))
+
+
+def dense_hess(state):
+    """hess = hess0 + [K_1, F_1', ...] [F_1; K_1'; ...], formed densely."""
+    a, q = state.a, state.q
+    hess0 = np.block([[-q, a.T], [a, np.zeros_like(a)]])
+    j = symplectic_matrix(a.shape[0])
+    return hess0 - j @ state.left @ state.right
+
+
+def dense_step(hess, w, p_hess, s, rk, tol):
+    """The fold and the next level on a dense Hessian: the recurrence that
+    ``step`` carries as the problem's blocks plus fold factors."""
+    n = hess.shape[0] // 2
+    j = symplectic_matrix(n)
+    u, sig, vt, r = linalg.rank_svd(rk, tol, full_matrices=True)
+    rows = s
+    if r:
+        v = vt.T
+        feed = (u[:, :r].T @ s) / sig[:r, None]
+        w1, w2 = (w @ v)[:, :r], (w @ v)[:, r:]
+        p_rot = v.T @ p_hess @ v
+        p11, p12 = p_rot[:r, :r], p_rot[:r, r:]
+        hess = hess + w1 @ feed + feed.T @ w1.T + feed.T @ p11 @ feed
+        hess = (hess + hess.T) / 2.0
+        w = w2 + feed.T @ p12
+        p_hess = (p_rot[r:, r:] + p_rot[r:, r:].T) / 2.0
+        rows = u[:, r:].T @ s
+    sf = -rows @ j
+    return hess, w, p_hess, sf @ hess, -(sf @ w)
+
+
+def relative_error(got, want, scale=None):
+    """||got - want|| over ||want||, or over ``scale``: a level that
+    cancels to near zero is judged against the size of its product's
+    factors, where rounding enters."""
+    scale = np.linalg.norm(want) if scale is None else scale
+    return np.linalg.norm(got - want) / max(scale, 1e-300)
+
+
 class TestStep:
-    # the state holds the Hessian blocks hess = J G and w = J Z of a field
-    # (x; p)' = G (x; p) + Z u
+    # the state holds the problem's A and Q, the fold factors and w = J Z
+    # of a field (x; p)' = G (x; p) + Z u, with G0 = [[A, 0], [Q, -A']]
     def test_no_feedback_update(self):
-        j = symplectic_matrix(1)
-        st = StepState(
-            hess=j @ np.array([[0.0, 0.0], [1.0, 0.0]]),
-            w=j @ np.array([[1.0], [0.0]]),
-            s=np.array([[0.0, 1.0]]),
-            rk=np.array([[0.0]]),
-            p_hess=np.zeros((1, 1)),
-        )
+        st = unfolded_state(a=[[0.0]], q=[[1.0]], z=[[1.0], [0.0]],
+                            s=[[0.0, 1.0]], rk=[[0.0]], p_hess=np.zeros((1, 1)))
         new, feed, v_rot, r = step(st, TOL)
         assert r == 0
         assert feed.shape == (0, 2)
@@ -75,59 +118,121 @@ class TestStep:
         assert_allclose(new.s, [[1.0, 0.0]])   # S' = S G
         assert_allclose(new.rk, [[0.0]])       # R' = -S Z
         assert new.m_cur == 1
+        assert new.left.shape == (2, 0) and new.right.shape == (0, 2)
 
     def test_full_rank_solves_all_controls(self, rng):
-        n, m = 2, 2
-        j = symplectic_matrix(n)
-        st = StepState(
-            hess=j @ np.zeros((4, 4)),
-            w=j @ rng.standard_normal((4, 2)),
-            s=rng.standard_normal((2, 4)),
-            rk=np.eye(2),
-            p_hess=-np.eye(2),
-        )
+        st = unfolded_state(a=np.zeros((2, 2)), q=np.zeros((2, 2)),
+                            z=rng.standard_normal((4, 2)), s=rng.standard_normal((2, 4)),
+                            rk=np.eye(2), p_hess=-np.eye(2))
         new, feed, v_rot, r = step(st, TOL)
         assert r == 2
         assert new.m_cur == 0
         assert new.s.shape == (0, 4)
         assert feed.shape == (2, 4)
+        # K and F' of the two solved controls
+        assert new.left.shape == (4, 4) and new.right.shape == (4, 4)
 
     @pytest.mark.parametrize("r", [1, 3])
     def test_fold_matches_four_term_update(self, r, rng):
         # M' = M + W1 F + F'W1' + F'P11 F, symmetrized, is the fold's update;
-        # P is given a small asymmetric part that both forms average out
+        # P is given a small asymmetric part that both forms average out.
+        # The state starts from an earlier fold of rank 2, so M is hess0
+        # plus a rank-4 term, and the level is checked against sf M' too
         n, m = 5, 4
-        a = rng.standard_normal((2 * n, 2 * n))
+        a, q = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        k0, f0 = rng.standard_normal((2 * n, 2)), rng.standard_normal((2, 2 * n))
         p_hess = rng.standard_normal((m, m))
-        st = StepState(
-            hess=a + a.T,
-            w=rng.standard_normal((2 * n, m)),
-            s=rng.standard_normal((m, 2 * n)),
-            rk=rng.standard_normal((m, r)) @ rng.standard_normal((r, m)),
-            p_hess=p_hess + p_hess.T + 1e-3 * p_hess,
+        st = dataclasses.replace(
+            unfolded_state(a=a, q=q + q.T, z=rng.standard_normal((2 * n, m)),
+                           s=rng.standard_normal((m, 2 * n)),
+                           rk=rng.standard_normal((m, r)) @ rng.standard_normal((r, m)),
+                           p_hess=p_hess + p_hess.T + 1e-3 * p_hess),
+            left=symplectic_matrix(n) @ np.hstack([k0, f0.T]),
+            right=np.vstack([f0, k0.T]),
         )
         new, feed, v_rot, got_r = step(st, TOL)
         assert got_r == r
-        w1 = (st.w @ v_rot)[:, :r]
-        p11 = (v_rot.T @ st.p_hess @ v_rot)[:r, :r]
-        want = st.hess + w1 @ feed + feed.T @ w1.T + feed.T @ p11 @ feed
-        want = (want + want.T) / 2.0
-        assert np.linalg.norm(new.hess - want) <= 1e-13 * np.linalg.norm(want)
+        assert new.left.shape == (2 * n, 4 + 2 * r) and new.right.shape == (4 + 2 * r, 2 * n)
+        hess, w, p_new, s_new, rk_new = dense_step(
+            dense_hess(st), st.w_jw[:2 * n], st.p_hess, st.s, st.rk, TOL)
+        assert relative_error(dense_hess(new), hess) <= 1e-13
+        assert relative_error(new.w_jw, np.vstack([w, symplectic_matrix(n) @ w])) <= 1e-13
+        assert np.array_equal(new.p_hess, p_new)
+        assert relative_error(new.s, s_new) <= 1e-13
+        assert relative_error(new.rk, rk_new) <= 1e-13
 
     def test_partial_rank_splits(self):
-        j = symplectic_matrix(2)
-        st = StepState(
-            hess=j @ np.zeros((4, 4)),
-            w=j @ np.zeros((4, 2)),
-            s=np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]),
-            rk=np.diag([1.0, 0.0]),
-            p_hess=np.zeros((2, 2)),
-        )
+        st = unfolded_state(a=np.zeros((2, 2)), q=np.zeros((2, 2)), z=np.zeros((4, 2)),
+                            s=[[1.0, 0, 0, 0], [0, 1.0, 0, 0]], rk=np.diag([1.0, 0.0]),
+                            p_hess=np.zeros((2, 2)))
         new, feed, v_rot, r = step(st, TOL)
         assert r == 1
         assert new.m_cur == 1
         assert feed.shape == (1, 4)
         assert new.s.shape == (1, 4)  # one reduced constraint row emitted
+
+
+class TestDenseRecurrence:
+    # reduce carries hess = hess0 + sum K F + F'K' as the problem's blocks
+    # plus fold factors; a dense recurrence from hess0 along the same rank
+    # decisions gives the same levels and the same reduced drift
+    @staticmethod
+    def problems(rng):
+        yield perturb(gen_exp1(24, 9, 6, seed=2), 1e-10, seed=2)
+        yield perturb(gen_exp2(12), 1e-10, seed=1)
+        yield perturb(gen_exp3(10), 1e-10, seed=1, preserve_structure=True)
+        for _ in range(10):
+            yield random_problem(rng, 6, 3, singular_r=True)
+
+    def test_levels_and_exit_blocks_match_the_dense_recurrence(self, monkeypatch, rng):
+        folds = 0
+        for prob in self.problems(rng):
+            pairs = []
+            real_step = reduction.step
+
+            def spy(state, tol):
+                out = real_step(state, tol)
+                pairs.append((state, out[0]))
+                return out
+
+            monkeypatch.setattr(reduction, "step", spy)
+            res = reduce(prob, TOL)
+            monkeypatch.undo()
+            g0, z0 = drift_blocks(prob)
+            j = symplectic_matrix(prob.n)
+            hess, w, p_hess = j @ g0, j @ z0, -prob.R
+            kept = [hess]
+            for before, after in pairs:
+                hess, w, p_hess, s, rk = dense_step(hess, w, p_hess, before.s, before.rk, TOL)
+                kept.append(hess)
+                folds += after.m_cur < before.m_cur
+                size = np.linalg.norm(before.s)
+                assert relative_error(after.s, s, size * np.linalg.norm(hess)) <= 1e-13
+                assert relative_error(after.rk, rk, size * np.linalg.norm(w)) <= 1e-13
+                assert relative_error(after.w_jw, np.vstack([w, j @ w])) <= 1e-13
+            # reduce keeps the state of every step it counts, one per
+            # feedback rank; a last step that found nothing is dropped
+            g = -j @ kept[len(res.feedback_ranks)]
+            blocks = np.block([[res.ax, res.ap], [res.qx, res.qp]])
+            assert relative_error(blocks, g) <= 1e-13
+        assert folds > 10
+
+
+class TestMemory:
+    def test_peak_is_the_result_blocks(self):
+        # no 2n x 2n array: on family 2, which folds one control, the
+        # traced peak is the four n x n drift blocks of the result plus
+        # thin factors (a dense Hessian and its update made it 2.5 times)
+        prob = perturb(gen_exp2(300), 1e-10, seed=1)
+        tracemalloc.start()
+        try:
+            res = reduce(prob, TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        blocks = sum(getattr(res, name).nbytes for name in ("ax", "ap", "qx", "qp"))
+        assert blocks == 4 * 300 * 300 * 8
+        assert peak <= 1.25 * blocks
 
 
 class TestStepRankZero:
@@ -172,14 +277,13 @@ class TestStepRankZero:
                 svd = step(st, TOL)
             assert len(calls) == 1
             assert lean[3] == svd[3] == 0
-            for field in ("hess", "w", "s", "rk", "p_hess"):
+            for field in ("a", "q", "left", "right", "w_jw", "s", "rk", "p_hess"):
                 a, b = getattr(lean[0], field), getattr(svd[0], field)
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
-            assert lean[1].shape == svd[1].shape == (0, st.hess.shape[0])
+            assert lean[1].shape == svd[1].shape == (0, st.s.shape[1])
             assert np.array_equal(lean[2], svd[2])
 
     def test_rk_just_above_tol_is_factored(self, monkeypatch):
-        j = symplectic_matrix(2)
         calls = []
         real_svd = linalg._svd
 
@@ -191,13 +295,8 @@ class TestStepRankZero:
         # ||rk||_F = 1.13 tol with both singular values 0.8 tol: factored,
         # and of rank 0; one singular value just above tol: rank 1
         for rk, want in ((np.diag([0.8, 0.8]) * TOL, 0), (np.diag([1.001, 0.0]) * TOL, 1)):
-            st = StepState(
-                hess=j @ np.zeros((4, 4)),
-                w=j @ np.ones((4, 2)),
-                s=np.eye(2, 4),
-                rk=rk,
-                p_hess=np.zeros((2, 2)),
-            )
+            st = unfolded_state(a=np.zeros((2, 2)), q=np.zeros((2, 2)), z=np.ones((4, 2)),
+                                s=np.eye(2, 4), rk=rk, p_hess=np.zeros((2, 2)))
             del calls[:]
             assert step(st, TOL)[3] == want
             assert calls == [(2, 2)]
@@ -838,24 +937,6 @@ class TestRankZeroExit:
             assert res.rp == 0
             # the strip is of the empty second class
             assert calls == ["split_first_second", "strip_coisotropic"]
-
-    def test_direct_hess0_keeps_the_feedback_law(self, monkeypatch, rng):
-        # J G0 built block by block is the restack of the drift block
-        # G0 = [[A, 0], [Q, -A']] bit for bit, so every feedback law is too
-        def restacked(problem):
-            init = initial_matrices(problem)
-            n = problem.n
-            g0 = np.block([[problem.A, np.zeros((n, n))], [problem.Q, -problem.A.T]])
-            return dataclasses.replace(init, hess0=np.vstack([-g0[n:], g0[:n]]))
-
-        problems = [prob for _, prob in itertools.islice(structure_cases(), 100)]
-        problems += [random_problem(rng, 4, 2, spd_r=True) for _ in range(5)]
-        problems.append(perturb(gen_exp1(24, 9, 6), 1e-10, seed=0))
-        laws = [reduce(prob, TOL).feedback_law() for prob in problems]
-        assert sum(law.any() for law in laws) > 50
-        monkeypatch.setattr(reduction, "initial_matrices", restacked)
-        for prob, law in zip(problems, laws):
-            assert np.array_equal(law, reduce(prob, TOL).feedback_law())
 
 
 class TestValidationPropagation:

@@ -32,6 +32,7 @@ from .errors import DimensionMismatch
 from .linalg import (
     DEFAULT_TOL,
     as_matrix,
+    empty_matrix,
     negligible,
     numerical_ker,
     rank_tol,
@@ -85,13 +86,14 @@ def extend_brackets(
     the border of the t new rows is computed, [U_new | their brackets with
     ``rows``], in O(t q n) rather than O(q^2 n): one product, the
     signed-swapped (x, p) block of the new rows against that of every row.
-    Their t x t block is antisymmetrized as in :func:`poisson_brackets` and
-    the k x t block is its mirror.
+    Their t x t block is antisymmetrized as in :func:`poisson_brackets`
+    (one new row's is its bracket with itself, written as 0) and the
+    k x t block is its mirror.
 
     ``out``, when given with ``poi``, is a square array of at least m + q
     rows.  The bordered matrix is written into its leading block and
     returned as a view of it; ``poi`` may already be its leading k x k
-    block, which is then not copied.
+    block, sliced from ``out`` itself, which is then not copied.
     """
     two_n = 2 * n
     m = rows.shape[1] - two_n
@@ -108,21 +110,26 @@ def extend_brackets(
     held = k - m  # rows that poi covers
     if out is None:
         out = np.empty((size, size))
-    if not np.may_share_memory(poi, out):
+    if poi.base is not out:
         out[:k, :k] = poi
     border = out[k:size, :size]
     # a row's bracket with e_v is its u block
     border[:, :m] = rows[held:, two_n:]
     xp = rows[:, :two_n]
-    np.matmul(signed_swap(xp[held:]), xp.T, out=border[:, m:])
-    corner = border[:, k:]
-    corner[...] = (corner - corner.T) / 2.0
+    # the new rows signed-swapped, as signed_swap forms them
+    new = xp[held:]
+    np.matmul(np.concatenate((-new[:, n:], new[:, :n]), axis=1), xp.T, out=border[:, m:])
+    if size - k == 1:
+        border[0, k] = 0.0  # a row's bracket with itself, which the product rounds
+    else:
+        corner = border[:, k:]
+        corner[...] = (corner - corner.T) / 2.0
     out[:k, k:size] = -border[:, :k].T
     return out[:size, :size]
 
 
 def class_counts(
-    poi: np.ndarray, sizes, tol: float = DEFAULT_TOL
+    poi: np.ndarray, sizes, tol: float = DEFAULT_TOL, quiet: bool | None = None
 ) -> list[tuple[int, int]]:
     """First- and second-class row counts of the leading blocks of ``poi``.
 
@@ -135,9 +142,11 @@ def class_counts(
     so a :func:`~lqreduce.linalg.negligible` ``poi`` counts every block
     rank 0 without reading one.  Where rounding makes a block's norm
     exceed the whole matrix's, the block is still rank 0: it is
-    antisymmetric, so sigma_max <= ||block||_F / sqrt(2).
+    antisymmetric, so sigma_max <= ||block||_F / sqrt(2).  ``quiet`` is
+    whether ``poi`` is negligible, when the caller has tested it; None
+    has it tested here.
     """
-    if negligible(poi, tol):
+    if negligible(poi, tol) if quiet is None else quiet:
         return [(k, 0) for k in sizes]
     counts = []
     for k in sizes:
@@ -147,7 +156,7 @@ def class_counts(
 
 
 def split_first_second(
-    poi: np.ndarray, tol: float = DEFAULT_TOL
+    poi: np.ndarray, tol: float = DEFAULT_TOL, quiet: bool | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """First- and second-class combinations ``(first, second)`` of a constraint set.
 
@@ -164,7 +173,11 @@ def split_first_second(
     ``second @ rows`` are the two sets, orthonormal when the set's rows
     are.  A rank read here is the one :func:`class_counts` reads from the
     same matrix, unless rounding puts a singular value on the other side
-    of ``tol`` in one of the two LAPACK routes.
+    of ``tol`` in one of the two LAPACK routes.  ``quiet`` is whether
+    ``poi`` is negligible, when the caller has tested it: a negligible
+    one is then not read again.
     """
+    if quiet:
+        return np.eye(poi.shape[0]), empty_matrix(poi.shape[0])
     ker, compl = numerical_ker(poi, tol)
     return ker.T, compl.T

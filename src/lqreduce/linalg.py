@@ -42,6 +42,8 @@ is that of the residual, not of the whole stack.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySubspace, InvalidTolerance, NonConvergence
@@ -66,6 +68,9 @@ _SHARED_SIZE = 64
 _EYE = np.eye(_SHARED_SIZE)
 _ZEROS = np.zeros(_SHARED_SIZE)
 _EYE.flags.writeable = _ZEROS.flags.writeable = False
+# np.vdot without its __array_function__ dispatch, which costs as much as
+# the product itself on a row of a few hundred entries
+_vdot = getattr(np.vdot, "_implementation", np.vdot)
 
 
 def real_number(value) -> float | None:
@@ -162,12 +167,13 @@ def _row_norm(row: np.ndarray):
     """||row|| of a 1-d array from one dot product, or None for the general route.
 
     None stands for a sum of squares that is zero, NaN, overflowing or at
-    most 1e-200, where a dot product loses the row's norm.  The caller
-    silences the overflow.
+    most 1e-200, where a dot product loses the row's norm.  The sum is
+    ``np.vdot``'s, which no overflow turns into a warning (see
+    :func:`negligible`).
     """
-    squares = row @ row
-    if _SMALL_SQUARE < squares < np.inf:  # NaN fails this comparison as well
-        return np.sqrt(squares)
+    squares = _vdot(row, row)
+    if _SMALL_SQUARE < squares < math.inf:  # NaN fails this comparison as well
+        return math.sqrt(squares)
     return None
 
 
@@ -175,11 +181,14 @@ def negligible(m, tol: float = DEFAULT_TOL) -> bool:
     """Whether ``||m||_F <= tol``, rank 0 without an SVD by the rank rule.
 
     The norm is formed as ``np.linalg.norm`` forms it, one dot product of
-    the entries in memory order, without that routine's dispatch.
+    the entries in memory order, without that routine's dispatch.  The
+    product is ``np.vdot``'s: the same BLAS dot product as
+    ``ndarray.dot``, whose result numpy does not check for floating-point
+    errors, so entries whose squares overflow give an infinite norm with
+    no RuntimeWarning, and no ``np.errstate`` is entered for them.
     """
     flat = np.asarray(m, dtype=float).ravel(order="K")
-    with np.errstate(over="ignore"):
-        return bool(np.sqrt(flat.dot(flat)) <= tol)
+    return bool(math.sqrt(_vdot(flat, flat)) <= tol)
 
 
 def rank_tol(m, tol: float = DEFAULT_TOL) -> int:
@@ -301,10 +310,11 @@ def extend_rows(
 
     ``out``, when given, is an array with the columns of ``basis`` and
     room for all its rows and those of ``rows``.  The result is written
-    into its leading rows and returned as a view of them.  ``basis`` may
-    already be those leading rows, which are then not copied, so a caller
-    that extends a set pass by pass appends to one buffer instead of
-    restacking the set.
+    into its leading rows and returned as a view of them; a row that the
+    one-row path adds is written there directly.  ``basis`` may already
+    be those leading rows, sliced from ``out`` itself, which are then not
+    copied, so a caller that extends a set pass by pass appends to one
+    buffer instead of restacking the set.
 
     Raises NonConvergence, from :func:`equilibrate_rows`, if ``rows`` hold
     an inf or NaN: a constraint level whose coefficients overflowed.
@@ -315,43 +325,49 @@ def extend_rows(
         raise DimensionMismatch(
             f"cannot extend a basis of R^{basis.shape[1]} by rows of R^{rows.shape[1]}"
         )
-    new = _one_row_extension(basis, rows[0], tol) if rows.shape[0] == 1 else None
-    if new is None:
+    q = basis.shape[0]
+    if out is not None and basis.base is not out:
+        out[:q] = basis
+    t = None
+    if rows.shape[0] == 1:
+        new = np.empty((1, basis.shape[1])) if out is None else out[q : q + 1]
+        t = _one_row_extension(basis, rows[0], tol, new[0])
+    if t is None:
         rows = equilibrate_rows(rows, tol)
         if rows.shape[0]:
             for _ in range(2):
                 rows = rows - (rows @ basis.T) @ basis
         new = row_space_basis(rows, tol)
-    q, t = basis.shape[0], new.shape[0]
+        t = new.shape[0]
+        if out is not None:
+            out[q : q + t] = new
     if out is None:
         return np.vstack([basis, new]) if t else basis
-    if not np.may_share_memory(basis, out):
-        out[:q] = basis
-    out[q : q + t] = new
     return out[: q + t]
 
 
-def _one_row_extension(basis: np.ndarray, row: np.ndarray, tol: float):
-    """What one row adds to an orthonormal basis, or None for the general route.
+def _one_row_extension(basis: np.ndarray, row: np.ndarray, tol: float, dest: np.ndarray):
+    """What one row adds to an orthonormal basis: 0 or 1 rows, or None for the general route.
 
-    Returns a 1 x c or 0 x c matrix, or None when the row's or the
-    residual's sum of squares does not give its norm (see :func:`_row_norm`).
+    A unit row that extends the span is written into the 1-d ``dest``.
+    None stands for a row or residual whose sum of squares does not give
+    its norm (see :func:`_row_norm`); ``dest`` is then not written.
     """
-    with np.errstate(over="ignore"):
-        norm = _row_norm(row)
+    norm = _row_norm(row)
     if norm is None:
         return None
     if not _above(norm, tol):
-        return empty_matrix(row.shape[0])
+        return 0
     res = row / norm
     for _ in range(2):
-        res = res - (basis @ res) @ basis
+        res -= (basis @ res) @ basis
     sigma = _row_norm(res)
     if sigma is None:
         return None
     if not _above(sigma, tol):
-        return empty_matrix(row.shape[0])
-    return (res / sigma).reshape(1, -1)
+        return 0
+    np.divide(res, sigma, out=dest)
+    return 1
 
 
 def numerical_ker(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -501,27 +517,15 @@ def subspace_angle(m1, m2, tol: float = DEFAULT_TOL) -> float:
     return principal_angle(row_space_basis(m1, tol), row_space_basis(m2, tol))
 
 
-def symplectic_matrix(n: int) -> np.ndarray:
-    """The canonical 2n x 2n symplectic matrix, oriented as [[0, -I], [I, 0]].
-
-    This orientation makes J (xdot; pdot) = (dH/dx; dH/dp) hold exactly for
-    Hamilton's equations and gives the primary-constraint identity
-    S1 = -Z0' J.
-    """
-    j = np.zeros((2 * n, 2 * n))
-    j[:n, n:] = -np.eye(n)
-    j[n:, :n] = np.eye(n)
-    return j
-
-
 def signed_swap(rows) -> np.ndarray:
     """``-rows J`` for rows over two blocks of n columns: ``[-rows_p, rows_x]``.
 
-    J is that of :func:`symplectic_matrix`, but it is not formed.  For rows
-    a and b over (x, p), ``signed_swap(a) @ b.T`` holds their canonical
-    brackets a_x.b_p - a_p.b_x, and for a symmetric M,
-    ``signed_swap(a) @ M`` is the derivative of a along the field
-    z' = -J M z.
+    J = [[0, -I], [I, 0]] is the canonical symplectic matrix, oriented so
+    that J (xdot; pdot) = (dH/dx; dH/dp) holds for Hamilton's equations;
+    it is not formed.  For rows a and b over (x, p),
+    ``signed_swap(a) @ b.T`` holds their canonical brackets
+    a_x.b_p - a_p.b_x, and for a symmetric M, ``signed_swap(a) @ M`` is
+    the derivative of a along the field z' = -J M z.
     """
     rows = as_matrix(rows)
     half = rows.shape[1] // 2

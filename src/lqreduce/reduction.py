@@ -49,10 +49,12 @@ Each rank decision is paid for once, at the size it needs:
 - A pass that solves no control and adds one row, every pass of a long
   chain, factors nothing: its rk is negligible, the row takes the one-row
   path of :func:`~lqreduce.linalg.extend_rows`, and the bracket border is
-  one product.  The set and its bracket matrix are held in the leading
-  rows of buffers that each pass appends to, grown by half when full; a
-  fold starts new buffers, so no array that a pass handed out is written
-  again.
+  one product.  Such a pass pays for little besides its products: the
+  loop enters one ``np.errstate`` for all its passes, and the norms of
+  the rank-0 tests come from ``np.vdot``, which reports no overflow.
+  The set and its bracket matrix are held in the leading rows of buffers
+  that each pass appends to, grown by half when full; a fold starts new
+  buffers, so no array that a pass handed out is written again.
 
 Each fold's feedback rows come as pairs sel . u = feed . (x; p), whose
 common sign the SVD picks; the pair is stored with its ``feedsel`` row's
@@ -80,6 +82,7 @@ from .linalg import (
     equilibrate_rows,
     extend_rows,
     independent_rows,
+    negligible,
     rank_svd,
     row_space_basis,
     scaled_row_space,
@@ -87,7 +90,10 @@ from .linalg import (
 from .model import LQProblem, initial_matrices
 
 
-@dataclass(frozen=True)
+# not frozen: a frozen dataclass sets each field through object.__setattr__,
+# about 2 us a state on CPython 3.11, where a lean pass of a long chain
+# takes about 50 us; step makes a new state each pass and nothing writes one
+@dataclass(slots=True)
 class StepState:
     """Per-iteration matrices of the reduction.
 
@@ -260,7 +266,7 @@ def step(
     u, sig, vt, r = rank_svd(state.rk, tol, full_matrices=True)
     v_rot = vt.T
     if r == 0:
-        feed = empty_matrix(two_n)
+        feed = right[:0]  # no control solved: a 0 x 2n view
     else:
         feed = (u[:, :r].T @ rows) / sig[:r, None]
         ft = feed.T
@@ -378,64 +384,71 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     index_k = 0
     cap = 2 * (n + m) + 2
     increased = True
+    m_cur = m
     # each pass appends to these buffers, which hold the set's rows and its
     # bracket matrix in their leading rows; a fold starts new ones, so no
     # array handed out of a pass is written again
     rows_buf = brackets_buf = None
-    while state.m_cur:
-        # an overflowing product leaves inf or NaN in the new level, which
-        # extend_rows rejects with NonConvergence
-        with np.errstate(over="ignore", invalid="ignore"):
+    # an overflowing product leaves inf or NaN in a new level or fold,
+    # which extend_rows or the fold's equilibration rejects with
+    # NonConvergence; the state is entered once, not once a pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        while m_cur:
             nxt, feed, v_rot, r = step(state, tol)
-        if r == 0 and not increased:
-            break  # flat count and nothing left to solve
-        sizes.append(poi.shape[0])
-        state = nxt
-        feedback_ranks.append(r)
-        if r > 0:
-            sel, signed_feed = _sign_canonical(v_rot.T[:r] @ nofeed, feed)
-            sel_blocks.append(sel)
-            feed_blocks.append(signed_feed)
-            nofeed = (v_rot.T @ nofeed)[r:]
-            rows = apply_feedback_to_constraints(rows, n, v_rot, feed, r, tol)
-            pass_classes += class_counts(poi, sizes, tol)
-            sizes = []
-            poi = None  # new coordinates; the next pass rebuilds the brackets
-            rows_buf = brackets_buf = None
-        if not increased:
-            break  # after a flat count, fold in what is solvable, no level
-        if index_k >= cap:
-            raise NonConvergence(
-                f"constraint iteration exceeded {cap} passes; "
-                "check the tolerance against the problem scaling"
-            )
-        index_k += 1
-        level = np.concatenate((state.s, -state.rk), axis=1)
-        held = rows.shape[0]
-        rows_buf = _room(rows_buf, held + level.shape[0], held, level.shape[1])
-        rows = extend_rows(rows, level, tol, out=rows_buf)
-        # held rows, implied zero-order rows, two per solved control
-        counts.append(rows.shape[0] + state.m_cur + 2 * (m - state.m_cur))
-        if counts[-1] < counts[-2]:
-            raise NonConvergence(
-                f"constraint count fell from {counts[-2]} to {counts[-1]} "
-                f"at pass {index_k}; check the tolerance against the problem scaling"
-            )
-        if poi is not None:
-            brackets_buf = _room(brackets_buf, state.m_cur + rows.shape[0], poi.shape[0])
-        poi = extend_brackets(poi, rows, n, out=brackets_buf)
-        increased = counts[-1] > counts[-2]
+            if r == 0 and not increased:
+                break  # flat count and nothing left to solve
+            sizes.append(poi.shape[0])
+            state = nxt
+            feedback_ranks.append(r)
+            if r > 0:
+                m_cur -= r
+                sel, signed_feed = _sign_canonical(v_rot.T[:r] @ nofeed, feed)
+                sel_blocks.append(sel)
+                feed_blocks.append(signed_feed)
+                nofeed = (v_rot.T @ nofeed)[r:]
+                rows = apply_feedback_to_constraints(rows, n, v_rot, feed, r, tol)
+                pass_classes += class_counts(poi, sizes, tol)
+                sizes = []
+                poi = None  # new coordinates; the next pass rebuilds the brackets
+                rows_buf = brackets_buf = None
+            if not increased:
+                break  # after a flat count, fold in what is solvable, no level
+            if index_k >= cap:
+                raise NonConvergence(
+                    f"constraint iteration exceeded {cap} passes; "
+                    "check the tolerance against the problem scaling"
+                )
+            index_k += 1
+            level = np.concatenate((state.s, -state.rk), axis=1)
+            held = rows.shape[0]
+            rows_buf = _room(rows_buf, held + level.shape[0], held, level.shape[1])
+            rows = extend_rows(rows, level, tol, out=rows_buf)
+            # held rows, implied zero-order rows, two per solved control
+            counts.append(rows.shape[0] + m_cur + 2 * (m - m_cur))
+            if counts[-1] < counts[-2]:
+                raise NonConvergence(
+                    f"constraint count fell from {counts[-2]} to {counts[-1]} "
+                    f"at pass {index_k}; check the tolerance against the problem scaling"
+                )
+            if poi is not None:
+                brackets_buf = _room(brackets_buf, m_cur + rows.shape[0], poi.shape[0])
+            poi = extend_brackets(poi, rows, n, out=brackets_buf)
+            increased = counts[-1] > counts[-2]
 
     # rp, the rank of the bracket matrix, is the second-class row count.
     # The carried matrix is stale only when the last pass folded, and then
     # that pass was counted at its fold; otherwise the split's one
     # factorization decides the last count too
     folded_exit = poi is None
-    if sizes:  # the segment's passes before the last; none after a fold
-        pass_classes += class_counts(poi, sizes, tol)
     if folded_exit:
         poi = extend_brackets(None, rows, n)
-    first_c, second_c = split_first_second(poi, tol)
+    # one norm of the last matrix tells the split, and the counts of the
+    # segment's passes before the last (none after a fold), whether its
+    # brackets vanish
+    quiet = negligible(poi, tol)
+    if sizes:
+        pass_classes += class_counts(poi, sizes, tol, quiet)
+    first_c, second_c = split_first_second(poi, tol, quiet)
     if not folded_exit:
         pass_classes.append((first_c.shape[0], second_c.shape[0]))
     if second_c.shape[0] == 0:

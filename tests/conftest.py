@@ -23,6 +23,20 @@ def random_problem(rng, n, m, spd_r=False, singular_r=False):
     return LQProblem(A=a, B=b, Q=q, N=nm, R=r)
 
 
+def symplectic_matrix(n):
+    """The canonical 2n x 2n symplectic matrix, oriented as [[0, -I], [I, 0]].
+
+    This orientation makes J (xdot; pdot) = (dH/dx; dH/dp) hold exactly for
+    Hamilton's equations and gives the primary-constraint identity
+    S1 = -Z0' J.  The package never forms J; tests check its row copies
+    against it.
+    """
+    j = np.zeros((2 * n, 2 * n))
+    j[:n, n:] = -np.eye(n)
+    j[n:, :n] = np.eye(n)
+    return j
+
+
 def drift_blocks(problem):
     """G0 = [[A, 0], [Q, -A']] and Z0 = [B; N] of the Hamilton equations
     (x; p)' = G0 (x; p) + Z0 u, built densely from the problem's blocks."""

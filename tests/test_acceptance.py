@@ -22,8 +22,8 @@ from lqreduce import (
 )
 from lqreduce.classify import poisson_brackets
 from lqreduce.experiments import sweep_child_seed
-from lqreduce.linalg import numerical_ker, rank_tol, symplectic_matrix
-from conftest import random_problem
+from lqreduce.linalg import numerical_ker, rank_tol
+from conftest import random_problem, symplectic_matrix
 
 TOL = 1e-6
 STABLE_DELTAS = [1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8]

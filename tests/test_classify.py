@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from lqreduce import DimensionMismatch, classify, subspace_angle
+from lqreduce import DimensionMismatch, classify, linalg, subspace_angle
 from lqreduce.classify import (
     class_counts,
     extend_brackets,
@@ -144,6 +144,22 @@ class TestExtendBrackets:
         assert np.array_equal(held, kept)
         assert np.array_equal(got, extend_brackets(poi, after, n))
 
+    def test_one_row_at_a_time_is_exactly_antisymmetric(self, rng):
+        # a single new row's bracket with itself is written as 0 and its
+        # mirror column as the negated border, so no rounding enters
+        for _ in range(10):
+            n, m = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            width = 2 * n + m
+            rows = np.linalg.qr(rng.standard_normal((width, width)))[0].T
+            held = int(rng.integers(0, 3))
+            poi = extend_brackets(None, rows[:held], n)
+            buf = np.full((m + width, m + width), np.nan)
+            for q in range(held + 1, width + 1):
+                poi = extend_brackets(poi, rows[:q], n, out=buf)
+                assert np.array_equal(poi, -poi.T)
+            fresh = poisson_brackets(with_zero_order(rows, n), n)
+            assert np.abs(poi - fresh).max() <= 1e-14
+
 
 class TestNestedCounts:
     # reduce counts the passes between two folds from the leading blocks of
@@ -170,6 +186,23 @@ class TestNestedCounts:
         poi[4, 0], poi[0, 4] = TOL / 2, -TOL / 2
         assert class_counts(poi, [1, 3, 5], TOL) == [(1, 0), (3, 0), (5, 0)]
         assert seen == []
+
+    def test_a_given_verdict_is_not_taken_again(self, monkeypatch):
+        # reduce tests its last matrix once and hands the verdict to the
+        # counts and to the split, which then read the same as their own
+        poi = np.zeros((5, 5))
+        poi[4, 0], poi[0, 4] = TOL / 2, -TOL / 2
+        counts = class_counts(poi, [1, 3], TOL)
+        first, second = split_first_second(poi, TOL)
+
+        def no_second_norm(m, tol):
+            raise AssertionError("the norm was taken again")
+
+        for module in (classify, linalg):
+            monkeypatch.setattr(module, "negligible", no_second_norm)
+        assert class_counts(poi, [1, 3], TOL, True) == counts
+        got_first, got_second = split_first_second(poi, TOL, True)
+        assert np.array_equal(got_first, first) and got_second.shape == second.shape
 
     def test_overflowing_norm_is_not_negligible(self):
         poi = np.array([[0.0, 1e200], [-1e200, 0.0]])

@@ -17,6 +17,7 @@ from lqreduce import (
     run_sweep,
     subspace_angle,
 )
+from lqreduce import experiments
 from lqreduce.experiments import sweep_child_seed
 from lqreduce.linalg import rank_tol
 
@@ -163,6 +164,25 @@ class TestPerturb:
         for label in "ABQNR":
             d = getattr(q, label) - getattr(p, label)
             assert np.linalg.norm(d, 2) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "shape, symmetric",
+        [((70, 70), False), ((65, 3), False), ((3, 8), False), ((33, 33), True), ((1, 1), True)],
+    )
+    def test_draw_is_scaled_to_its_spectral_norm(self, shape, symmetric):
+        # the norm comes from an eigensolver, over row blocks drawn one at
+        # a time for a tall draw that is then made again; what comes back
+        # is the plain draw at the asked spectral norm, and the generator
+        # ends where the plain draw leaves it
+        rng = np.random.default_rng(7)
+        got = experiments._norm_bounded(rng, shape, 0.5, symmetric)
+        plain = np.random.default_rng(7)
+        e = plain.uniform(-1.0, 1.0, size=shape)
+        if symmetric:
+            e = (e + e.T) / 2.0
+        assert rng.random() == plain.random()
+        assert np.linalg.norm(got, 2) == pytest.approx(0.5, rel=1e-13)
+        assert_allclose(got, e * (0.5 / np.linalg.norm(e, 2)), rtol=1e-13)
 
     def test_symmetry_preserved(self):
         p = gen_exp1(6, 3, 2, seed=0)

@@ -3,6 +3,7 @@ import inspect
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -27,8 +28,8 @@ from lqreduce.linalg import (
     principal_angle,
     rank_tol,
     signed_swap,
-    symplectic_matrix,
 )
+from conftest import symplectic_matrix
 
 TOL = 1e-6
 
@@ -523,6 +524,48 @@ class TestExtendOneRow:
             assert np.array_equal(got, want)
             assert np.array_equal(held, basis)
 
+    @pytest.mark.parametrize("kind", sorted(ONE_ROW_KINDS))
+    def test_buffer_holds_the_bytes_of_the_plain_call(self, rng, kind):
+        # the one-row path writes its row straight into the buffer; what
+        # comes back has the bytes of the call without a buffer, whether
+        # the basis is copied in or already is the buffer's leading rows
+        tol = ONE_ROW_KINDS[kind]
+        for k in (0, 1, 4):
+            basis = np.ascontiguousarray(orthonormal_rows(rng, k, k + 3))
+            row = one_row(kind, rng, basis)[None]
+            want = extend_rows(basis, row, tol)
+            buf = np.full((k + 2, k + 3), np.nan)
+            copied = extend_rows(basis, row, tol, out=buf)
+            assert copied.shape == want.shape and copied.tobytes() == want.tobytes()
+            buf[:] = np.nan
+            buf[:k] = basis
+            appended = extend_rows(buf[:k], row, tol, out=buf)
+            assert appended.size == 0 or np.shares_memory(appended, buf)
+            assert appended.shape == want.shape and appended.tobytes() == want.tobytes()
+
+
+class TestOverflowingEntries:
+    # entries near 1e200 square past double range; the rank tests and
+    # extend_rows read them without a RuntimeWarning, though none enters
+    # an np.errstate of its own
+
+    @pytest.mark.parametrize("big", [1e200, -3e199])
+    def test_no_warning(self, big):
+        m = np.array([[big, big], [0.0, big]])
+        basis = np.array([[0.0, 1.0, 0.0]])
+        buf = np.empty((3, 3))
+        buf[:1] = basis
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not linalg.negligible(m, TOL)
+            assert rank_tol(m, TOL) == 2
+            assert linalg.rank_svd(m, TOL)[3] == 2
+            assert linalg.rank_svd(m, TOL, full_matrices=True)[3] == 2
+            one = extend_rows(basis, [[big, 0.0, big]], TOL)
+            two = extend_rows(buf[:1], [[big, 0.0, big], [big, big, 0.0]], TOL, out=buf)
+        assert one.shape == (2, 3) and two.shape == (3, 3)
+        assert orthonormality_error(two) < 1e-12
+
 
 def orthonormal_rows(rng, k, c):
     return np.linalg.qr(rng.standard_normal((c, k)))[0].T
@@ -936,8 +979,7 @@ PUBLIC_API = {
 }
 MODULE_LEVEL = {
     "reduction": ("StepState", "step"),
-    "linalg": ("numerical_ker", "rank_tol", "equilibrate_rows", "extend_rows",
-               "symplectic_matrix"),
+    "linalg": ("numerical_ker", "rank_tol", "equilibrate_rows", "extend_rows"),
     "constraints": ("apply_feedback_to_constraints", "strip_coisotropic"),
     "classify": ("split_first_second", "poisson_brackets"),
 }

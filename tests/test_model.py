@@ -14,8 +14,7 @@ from lqreduce import (
     reduce,
     validate,
 )
-from lqreduce.linalg import symplectic_matrix
-from conftest import drift_blocks, random_problem
+from conftest import drift_blocks, random_problem, symplectic_matrix
 
 
 def minimal_problem():

@@ -30,9 +30,9 @@ from lqreduce.constraints import (
     strip_coisotropic,
     with_zero_order,
 )
-from lqreduce.linalg import extend_rows, principal_angle, rank_tol, symplectic_matrix
+from lqreduce.linalg import extend_rows, principal_angle, rank_tol
 from lqreduce.reduction import StepState, step
-from conftest import drift_blocks, random_problem
+from conftest import drift_blocks, random_problem, symplectic_matrix
 from test_structure_snapshot import SNAPSHOT, structure_cases
 
 TOL = 1e-6
@@ -233,6 +233,28 @@ class TestMemory:
         blocks = sum(getattr(res, name).nbytes for name in ("ax", "ap", "qx", "qp"))
         assert blocks == 4 * 300 * 300 * 8
         assert peak <= 1.25 * blocks
+
+
+class TestPassCost:
+    def test_errstate_is_entered_once_a_run(self, monkeypatch):
+        # the loop enters the floating-point error state once, not once a
+        # pass: a chain twice as long enters it as often
+        entries = []
+        real = np.errstate
+
+        def counting(*args, **kwargs):
+            entries.append(kwargs)
+            return real(*args, **kwargs)
+
+        counts = []
+        for n in (20, 40):
+            problem = gen_exp3(n)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(np, "errstate", counting)
+                del entries[:]
+                assert reduce(problem, TOL).index_k == n
+            counts.append(len(entries))
+        assert counts[0] == counts[1]
 
 
 class TestStepRankZero:
@@ -997,34 +1019,29 @@ class TestCarriedBracketNorm:
     # every count of a segment whose brackets vanish
 
     def test_lean_passes_read_no_bracket_matrix(self, monkeypatch):
-        # this chain never folds: its one segment is counted at the exit by
-        # one negligible test of the last matrix, and no block is read
-        inside, seen = [], []
-        counts = reduction.class_counts
-
-        def counting(poi, *args):
-            inside.append(poi.shape[0])
-            try:
-                return counts(poi, *args)
-            finally:
-                inside.pop()
+        # this chain never folds: its one segment is counted at the exit
+        # from one negligible test of the last matrix, whose verdict the
+        # split reads too, and no block is read.  Every other rank test of
+        # the whole run is of a pass's 1 x 1 rk or of a single row
+        seen = []
 
         def spy(name, fn):
             def recording(m, *args):
-                if inside:
-                    seen.append((name, np.shape(m)))
+                seen.append((name, np.shape(m)))
                 return fn(m, *args)
             return recording
 
-        monkeypatch.setattr(reduction, "class_counts", counting)
-        for module in (linalg, classify):
-            monkeypatch.setattr(module, "negligible", spy("negligible", module.negligible))
+        recording = spy("negligible", linalg.negligible)
+        for module in (linalg, classify, reduction):
+            monkeypatch.setattr(module, "negligible", recording, raising=False)
         monkeypatch.setattr(classify, "rank_tol", spy("rank_tol", classify.rank_tol))
         res = reduce(perturb(gen_exp3(40), 1e-10, seed=0, preserve_structure=True), TOL)
         assert (res.index_k, res.m_res, res.rp) == (40, 1, 0)
         assert len(res.class_counts) == 41
         q = sum(res.class_counts[-1])
-        assert seen == [("negligible", (q, q))]
+        square = [call for call in seen if call[1][0] == call[1][1] > 1]
+        assert square == [("negligible", (q, q))]
+        assert not [call for call in seen if call[0] == "rank_tol"]
 
     def test_each_count_is_its_pass_matrix_rank(self, monkeypatch, rng):
         # extend_brackets returns each pass's matrix in turn; a count taken

@@ -103,8 +103,9 @@ def render_csv(records, family: int, n: int, seed: int, tol: float) -> str:
     ]
     for rec in records:
         alpha = "not_computable" if rec.alpha is None else f"{rec.alpha:.16f}"
+        # repr is the shortest text that reads back as the same double
         lines.append(
-            f"{rec.n},{rec.delta:g},{rec.steps_exact},{rec.steps},"
+            f"{rec.n},{rec.delta!r},{rec.steps_exact},{rec.steps},"
             f"{rec.m},{rec.m1},{rec.rp},{rec.rp1},{alpha}"
         )
     try:

@@ -346,6 +346,22 @@ def extend_rows(
     return out[: q + t]
 
 
+def _room(buf: np.ndarray | None, need: int, held: int, cols: int) -> np.ndarray:
+    """``buf`` if it has ``need`` rows, else a new empty buffer of ``cols`` columns.
+
+    The buffer to pass as :func:`extend_rows`' ``out``.  A first buffer
+    has ``need`` rows; one that replaces a full buffer has
+    max(need, 1.5 held).  Growing by half of what is held keeps the copies
+    of a set that gains one row per pass to O(log passes), without
+    reserving room for the largest set possible, and a set extended once
+    gets no spare rows.
+    """
+    if buf is not None and buf.shape[0] >= need:
+        return buf
+    size = need if buf is None else max(need, held + held // 2)
+    return np.empty((size, cols))
+
+
 def _one_row_extension(basis: np.ndarray, row: np.ndarray, tol: float, dest: np.ndarray):
     """What one row adds to an orthonormal basis: 0 or 1 rows, or None for the general route.
 

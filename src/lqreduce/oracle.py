@@ -9,7 +9,8 @@ of control derivative can absorb (those whose u-block vanishes) become the
 next constraints (Rabier & Rheinboldt 1994, J. Differential Equations 109).
 
 The constraint set is held as one orthonormal row basis that each pass
-extends (:func:`~lqreduce.linalg.extend_rows`).  A zero-u combination of
+extends (:func:`~lqreduce.linalg.extend_rows`), in the leading rows of a
+buffer that it appends to, as ``reduce`` does.  A zero-u combination of
 rows held before the last pass was differentiated on an earlier pass, so
 each pass differentiates only the new zero-u combinations: those of the
 rows it added and of the rows whose u-block has full row rank.  Candidates
@@ -28,6 +29,7 @@ import numpy as np
 from .errors import NonConvergence
 from .linalg import (
     DEFAULT_TOL,
+    _room,
     check_tol,
     empty_matrix,
     extend_rows,
@@ -80,6 +82,7 @@ def recursive_reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> OracleResu
     # the last pass added.  Every other row of the span has a zero u-block
     # and was differentiated on an earlier pass.
     piv, new = empty_matrix(rows.shape[1]), rows
+    rows_buf = None
     cap = 2 * n + m + 2
     for _ in range(cap):
         block = np.vstack([piv, new])
@@ -93,7 +96,8 @@ def recursive_reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> OracleResu
         # in the new level, which extend_rows rejects with NonConvergence
         with np.errstate(over="ignore", invalid="ignore"):
             level = np.hstack([zx @ a + zp @ q, -(zp @ a.T), zx @ b + zp @ n_mat])
-        rows = extend_rows(rows, level, tol)
+        rows_buf = _room(rows_buf, held + level.shape[0], held, level.shape[1])
+        rows = extend_rows(rows, level, tol, out=rows_buf)
         new = rows[held:]
         if new.shape[0] == 0:
             return OracleResult(

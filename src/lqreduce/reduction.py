@@ -32,15 +32,14 @@ Each rank decision is paid for once, at the size it needs:
   scale seed ``step``: the stack itself at full row rank, since the rank
   and feedback of ``step`` do not change under an orthogonal change of
   rows.
-- The bracket matrix is carried from pass to pass and bordered by the
-  brackets of each pass's new rows; a feedback fold changes coordinates,
-  so the pass after it rebuilds the matrix in full, in block form, with
-  one product over (x, p) alone.
-- A pass's matrix is counted only once the next ``step`` shows that the
-  loop goes on, so the last count is the split's own rank decision.  The
-  passes between two folds are counted together at the next fold or the
-  exit, from leading blocks of the last one's matrix
-  (:func:`~lqreduce.classify.class_counts`).
+- A pass records only the size of its bracket matrix, and only once the
+  next ``step`` shows that the loop goes on, so the last count is the
+  split's own rank decision.  Between two folds the set only grows, so
+  the passes of such a segment are counted together at its end, from
+  leading blocks of one matrix (:func:`~lqreduce.classify.class_counts`),
+  built in block form, with one product over (x, p) alone
+  (:func:`~lqreduce.classify.bracket_matrix`): at a fold, from the rows
+  before it, and at the exit, where the split reads it too.
 - At rank 0 every row is first class and the held rows are the stripped
   set; a negligible matrix, as on every chain whose brackets vanish, is
   not even factored.  Otherwise the strip decides on the k x q block of
@@ -48,13 +47,13 @@ Each rank decision is paid for once, at the size it needs:
   k rows over (x, p, u).
 - A pass that solves no control and adds one row, every pass of a long
   chain, factors nothing: its rk is negligible, the row takes the one-row
-  path of :func:`~lqreduce.linalg.extend_rows`, and the bracket border is
-  one product.  Such a pass pays for little besides its products: the
-  loop enters one ``np.errstate`` for all its passes, and the norms of
-  the rank-0 tests come from ``np.vdot``, which reports no overflow.
-  The set and its bracket matrix are held in the leading rows of buffers
-  that each pass appends to, grown by half when full; a fold starts new
-  buffers, so no array that a pass handed out is written again.
+  path of :func:`~lqreduce.linalg.extend_rows`, and no bracket is
+  formed.  Such a pass pays for little besides its products: the loop
+  enters one ``np.errstate`` for all its passes, and the norms of the
+  rank-0 tests come from ``np.vdot``, which reports no overflow.  The
+  set is held in the leading rows of a buffer that each pass appends
+  to, grown by half when full; a fold starts a new buffer, so no array
+  that a pass handed out is written again.
 
 Each fold's feedback rows come as pairs sel . u = feed . (x; p), whose
 common sign the SVD picks; the pair is stored with its ``feedsel`` row's
@@ -68,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import class_counts, extend_brackets, split_first_second
+from .classify import bracket_matrix, class_counts, split_first_second
 from .constraints import (
     apply_feedback_to_constraints,
     strip_coisotropic,
@@ -77,6 +76,7 @@ from .constraints import (
 from .errors import NonConvergence
 from .linalg import (
     DEFAULT_TOL,
+    _room,
     check_tol,
     empty_matrix,
     equilibrate_rows,
@@ -303,22 +303,6 @@ def _sign_canonical(sel: np.ndarray, feed: np.ndarray) -> tuple[np.ndarray, np.n
     return np.where(flip[:, None], -sel, sel), np.where(flip[:, None], -feed, feed)
 
 
-def _room(buf: np.ndarray | None, need: int, held: int, cols: int | None = None):
-    """``buf`` if it has ``need`` rows, else a new empty buffer.
-
-    The new buffer has ``cols`` columns, or as many columns as rows when
-    ``cols`` is None.  A first buffer has ``need`` rows; one that replaces
-    a full buffer has max(need, 1.5 held).  Growing by half of what is
-    held keeps the copies of a set that gains one row per pass to
-    O(log passes), without reserving room for the largest set possible,
-    and a set extended once between folds gets no spare rows.
-    """
-    if buf is not None and buf.shape[0] >= need:
-        return buf
-    size = need if buf is None else max(need, held + held // 2)
-    return np.empty((size, size if cols is None else cols))
-
-
 def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     """Reduce an LQ problem to its consistent Hamiltonian form.
 
@@ -326,8 +310,7 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     partial feedback and folds it into the held set
     (:func:`~lqreduce.constraints.apply_feedback_to_constraints`), extends
     the set by what the next constraint level adds
-    (:func:`~lqreduce.linalg.extend_rows`) and borders the bracket matrix
-    (:func:`~lqreduce.classify.extend_brackets`).  The loop runs while some
+    (:func:`~lqreduce.linalg.extend_rows`).  The loop runs while some
     control is unsolved and the previous pass raised the effective count
     of independent constraints: the rows held, plus one zero-order row per
     remaining control, plus two per solved control.  A regular problem
@@ -337,9 +320,9 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
 
     Only the final set, zero-order rows included, is split into first and
     second class (:func:`~lqreduce.classify.split_first_second`), by one
-    factorization of the last pass's bracket matrix, which is that pass's
-    count as well; when the last pass folded, it was counted before the
-    fold, and the split factors the matrix rebuilt after it.  The
+    factorization of the final set's bracket matrix, which is the last
+    pass's count as well; when the last pass folded, it was counted before
+    the fold, from the rows the fold took.  The
     coisotropic columns are then stripped from the reported sets
     (:func:`~lqreduce.constraints.strip_coisotropic`).
 
@@ -373,10 +356,10 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     nofeed = np.eye(m)
 
     counts = [m + rows.shape[0]]
-    poi = extend_brackets(None, rows, n)
     # a pass's bracket matrix is counted once the next step shows that the
     # loop goes on; the last one is counted by the split's factorization.
-    # Those since the last fold are leading blocks of poi, of these sizes
+    # Those since the last fold are the leading blocks, of these sizes, of
+    # the matrix of the set held at the segment's end
     sizes: list[int] = []
     pass_classes: list[tuple[int, int]] = []
     feedback_ranks: list[int] = []
@@ -385,10 +368,11 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     cap = 2 * (n + m) + 2
     increased = True
     m_cur = m
-    # each pass appends to these buffers, which hold the set's rows and its
-    # bracket matrix in their leading rows; a fold starts new ones, so no
-    # array handed out of a pass is written again
-    rows_buf = brackets_buf = None
+    folded_exit = False
+    # each pass appends to this buffer, which holds the set's rows in its
+    # leading rows; a fold starts a new one, so no array handed out of a
+    # pass is written again
+    rows_buf = None
     # an overflowing product leaves inf or NaN in a new level or fold,
     # which extend_rows or the fold's equilibration rejects with
     # NonConvergence; the state is entered once, not once a pass
@@ -397,22 +381,24 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
             nxt, feed, v_rot, r = step(state, tol)
             if r == 0 and not increased:
                 break  # flat count and nothing left to solve
-            sizes.append(poi.shape[0])
+            sizes.append(m_cur + rows.shape[0])
             state = nxt
             feedback_ranks.append(r)
             if r > 0:
+                pass_classes += class_counts(bracket_matrix(rows, n), sizes, tol)
+                sizes = []
                 m_cur -= r
                 sel, signed_feed = _sign_canonical(v_rot.T[:r] @ nofeed, feed)
                 sel_blocks.append(sel)
                 feed_blocks.append(signed_feed)
                 nofeed = (v_rot.T @ nofeed)[r:]
                 rows = apply_feedback_to_constraints(rows, n, v_rot, feed, r, tol)
-                pass_classes += class_counts(poi, sizes, tol)
-                sizes = []
-                poi = None  # new coordinates; the next pass rebuilds the brackets
-                rows_buf = brackets_buf = None
+                rows_buf = None
             if not increased:
-                break  # after a flat count, fold in what is solvable, no level
+                # after a flat count, fold in what is solvable, no level;
+                # this pass folded, so it is counted already
+                folded_exit = True
+                break
             if index_k >= cap:
                 raise NonConvergence(
                     f"constraint iteration exceeded {cap} passes; "
@@ -430,18 +416,12 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
                     f"constraint count fell from {counts[-2]} to {counts[-1]} "
                     f"at pass {index_k}; check the tolerance against the problem scaling"
                 )
-            if poi is not None:
-                brackets_buf = _room(brackets_buf, m_cur + rows.shape[0], poi.shape[0])
-            poi = extend_brackets(poi, rows, n, out=brackets_buf)
             increased = counts[-1] > counts[-2]
 
     # rp, the rank of the bracket matrix, is the second-class row count.
-    # The carried matrix is stale only when the last pass folded, and then
-    # that pass was counted at its fold; otherwise the split's one
-    # factorization decides the last count too
-    folded_exit = poi is None
-    if folded_exit:
-        poi = extend_brackets(None, rows, n)
+    # Unless the last pass folded, and was counted at its fold, the split's
+    # one factorization decides the last count too
+    poi = bracket_matrix(rows, n)
     # one norm of the last matrix tells the split, and the counts of the
     # segment's passes before the last (none after a fold), whether its
     # brackets vanish

@@ -7,11 +7,9 @@ from numpy.testing import assert_allclose
 from lqreduce import DimensionMismatch, classify, linalg, subspace_angle
 from lqreduce.classify import (
     class_counts,
-    extend_brackets,
     poisson_brackets,
     split_first_second,
 )
-from lqreduce.constraints import with_zero_order
 from lqreduce.linalg import numerical_ker, rank_tol
 
 TOL = 1e-6
@@ -99,66 +97,6 @@ class TestSplitFirstSecond:
             if ker.shape[1]:
                 residuals = np.linalg.norm(ker.T @ poi, axis=1)
                 assert np.all(residuals <= TOL * (1 + np.linalg.norm(poi, 2)))
-
-
-class TestExtendBrackets:
-    # held and new rows over (x, p, u); the zero-order rows e_v lead
-    @staticmethod
-    def held_and_new(rng, n, m, held, t):
-        rows = np.linalg.qr(rng.standard_normal((2 * n + m, held + t)))[0].T
-        return rows[:held], rows
-
-    def test_border_is_the_full_build(self, rng):
-        checked = 0
-        for _ in range(40):
-            n = int(rng.integers(1, 6))
-            m = int(rng.integers(1, 4))
-            held = int(rng.integers(0, 2 * n + m))
-            t = int(rng.integers(1, 2 * n + m - held + 1))
-            before, after = self.held_and_new(rng, n, m, held, t)
-            poi = extend_brackets(None, before, n)
-            q = m + held + t
-            for out in (None, np.full((q + 3, q + 3), np.nan)):
-                got = extend_brackets(poi, after, n, out=out)
-                fresh = poisson_brackets(with_zero_order(after, n), n)
-                assert got.shape == (q, q)
-                assert np.abs(got - fresh).max() <= 1e-15
-                assert np.array_equal(got, -got.T)
-                assert np.array_equal(got[: m + held, : m + held], poi)
-                checked += 1
-        assert checked == 80
-
-    def test_buffer_keeps_its_leading_block(self, rng):
-        # a buffer that already holds poi as its leading block is bordered
-        # in place, and a view taken before the border is not written
-        n, m = 4, 2
-        before, after = self.held_and_new(rng, n, m, 3, 2)
-        buf = np.empty((10, 10))
-        poi = extend_brackets(None, before, n)
-        k = poi.shape[0]
-        buf[:k, :k] = poi
-        held = buf[:k, :k]
-        kept = held.copy()
-        got = extend_brackets(held, after, n, out=buf)
-        assert np.shares_memory(got, buf)
-        assert np.array_equal(held, kept)
-        assert np.array_equal(got, extend_brackets(poi, after, n))
-
-    def test_one_row_at_a_time_is_exactly_antisymmetric(self, rng):
-        # a single new row's bracket with itself is written as 0 and its
-        # mirror column as the negated border, so no rounding enters
-        for _ in range(10):
-            n, m = int(rng.integers(1, 6)), int(rng.integers(1, 4))
-            width = 2 * n + m
-            rows = np.linalg.qr(rng.standard_normal((width, width)))[0].T
-            held = int(rng.integers(0, 3))
-            poi = extend_brackets(None, rows[:held], n)
-            buf = np.full((m + width, m + width), np.nan)
-            for q in range(held + 1, width + 1):
-                poi = extend_brackets(poi, rows[:q], n, out=buf)
-                assert np.array_equal(poi, -poi.T)
-            fresh = poisson_brackets(with_zero_order(rows, n), n)
-            assert np.abs(poi - fresh).max() <= 1e-14
 
 
 class TestNestedCounts:

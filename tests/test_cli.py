@@ -313,6 +313,20 @@ class TestCmdExperiment:
         assert 0.85 <= slope <= 1.15
         assert out.endswith("\n")
 
+    def test_csv_delta_reads_back_as_the_same_double(self, capsys):
+        # two deltas that agree to six digits print apart, each as the
+        # shortest text that reads back as its own double
+        deltas = ["1.23456789e-9", "1.23456781e-9", "1e-13", "1e+300"]
+        assert main(
+            ["experiment", "--family", "2", "--n", "3", "--deltas", ",".join(deltas)]
+        ) == 0
+        rows = [
+            line.split(",") for line in capsys.readouterr().out.splitlines()
+            if not line.startswith(("#", "n,"))
+        ]
+        assert [row[1] for row in rows] == ["1.23456789e-09", "1.23456781e-09", "1e-13", "1e+300"]
+        assert [float(row[1]) for row in rows] == [float(d) for d in deltas]
+
     def test_not_computable_rendering(self, capsys):
         assert main(
             ["experiment", "--family", "3", "--n", "6", "--deltas", "1e-5"]

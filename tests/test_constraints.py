@@ -9,7 +9,7 @@ from lqreduce import (
     subspace_angle,
 )
 from lqreduce import reduction
-from lqreduce.classify import extend_brackets, poisson_brackets
+from lqreduce.classify import bracket_matrix, poisson_brackets
 from lqreduce.constraints import (
     apply_feedback_to_constraints,
     strip_coisotropic,
@@ -42,7 +42,7 @@ class TestWithZeroOrder:
     def test_full_bracket_build_is_that_of_the_extended_set(self, rng):
         n, m = 3, 2
         rows = rng.standard_normal((5, 2 * n + m))
-        got = extend_brackets(None, rows, n)
+        got = bracket_matrix(rows, n)
         assert np.array_equal(got, poisson_brackets(with_zero_order(rows, n), n))
 
 

@@ -49,6 +49,29 @@ def orthonormality_error(rows):
     return np.linalg.norm(rows @ rows.T - np.eye(rows.shape[0]))
 
 
+def record_held_sets(monkeypatch):
+    """A list that each later ``reduce`` appends its held sets to, in pass order.
+
+    The seed's rows come first, then the set as each pass's extension left
+    it: the sets that ``class_counts`` counts, one entry each.
+    """
+    held = []
+
+    def seeded(m, tol):
+        sr, rows = linalg.scaled_row_space(m, tol)
+        held.append(rows.copy())
+        return sr, rows
+
+    def extended(basis, rows, tol, out=None):
+        rows = extend_rows(basis, rows, tol, out=out)
+        held.append(rows.copy())
+        return rows
+
+    monkeypatch.setattr(reduction, "scaled_row_space", seeded)
+    monkeypatch.setattr(reduction, "extend_rows", extended)
+    return held
+
+
 def regular_1x1():
     return LQProblem(A=[[0.0]], B=[[1.0]], Q=[[1.0]], N=[[0.0]], R=[[1.0]])
 
@@ -574,12 +597,11 @@ class TestReduceSingular:
                 res.class_counts, res.feedback_ranks) == pinned
 
     def test_bracket_matrix_built_once_per_fold(self, monkeypatch):
-        # the bracket matrix is carried between folds and only bordered by
-        # each pass's new rows, and the split takes its rank from the last
-        # count; family 3 solves no control and its brackets vanish, so the
-        # only full bracket matrix is pass 0's, and rank 0 leaves nothing to
-        # factor at the split: no square factorization has more than 2 rows
-        prob = perturb(gen_exp3(40), 1e-10, seed=0, preserve_structure=True)
+        # a segment's bracket matrix is built once, where it is counted: at
+        # the fold that ends it and at the exit.  Family 3 solves no control
+        # and its brackets vanish, so its only matrix is the exit's, and
+        # rank 0 leaves nothing to factor at the split: no square
+        # factorization has more than 2 rows
         real_svd = linalg._svd
         real_brackets = classify.poisson_brackets
         square, built = [], []
@@ -596,30 +618,33 @@ class TestReduceSingular:
 
         monkeypatch.setattr(linalg, "_svd", recording_svd)
         monkeypatch.setattr(classify, "poisson_brackets", recording_brackets)
-        res = reduce(prob, TOL)
-        folds = sum(r > 0 for r in res.feedback_ranks)
+        res = reduce(perturb(gen_exp3(40), 1e-10, seed=0, preserve_structure=True), TOL)
         assert res.index_k == 40
-        assert len(built) == 1 + folds
+        assert len(built) == 1
         assert res.rp == 0
         assert square == []
-
-    def test_carried_bracket_matrix_is_the_fresh_one(self, monkeypatch, rng):
-        # every count sees the brackets of the set it counts, the implied
-        # zero-order rows first: bordered by the new rows between folds,
-        # rebuilt in full after one
-        seen = []
-
-        def recording(poi, rows, n, out=None):
-            out = classify.extend_brackets(poi, rows, n, out=out)
-            seen.append((poi is None, rows, n, out))
-            return out
-
-        monkeypatch.setattr(reduction, "extend_brackets", recording)
-        # folds at passes 1 and 3, so both counts after them rebuild
+        # folds at passes 1 and 3
+        built.clear()
         res = reduce(gen_exp1(24, 9, 6), TOL)
         assert res.feedback_ranks == (9, 0, 6)
-        assert [rebuilt for rebuilt, *_ in seen] == [True, True, False, True]
-        problems = [
+        assert len(built) == 1 + sum(r > 0 for r in res.feedback_ranks)
+
+    def test_carried_bracket_matrix_is_the_fresh_one(self, monkeypatch, rng):
+        # each matrix that reduce builds is that of the set it counts, the
+        # implied zero-order rows first: at a fold, the set the fold takes,
+        # the last one held; at the exit, the final set.  One is built per
+        # fold and one at the exit
+        held = record_held_sets(monkeypatch)
+        built = []
+
+        def recording(rows, n):
+            poi = classify.bracket_matrix(rows, n)
+            built.append((rows.copy(), n, poi))
+            return poi
+
+        monkeypatch.setattr(reduction, "bracket_matrix", recording)
+        problems = [gen_exp1(24, 9, 6)]
+        problems += [
             random_problem(
                 rng, int(rng.integers(2, 9)), int(rng.integers(1, 5)), singular_r=True
             )
@@ -627,29 +652,37 @@ class TestReduceSingular:
         ]
         problems.append(perturb(gen_exp3(25), 1e-10, seed=0, preserve_structure=True))
         for prob in problems:
-            reduce(prob, TOL)
-        for _, rows, n, poi in seen:
-            fresh = poisson_brackets(with_zero_order(rows, n), n)
-            bound = 1e-13 * max(1.0, np.linalg.norm(fresh))
-            assert np.linalg.norm(poi - fresh) <= bound
-        assert sum(not rebuilt for rebuilt, *_ in seen) > 25
+            held.clear()
+            built.clear()
+            res = reduce(prob, TOL)
+            folds = [i for i, r in enumerate(res.feedback_ranks) if r > 0]
+            assert len(built) == len(folds) + 1
+            for i, (rows, *_) in zip(folds, built):
+                assert np.array_equal(rows, held[i])
+            if len(res.feedback_ranks) < len(res.class_counts):
+                # the exit did not fold: the split takes the last set held
+                assert np.array_equal(built[-1][0], held[-1])
+            for rows, n, poi in built:
+                fresh = poisson_brackets(with_zero_order(rows, n), n)
+                bound = 1e-13 * max(1.0, np.linalg.norm(fresh))
+                assert np.linalg.norm(poi - fresh) <= bound
 
     def test_fold_factors_no_zero_order_row(self, monkeypatch):
         # the zero-order rows v = 0 are implied, not held: the fold gets the
         # count's q rows less the m_cur zero-order ones, and the fold and
         # every bracket build get rows over (x, p, u) alone
-        folded, bordered = [], []
+        folded, built = [], []
 
         def recording_fold(rows, n, v_rot, feed, r, tol):
             folded.append(rows.shape)
             return apply_feedback_to_constraints(rows, n, v_rot, feed, r, tol)
 
-        def recording_brackets(poi, rows, n, out=None):
-            bordered.append(rows.shape[1])
-            return classify.extend_brackets(poi, rows, n, out=out)
+        def recording_brackets(rows, n):
+            built.append(rows.shape[1])
+            return classify.bracket_matrix(rows, n)
 
         monkeypatch.setattr(reduction, "apply_feedback_to_constraints", recording_fold)
-        monkeypatch.setattr(reduction, "extend_brackets", recording_brackets)
+        monkeypatch.setattr(reduction, "bracket_matrix", recording_brackets)
         prob = gen_exp1(24, 9, 6)
         res = reduce(prob, TOL)
         ranks = res.feedback_ranks
@@ -661,7 +694,8 @@ class TestReduceSingular:
              2 * prob.n + m_cur[i])
             for i in folds
         ]
-        assert bordered == [2 * prob.n + m_cur[i] for i in range(len(res.class_counts))]
+        # one build at each fold, before it, and one at the exit
+        assert built == [2 * prob.n + m_cur[i] for i in folds + [len(ranks)]]
 
     def test_split_sets_span_every_zero_order_direction(self, rng):
         # the zero-order rows are added back once, before the split, so the
@@ -706,9 +740,9 @@ class TestReduceSingular:
     def test_split_rebuilds_brackets_only_after_a_last_fold(
         self, monkeypatch, prob, last_pass_folds
     ):
-        # each fold costs one full build of the bracket matrix: at the next
-        # count, or at the split when the fold is the loop's exit (no count
-        # follows it); otherwise the split reuses the last count's matrix
+        # each fold costs one build of the bracket matrix, from the rows it
+        # takes, and the split one more, from the final set: after a fold
+        # exit (no count follows the fold) that is the folded set
         built = []
         real_brackets = classify.poisson_brackets
 
@@ -1044,27 +1078,22 @@ class TestCarriedBracketNorm:
         assert not [call for call in seen if call[0] == "rank_tol"]
 
     def test_each_count_is_its_pass_matrix_rank(self, monkeypatch, rng):
-        # extend_brackets returns each pass's matrix in turn; a count taken
-        # at the segment's end is the rank of the matrix its pass held
-        held = []
-
-        def recording(poi, rows, n, out=None):
-            out = classify.extend_brackets(poi, rows, n, out=out)
-            held.append(out.copy())
-            return out
-
-        monkeypatch.setattr(reduction, "extend_brackets", recording)
+        # a count taken at the segment's end, from a leading block of the
+        # matrix built there, is the rank of the bracket matrix built fresh
+        # from the set its pass held
+        held = record_held_sets(monkeypatch)
         problems = [gen_exp1(24, 9, 6), perturb(gen_exp1(16, 6, 4, seed=3), 1e-8, seed=3)]
         problems += [random_problem(rng, 6, 3, singular_r=True) for _ in range(20)]
         mixed = 0
         for prob in problems:
             held.clear()
             res = reduce(prob, TOL)
-            assert len(held) >= len(res.class_counts)
-            for poi, count in zip(held, res.class_counts):
-                second = rank_tol(poi, TOL)
-                assert count == (poi.shape[0] - second, second)
-                mixed += 0 < second < poi.shape[0]
+            assert len(held) == len(res.class_counts)
+            for rows, count in zip(held, res.class_counts):
+                fresh = poisson_brackets(with_zero_order(rows, prob.n), prob.n)
+                second = rank_tol(fresh, TOL)
+                assert count == (fresh.shape[0] - second, second)
+                mixed += 0 < second < fresh.shape[0]
         assert mixed > 20
 
 

@@ -23,11 +23,11 @@ The rank rule, which the rest of the package cites rather than restates:
   wide matrix to a square triangle; its rank is the same count, of the
   triangle's singular values.
 - One decision bypasses the seam and keeps the count: a single row that
-  :func:`extend_rows` appends is judged from two norms, each one dot
+  :func:`extend_rows` appends is judged from norms, each one dot
   product: the row's own, against which it is dropped or normalized, and
-  its residual's after the projections, the residual's one singular
-  value.  A row or residual whose sum of squares overflows, is at most
-  1e-200, or is not finite takes the general route.
+  its final residual's, the residual's one singular value.  A row or
+  residual whose sum of squares overflows, is at most 1e-200, or is not
+  finite takes the general route.
 
 Sines of principal angles come from an eigenvalue solve
 (:func:`principal_angle`), which decides no rank.  Empty matrices (zero
@@ -68,6 +68,9 @@ _SHARED_SIZE = 64
 _EYE = np.eye(_SHARED_SIZE)
 _ZEROS = np.zeros(_SHARED_SIZE)
 _EYE.flags.writeable = _ZEROS.flags.writeable = False
+# a unit row whose residual after one projection keeps less than 1/sqrt(2)
+# of its norm, below this sum of squares, is projected again (see extend_rows)
+_REPROJECT_BELOW = 0.5
 # np.vdot without its __array_function__ dispatch, which costs as much as
 # the product itself on a row of a few hundred entries
 _vdot = getattr(np.vdot, "_implementation", np.vdot)
@@ -296,11 +299,17 @@ def extend_rows(
     the first rows of the result, followed by orthonormal rows that extend
     the span to that of ``basis`` and ``rows`` together.  ``rows`` are
     equilibrated first (rows of norm <= tol are dropped), then projected
-    out of the basis twice: one classical Gram-Schmidt pass loses
-    orthogonality once a row is nearly in the span, two are enough
-    (Daniel, Gragg, Kaufman & Stewart 1976, Math. Comp. 30).  The new
-    rows are :func:`row_space_basis` of the residual; a single row takes
-    the one-row bypass of the rank rule instead.
+    out of the basis.  One classical Gram-Schmidt projection loses
+    orthogonality once a row is nearly in the span, and a second restores
+    it.  Several rows are projected twice and their new rows are
+    :func:`row_space_basis` of the residual.  A single row takes the
+    one-row bypass of the rank rule instead, and is projected a second
+    time only when its first residual keeps less than 1/sqrt(2) of its
+    norm: the Kahan-Parlett test (Parlett, *The Symmetric Eigenvalue
+    Problem*, section 6.9), the criterion of Daniel, Gragg, Kaufman &
+    Stewart (1976, Math. Comp. 30).  The test decides how many
+    projections to make, not a rank; the rank is still sigma > tol on
+    the final residual.
 
     A new direction counts when a singular value of the residual exceeds
     tol, where a stacked factorization would compare the stack's smallest
@@ -375,7 +384,9 @@ def _one_row_extension(basis: np.ndarray, row: np.ndarray, tol: float, dest: np.
     if not _above(norm, tol):
         return 0
     res = row / norm
-    for _ in range(2):
+    res -= (basis @ res) @ basis
+    if _vdot(res, res) < _REPROJECT_BELOW:
+        # the projection cancelled much of the row, and orthogonality with it
         res -= (basis @ res) @ basis
     sigma = _row_norm(res)
     if sigma is None:

@@ -17,6 +17,15 @@ rows it added and of the rows whose u-block has full row rank.  Candidates
 come from unit rows, so they are judged at the scale of what was
 differentiated.  The two algorithms find the same final subspace, which is
 what :func:`compare_final_subspaces` measures.
+
+A pass whose rows have a negligible u-block, every pass of a chain that
+reaches no control, pays only for its products and its extension: one
+norm decides the block's rank 0, and its (x, p) columns are then the
+zero-u combinations as they stand, with no kernel factored or applied.
+The level is written into one array, and the loop enters one
+``np.errstate`` for all its passes.  A level of one unit row is mostly
+new to the span, so it is usually projected out of the basis once
+(:func:`~lqreduce.linalg.extend_rows`).
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ from .linalg import (
     check_tol,
     empty_matrix,
     extend_rows,
+    negligible,
     numerical_ker,
     principal_angle,
     rank_tol,
@@ -84,28 +94,42 @@ def recursive_reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> OracleResu
     piv, new = empty_matrix(rows.shape[1]), rows
     rows_buf = None
     cap = 2 * n + m + 2
-    for _ in range(cap):
-        block = np.vstack([piv, new])
-        # combinations no control derivative can absorb
-        ker, compl = numerical_ker(block[:, two_n:].T, tol)
-        zero_u = ker.T @ block[:, :two_n]
-        piv = compl.T @ block
-        held = rows.shape[0]
-        zx, zp = zero_u[:, :n], zero_u[:, n:]
-        # [zero_u G0, zero_u Z0].  An overflowing product leaves inf or NaN
-        # in the new level, which extend_rows rejects with NonConvergence
-        with np.errstate(over="ignore", invalid="ignore"):
-            level = np.hstack([zx @ a + zp @ q, -(zp @ a.T), zx @ b + zp @ n_mat])
-        rows_buf = _room(rows_buf, held + level.shape[0], held, level.shape[1])
-        rows = extend_rows(rows, level, tol, out=rows_buf)
-        new = rows[held:]
-        if new.shape[0] == 0:
-            return OracleResult(
-                final_constraints=rows,
-                index_k=index_k,
-                m_res=m - rank_tol(rows[:, two_n:], tol),
-            )
-        index_k += 1
+    # an overflowing product leaves inf or NaN in a new level, which
+    # extend_rows rejects with NonConvergence; the state is entered once,
+    # not once a pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cap):
+            block = np.concatenate((piv, new)) if piv.shape[0] else new
+            u_block = block[:, two_n:]
+            if negligible(u_block, tol):
+                # rank 0: every row is a zero-u combination
+                zero_u, piv = block[:, :two_n], block[:0]
+            else:
+                # combinations no control derivative can absorb
+                ker, compl = numerical_ker(u_block.T, tol)
+                zero_u = ker.T @ block[:, :two_n]
+                piv = compl.T @ block
+            held = rows.shape[0]
+            zx, zp = zero_u[:, :n], zero_u[:, n:]
+            # [zero_u G0, zero_u Z0], written into one array
+            level = np.empty((zero_u.shape[0], rows.shape[1]))
+            lx, lp, lu = level[:, :n], level[:, n:two_n], level[:, two_n:]
+            np.matmul(zx, a, out=lx)
+            lx += zp @ q
+            np.matmul(zp, a.T, out=lp)
+            np.negative(lp, out=lp)
+            np.matmul(zx, b, out=lu)
+            lu += zp @ n_mat
+            rows_buf = _room(rows_buf, held + level.shape[0], held, level.shape[1])
+            rows = extend_rows(rows, level, tol, out=rows_buf)
+            new = rows[held:]
+            if new.shape[0] == 0:
+                return OracleResult(
+                    final_constraints=rows,
+                    index_k=index_k,
+                    m_res=m - rank_tol(rows[:, two_n:], tol),
+                )
+            index_k += 1
     raise NonConvergence(f"recursive constraint chain exceeded {cap} passes")
 
 

@@ -1,5 +1,6 @@
 import importlib
 import inspect
+import math
 import os
 import subprocess
 import sys
@@ -18,7 +19,11 @@ from lqreduce import (
     DimensionMismatch,
     EmptySubspace,
     NonConvergence,
+    gen_exp3,
     independent_rows,
+    perturb,
+    recursive_reduce,
+    reduce,
     subspace_angle,
 )
 from lqreduce.linalg import (
@@ -461,6 +466,14 @@ def one_row(kind, rng, basis):
     }[kind]
 
 
+def projected(basis, row, times):
+    """The unit residual of ``row`` after ``times`` projections out of ``basis``."""
+    res = row / math.sqrt(np.vdot(row, row))
+    for _ in range(times):
+        res = res - (basis @ res) @ basis
+    return res / math.sqrt(np.vdot(res, res))
+
+
 class TestExtendOneRow:
     # a single row takes its own path through extend_rows; it must keep the
     # general route's rank, orthonormality and span
@@ -500,6 +513,45 @@ class TestExtendOneRow:
             assert principal_angle(got[k:], want[k:]) <= 1e-12
         added = {"below_tol": 0, "dependent": 0}.get(kind, 1)
         assert got.shape[0] == k + added
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_projects_again_only_below_one_over_root_two(self, seed):
+        # a row at angle theta to the span keeps sin(theta) of its norm
+        # after one projection; it is projected a second time only when that
+        # is below 1/sqrt(2) (Kahan-Parlett), here when theta < pi/4
+        rng = np.random.default_rng(seed)
+        basis = orthonormal_rows(rng, 6, 20)
+        in_span = rng.standard_normal(6) @ basis
+        in_span /= np.linalg.norm(in_span)
+        perp = rng.standard_normal(20)
+        perp -= (basis @ perp) @ basis
+        perp /= np.linalg.norm(perp)
+        angles = np.concatenate([
+            np.geomspace(1e-5, 0.5, 6),
+            np.pi / 4 + np.array([-1e-3, 1e-3]),
+            np.linspace(1.0, np.pi / 2, 4),
+        ])
+        taken = set()
+        for theta in angles:
+            row = 3.0 * (np.cos(theta) * in_span + np.sin(theta) * perp)
+            first = row / math.sqrt(np.vdot(row, row))
+            first = first - (basis @ first) @ basis
+            times = 1 if math.sqrt(np.vdot(first, first)) >= 2 ** -0.5 else 2
+            taken.add(times)
+            got = extend_rows(basis, row[None], TOL)
+            assert got.shape == (7, 20)
+            assert got[6].tobytes() == projected(basis, row, times).tobytes(), theta
+        assert taken == {1, 2}
+
+    def test_long_chains_stay_orthonormal(self):
+        # most of the oracle's unit rows pass the 1/sqrt(2) test and are
+        # projected once, most of reduce's rows twice; both final sets of
+        # a 480-pass chain stay orthonormal at rounding
+        prob = perturb(gen_exp3(480), 1e-10, seed=1, preserve_structure=True)
+        oracle_rows = recursive_reduce(prob, TOL).final_constraints
+        for rows in (oracle_rows, reduce(prob, TOL).phi_first):
+            assert rows.shape == (480, 961)
+            assert orthonormality_error(rows) <= 1e-14
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_row_raises(self, bad):

@@ -151,6 +151,28 @@ class TestRecursiveReduce:
         assert worst <= 1e-6
 
 
+class TestPassCost:
+    def test_errstate_is_entered_once_a_run(self, monkeypatch):
+        # the loop enters the floating-point error state once, not once a
+        # pass: a chain twice as long enters it as often
+        entries = []
+        real = np.errstate
+
+        def counting(*args, **kwargs):
+            entries.append(kwargs)
+            return real(*args, **kwargs)
+
+        counts = []
+        for n in (20, 40):
+            problem = gen_exp3(n)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(np, "errstate", counting)
+                del entries[:]
+                assert recursive_reduce(problem, TOL).index_k == n
+            counts.append(len(entries))
+        assert counts[0] == counts[1]
+
+
 class TestCompareFinalSubspaces:
     def test_regular_same_problem(self, rng):
         prob = random_problem(rng, 3, 2, spd_r=True)

@@ -25,9 +25,13 @@ from .linalg import (
     DEFAULT_TOL,
     as_matrix,
     equilibrate_rows,
-    independent_rows,
+    rank_svd,
     row_space_basis,
 )
+
+# unused here: the benchmark's tracer self-test pins this module as an import
+# site of independent_rows, until the next benchmark change (ROADMAP item 1)
+from .linalg import independent_rows
 
 
 def with_zero_order(
@@ -106,22 +110,30 @@ def strip_coisotropic(
     The set is ``coeffs @ with_zero_order(rows, n)``: ``rows`` are q
     orthonormal rows over (x, p, u), as ``reduce`` holds its set, and
     ``coeffs`` k x (m + q) combines the m zero-order rows e_v and ``rows``.
-    The coisotropic columns are dropped and the result re-independentized;
-    combinations that were pure v directions vanish.  Returns a plain
-    matrix with 2n + m columns.
+    The coisotropic columns are dropped and an orthonormal basis of what
+    is left is returned; combinations that were pure v directions vanish.
+    Returns a plain matrix with 2n + m columns and orthonormal rows.
 
     The e_v rows project to zero, so the projection is C @ rows with
     C = coeffs[:, m:], the k x q block that combines ``rows``.  Since
-    those rows are orthonormal, the projection has the singular values and
-    the left singular vectors of C, so ``independent_rows(C) @ rows`` is
-    the rows :func:`~lqreduce.linalg.independent_rows` gives of the
-    projection, from an SVD of k x q instead of k x (2n + m).  When the
-    rows of ``coeffs`` are orthonormal (``reduce`` splits its set with
-    orthogonal transforms), those singular values are the same for any
-    basis of their span, and the rank decision, made on C as it is, does
-    not depend on which basis it was handed.  Rescaling the projected rows
-    to unit norm first, as the fold does, would make the count depend on
-    that basis.
+    those rows are orthonormal, the projection has the singular values of
+    C, and with C = U Sigma V' its rows U_r' C @ rows, those that
+    :func:`~lqreduce.linalg.independent_rows` gives of the projection, are
+    the rows of V_r' @ rows, each times its sigma_i.  So the rank is decided
+    on the k x q block (:func:`~lqreduce.linalg.rank_svd`) instead of
+    k x (2n + m), and V_r' @ rows, a product of orthonormal rows, is the
+    orthonormal basis, with no factorization after it.  Dividing the
+    sigma-scaled rows by their norms instead would leave their mutual
+    orthogonality with errors of about eps sigma_1^2 / (sigma_i sigma_j),
+    up to 1e-4 for a kept sigma near ``tol``.
+
+    When the rows of ``coeffs`` are orthonormal (``reduce`` splits its set
+    with orthogonal transforms), those singular values are the same for
+    any basis of their span, and the rank decision, made on C as it is,
+    does not depend on which basis it was handed.  Rescaling the projected
+    rows to unit norm first, as the fold does, would make the count depend
+    on that basis.
     """
     m = coeffs.shape[1] - rows.shape[0]
-    return independent_rows(coeffs[:, m:], tol) @ rows
+    _, _, vt, r = rank_svd(coeffs[:, m:], tol)
+    return vt[:r] @ rows

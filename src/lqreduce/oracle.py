@@ -16,7 +16,8 @@ each pass differentiates only the new zero-u combinations: those of the
 rows it added and of the rows whose u-block has full row rank.  Candidates
 come from unit rows, so they are judged at the scale of what was
 differentiated.  The two algorithms find the same final subspace, which is
-what :func:`compare_final_subspaces` measures.
+what :func:`compare_final_subspaces` measures; both sides hand it
+orthonormal rows, so it factors neither a second time.
 
 A pass whose rows have a negligible u-block, every pass of a chain that
 reaches no control, pays only for its products and its extension: one
@@ -139,10 +140,13 @@ def compare_final_subspaces(a: OracleResult, b: ReductionResult) -> float:
     The reduction result is re-inflated to (x, p, u) coordinates (residual
     controls pulled back through nofeed, solved controls re-expressed as
     feedback relations) and compared against the oracle rows.  Both sides
-    are orthonormal row sets, so only the reconstruction is factored, at
-    the reduction's own tolerance, and the angle is taken with
-    :func:`~lqreduce.linalg.principal_angle`; no rank is decided here.
-    The result agrees to rounding with
+    are orthonormal row sets: the reconstruction is built by extension from
+    the reduction's orthonormal parts
+    (:meth:`~lqreduce.reduction.ReductionResult.final_constraints_original_controls`),
+    which factors only the residuals that its later parts add, at the
+    reduction's own tolerance, and nothing for a chain.  The angle is
+    taken with :func:`~lqreduce.linalg.principal_angle`; no rank is
+    decided here.  The result agrees to rounding with
     :func:`~lqreduce.linalg.subspace_angle` of the same two row sets.
 
     Raises DimensionMismatch when the reconstructions live in spaces of

@@ -84,7 +84,6 @@ from .linalg import (
     independent_rows,
     negligible,
     rank_svd,
-    row_space_basis,
     scaled_row_space,
 )
 from .model import LQProblem, initial_matrices
@@ -147,6 +146,9 @@ class ReductionResult:
             u_res = nofeed . u.
         phi_first/phi_second: first/second-class constraint rows over the
             reduced coordinates (x, p, u_res), coisotropic columns stripped.
+            Each set's rows are orthonormal: the held rows themselves when
+            no bracket survives (rp = 0), else an orthonormal basis of the
+            stripped rows (:func:`~lqreduce.constraints.strip_coisotropic`).
         phi_first_ext/phi_second_ext: the same sets before stripping, plain
             arrays over (x, p, u_res, v_res) with 2n + 2 m_res columns;
             ``classify.poisson_brackets(rows, n)`` gives their brackets.
@@ -206,26 +208,27 @@ class ReductionResult:
         Residual-control columns are pulled back through nofeed and the
         feedback relations feedsel . u - feedtot . (x; p) = 0 are appended,
         so the rows cut out the same subspace of R^{2n+m} that the plain
-        recursive algorithm finds.  The rows returned are orthonormal:
-        :func:`~lqreduce.linalg.row_space_basis` of the equilibrated stack,
-        the same rank decision as :meth:`final_constraints`.  A stack of
-        full row rank gets its basis from a QR, with no singular vector
-        computed.
+        recursive algorithm finds.  The rows returned are orthonormal.
+
+        The first nonempty set of phi_first and phi_second, pulled back as
+        [phi[:, :2n], phi[:, 2n:] @ nofeed], is the basis as it stands:
+        its rows are orthonormal because those of phi and of nofeed are.
+        The other set and the feedback relations are appended with
+        :func:`~lqreduce.linalg.extend_rows`, which factors only the
+        residual that each adds, at the reduction's own tolerance.  A
+        chain, one set and no feedback, is not factored at all.
         """
         two_n = 2 * self.n
-        blocks = []
+        basis = empty_matrix(two_n + self.m)
         for phi in (self.phi_first, self.phi_second):
             if phi.shape[0]:
-                blocks.append(
-                    np.hstack([phi[:, :two_n], phi[:, two_n:] @ self.nofeed])
-                )
+                pulled = np.hstack([phi[:, :two_n], phi[:, two_n:] @ self.nofeed])
+                basis = extend_rows(basis, pulled, self.tol) if basis.shape[0] else pulled
         if self.feedtot.shape[0]:
-            blocks.append(np.hstack([-self.feedtot, self.feedsel]))
-        if not blocks:
-            return empty_matrix(two_n + self.m)
-        return row_space_basis(
-            equilibrate_rows(np.vstack(blocks), self.tol), self.tol
-        )
+            basis = extend_rows(
+                basis, np.hstack([-self.feedtot, self.feedsel]), self.tol
+            )
+        return basis
 
 
 def step(

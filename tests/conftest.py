@@ -3,6 +3,7 @@ import pytest
 
 from lqreduce import LQProblem, gen_exp1, gen_exp2, gen_exp3
 from lqreduce.experiments import _seeded_orthogonal
+from lqreduce.linalg import empty_matrix, equilibrate_rows, row_space_basis
 
 
 def random_problem(rng, n, m, spd_r=False, singular_r=False):
@@ -44,6 +45,31 @@ def drift_blocks(problem):
     n = problem.n
     g0 = np.block([[problem.A, np.zeros((n, n))], [problem.Q, -problem.A.T]])
     return g0, np.vstack([problem.B, problem.N])
+
+
+def max_orthonormality_error(rows):
+    """max |rows rows' - I| over the entries, 0 for an empty set."""
+    return float(np.abs(rows @ rows.T - np.eye(rows.shape[0])).max(initial=0.0))
+
+
+def stacked_reconstruction(res):
+    """The final subspace in original controls, from one factorization of the stack.
+
+    The pulled-back phi_first and phi_second and the feedback relations are
+    stacked, equilibrated and reduced to an orthonormal basis at the
+    reduction's tolerance: the reference that
+    ``final_constraints_original_controls`` builds by extension instead.
+    """
+    two_n = 2 * res.n
+    parts = [
+        np.hstack([phi[:, :two_n], phi[:, two_n:] @ res.nofeed])
+        for phi in (res.phi_first, res.phi_second)
+    ]
+    parts.append(np.hstack([-res.feedtot, res.feedsel]))
+    stack = np.vstack(parts)
+    if stack.shape[0] == 0:
+        return empty_matrix(two_n + res.m)
+    return row_space_basis(equilibrate_rows(stack, res.tol), res.tol)
 
 
 @pytest.fixture

@@ -127,6 +127,23 @@ class TestStripCoisotropic:
         assert out.shape == ref.shape == (3, 2 * n + m)
         assert subspace_angle(out, ref, TOL) <= 1e-12
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rows_are_the_projection_normalized(self, seed):
+        # the stripped rows are those of independent_rows of the projection,
+        # each divided by its norm sigma_i: the same rank and rows, but held
+        # orthonormal, with no factorization after the rank decision
+        rng = np.random.default_rng(seed)
+        n, m, q = 4, 3, 9
+        rows = row_space_basis(rng.standard_normal((q, 2 * n + m)), TOL)
+        for k in (1, 4, 7, m + q):
+            coeffs = np.linalg.qr(rng.standard_normal((m + q, m + q)))[0].T[:k]
+            out = strip_coisotropic(coeffs, rows, TOL)
+            ref = independent_rows(coeffs[:, m:], TOL) @ rows
+            norms = np.linalg.norm(ref, axis=1)
+            assert out.shape == ref.shape and np.all(norms > 0)
+            assert np.abs(out - ref / norms[:, None]).max(initial=0.0) <= 1e-12
+            assert np.abs(out @ out.T - np.eye(out.shape[0])).max() <= 1e-13
+
     def test_strip_is_basis_free(self, monkeypatch):
         # the first-class set is an orthonormal basis picked from a clustered
         # bracket kernel; rescaling its rows before the rank decision made

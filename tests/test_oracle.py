@@ -230,14 +230,15 @@ class TestCompareFinalSubspaces:
         ids=["family1", "family3"],
     )
     def test_factors_only_the_reconstruction(self, draw, monkeypatch):
-        # both row sets are orthonormal, so the comparison factors only the
-        # reconstruction, never either set a second time.  It has full row
-        # rank, so one QR of its transpose and a values-only SVD of the
-        # triangle give its basis; the sines come from an eigenvalue solve
+        # both row sets are orthonormal, so the comparison factors neither
+        # a second time, and the reconstruction grows from orthonormal
+        # parts: the pulled-back phi_first as it stands, then only the
+        # residuals that phi_second and the feedback rows add, never the
+        # whole stack.  A chain has one set and no feedback, so it is not
+        # factored at all; the sines come from an eigenvalue solve
         prob = draw()
         out, res = recursive_reduce(prob, TOL), reduce(prob, TOL)
         k, c = res.final_constraints_original_controls().shape
-        assert k * c >= linalg._QR_MIN_ENTRIES
         real_svd, real_qr = np.linalg.svd, np.linalg.qr
         svds, qrs = [], []
 
@@ -252,5 +253,13 @@ class TestCompareFinalSubspaces:
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
         monkeypatch.setattr(np.linalg, "qr", recording_qr)
         assert compare_final_subspaces(out, res) < 1e-6
-        assert qrs == [(c, k)]
-        assert svds == [((k, k), False)]
+        assert qrs == []
+        if res.rp == 0:
+            assert (res.feedtot.shape[0], k) == (0, res.phi_first.shape[0])
+            assert svds == []
+        else:
+            # 9 first-class rows, then 12 second-class and 15 feedback rows
+            # are extended by, each residual too small for the QR route
+            parts = (res.phi_second.shape[0], res.feedtot.shape[0])
+            assert (res.phi_first.shape[0], *parts, k) == (9, 12, 15, 36)
+            assert svds == [((rows, c), True) for rows in parts]

@@ -32,7 +32,13 @@ from lqreduce.constraints import (
 )
 from lqreduce.linalg import extend_rows, principal_angle, rank_tol
 from lqreduce.reduction import StepState, step
-from conftest import drift_blocks, random_problem, symplectic_matrix
+from conftest import (
+    drift_blocks,
+    max_orthonormality_error,
+    random_problem,
+    stacked_reconstruction,
+    symplectic_matrix,
+)
 from test_structure_snapshot import SNAPSHOT, structure_cases
 
 TOL = 1e-6
@@ -450,6 +456,36 @@ class TestReduceSingular:
             rows = reduce(prob, TOL).final_constraints_original_controls()
             assert rows.shape[0] > 0
             assert orthonormality_error(rows) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda: perturb(gen_exp3(120), 1e-10, seed=1731038949, preserve_structure=True),
+            lambda: perturb(gen_exp1(160, 80, 40, seed=1), 1e-10, seed=18114953),
+        ],
+        ids=["family3", "family1"],
+    )
+    def test_reconstruction_by_extension_matches_the_stack(self, draw, monkeypatch):
+        # the benchmark's first draws of its two workloads at seed 1.  The
+        # stripped sets are orthonormal, and the reconstruction, built from
+        # them by extension, has the stacked reference's rows and span; no
+        # QR spans its whole stack (the chain's set is not factored at all)
+        res = reduce(draw(), TOL)
+        assert max_orthonormality_error(res.phi_first) <= 1e-13
+        assert max_orthonormality_error(res.phi_second) <= 1e-13
+        ref = stacked_reconstruction(res)
+        real_qr, qrs = np.linalg.qr, []
+
+        def recording_qr(a, *args, **kwargs):
+            qrs.append(np.shape(a))
+            return real_qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        rows = res.final_constraints_original_controls()
+        assert rows.shape == ref.shape
+        assert principal_angle(rows, ref) <= 1e-12
+        parts = [res.phi_second.shape[0], res.feedtot.shape[0]] if res.rp else []
+        assert [cols for _, cols in qrs] == parts
 
     def test_feedback_completeness(self, rng):
         # solved combination directions plus residual selectors span R^m

@@ -9,16 +9,21 @@ The loop of ``reduce`` holds its rows over (x, p, u) and leaves the
 zero-order rows v = 0 implied; :func:`bracket_matrix` returns the matrix of
 the extended set, those rows first, in block form: the brackets of the
 zero-order rows with the held ones are the held rows' u block, so only the
-held rows' own brackets, over (x, p), are a product.  Counting classes
-takes the rank of that matrix by the rank rule of :mod:`lqreduce.linalg`.
-Between two folds the set only grows by appended rows, so every pass's
-matrix is a leading block of the last one, and :func:`class_counts`
-counts them all from that one matrix, built once where the segment ends;
-when it is negligible, no block is read.  The final split takes the same
-matrix and its kernel from one SVD, which also decides the last pass's
-count, so the last count and the split read one factorization.  The
-split returns coefficient rows over the extended set rather than the
-combined rows, so the coisotropic strip can decide on their kernel block.
+held rows' own brackets P0, over (x, p), are a product.  Counting classes
+takes the rank of that matrix by the rank rule of :mod:`lqreduce.linalg`,
+read from its blocks: with U the held rows' u block, the rank of
+[[0, -U'], [U, P0]] is 2 rank(U) + rank(K' P0 K), K the left kernel of U,
+so only U and the brackets of the held combinations with no u part are
+factored.  Between two folds the set only grows by appended rows, so
+every pass's matrix is a leading block of the last one, and
+:func:`class_counts` counts them all from the blocks of that one matrix,
+built once where the segment ends: at a fold only P0, at the exit the
+whole matrix.  When the blocks are negligible, none is read.  The final
+split takes the whole matrix and its kernel from one SVD, which also
+decides the last pass's count, so the last count and the split read one
+factorization.  The split returns coefficient rows over the extended set
+rather than the combined rows, so the coisotropic strip can decide on
+their kernel block.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .linalg import (
     empty_matrix,
     negligible,
     numerical_ker,
+    rank_svd,
     rank_tol,
     signed_swap,
 )
@@ -89,29 +95,60 @@ def bracket_matrix(rows: np.ndarray, n: int) -> np.ndarray:
 
 
 def class_counts(
-    poi: np.ndarray, sizes, tol: float = DEFAULT_TOL, quiet: bool | None = None
+    poi: np.ndarray,
+    sizes,
+    tol: float = DEFAULT_TOL,
+    quiet: bool | None = None,
+    u: np.ndarray | None = None,
 ) -> list[tuple[int, int]]:
-    """First- and second-class row counts of the leading blocks of ``poi``.
+    """First- and second-class row counts of a set that grows by appended rows.
 
-    Returns one ``(first, second)`` for each k in ``sizes``, counted from
-    the leading k x k block of the bracket matrix ``poi``: the
-    second-class count is :func:`rank_tol` of that block.  The rows of a
-    set that only grows keep their order, so the matrix of each of its
-    sets is a leading block of the last one's (:func:`bracket_matrix`),
-    and one call counts every pass between two folds.  No block's
-    Frobenius norm exceeds that of ``poi``, so a
-    :func:`~lqreduce.linalg.negligible` ``poi`` counts every block rank 0
-    without reading one.  Where rounding makes a block's norm
-    exceed the whole matrix's, the block is still rank 0: it is
-    antisymmetric, so sigma_max <= ||block||_F / sqrt(2).  ``quiet`` is
-    whether ``poi`` is negligible, when the caller has tested it; None
-    has it tested here.
+    ``poi`` holds the q x q brackets P0 of the held rows among themselves
+    and ``u`` their q x m u block U, the brackets with the m zero-order
+    rows that stand first (none when ``u`` is None).  The set's bracket
+    matrix is then [[0, -U'], [U, P0]] (:func:`bracket_matrix`), and the
+    set of each size k in ``sizes``, the zero-order rows and the first
+    k - m held rows, has its leading k x k block.  Returns one
+    ``(first, second)`` for each k, with the second-class count the rank
+    of that block, read from its blocks as
+
+        rank [[0, -U_k'], [U_k, P0_k]] = 2 rank(U_k) + rank(K' P0_k K),
+
+    K an orthonormal basis of the left kernel of U_k, from
+    :func:`~lqreduce.linalg.rank_svd` of U_k (K = I when U_k has rank 0,
+    with no factorization when it is negligible): the zero-order rows
+    pair with rank(U_k) held combinations, and what is left is the
+    brackets of the combinations with no u part.  Each rank is counted by
+    the rank rule, so only q_k x m and (q_k - rank U_k)^2 matrices are
+    factored, never the k x k block; with no zero-order rows the count is
+    :func:`rank_tol` of the leading block of ``poi``.  The rows of a set
+    that only grows keep their order, so one call counts every pass
+    between two folds.
+
+    ``quiet`` is whether the whole bracket matrix is
+    :func:`~lqreduce.linalg.negligible`, when the caller has tested it;
+    None has ``poi`` and ``u`` tested here.  Either way a negligible
+    matrix counts every set rank 0 without reading a block: no block's
+    norm exceeds the whole's, and where rounding makes a leading block of
+    the exactly antisymmetric ``poi`` exceed it, the block is still rank
+    0, since sigma_max <= ||block||_F / sqrt(2).
     """
-    if negligible(poi, tol) if quiet is None else quiet:
+    if quiet is None:
+        quiet = negligible(poi, tol) and (u is None or negligible(u, tol))
+    if quiet:
         return [(k, 0) for k in sizes]
+    m = 0 if u is None else u.shape[1]
     counts = []
     for k in sizes:
-        second = rank_tol(poi[:k, :k], tol)
+        held = k - m
+        block = poi[:held, :held]
+        pairs = 0
+        if m:
+            left, _, _, pairs = rank_svd(u[:held], tol, full_matrices=True)
+            if pairs:
+                ker = left[:, pairs:]
+                block = ker.T @ block @ ker
+        second = 2 * pairs + rank_tol(block, tol)
         counts.append((k - second, second))
     return counts
 
@@ -132,11 +169,12 @@ def split_first_second(
     factored: every row is first class, ``first`` the identity.  Both come
     back as coefficient rows over the set's rows; ``first @ rows`` and
     ``second @ rows`` are the two sets, orthonormal when the set's rows
-    are.  A rank read here is the one :func:`class_counts` reads from the
-    same matrix, unless rounding puts a singular value on the other side
-    of ``tol`` in one of the two LAPACK routes.  ``quiet`` is whether
-    ``poi`` is negligible, when the caller has tested it: a negligible
-    one is then not read again.
+    are.  In ``reduce`` the rank read here is the last pass's count.
+    :func:`class_counts` would read it from the matrix's blocks, factoring
+    U and K' P0 K instead, and the two agree unless rounding puts a
+    singular value on the other side of ``tol`` in one of the routes.
+    ``quiet`` is whether ``poi`` is negligible, when the caller has tested
+    it: a negligible one is then not read again.
     """
     if quiet:
         return np.eye(poi.shape[0]), empty_matrix(poi.shape[0])

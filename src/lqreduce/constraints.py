@@ -25,6 +25,8 @@ from .linalg import (
     DEFAULT_TOL,
     as_matrix,
     equilibrate_rows,
+    extend_rows,
+    negligible,
     rank_svd,
     row_space_basis,
 )
@@ -57,6 +59,13 @@ def with_zero_order(
     return ext
 
 
+def _substitute(rows, two_n, v_rot, feed, r):
+    """``rows`` over (x, p, u_cur) with the first r controls rotated by
+    ``v_rot`` replaced by feed @ (x; p): rows over (x, p, u_res)."""
+    u_rot = rows[:, two_n:] @ v_rot
+    return np.hstack([rows[:, :two_n] + u_rot[:, :r] @ feed, u_rot[:, r:]])
+
+
 def apply_feedback_to_constraints(
     rows: np.ndarray,
     n: int,
@@ -68,13 +77,29 @@ def apply_feedback_to_constraints(
     """Fold a rank-r partial feedback into constraint rows over (x, p, u).
 
     ``v_rot`` is the orthogonal control rotation whose first r rotated
-    controls are solved as feed @ (x; p).  The u block of ``rows`` is
-    rotated by ``v_rot`` and its solved columns are substituted into the
-    (x, p) block.  Rows that become dependent (or zero) are removed, and
-    the set comes back over (x, p, u_res) as an orthonormal basis of what
-    survives (:func:`~lqreduce.linalg.row_space_basis` of the equilibrated
-    rows), the form in which :func:`~lqreduce.reduction.reduce` holds its
-    set.
+    controls are solved as feed @ (x; p).  The fold substitutes the solved
+    columns of the rotated u block into the (x, p) block, and returns an
+    orthonormal basis, over (x, p, u_res), of the span of what survives:
+    the form in which :func:`~lqreduce.reduction.reduce` holds its set.
+
+    The substitution annuls exactly the span of the r solved relations
+    rel = [-feed, V_r'] over (x, p, u_cur), V_r' = v_rot[:, :r]', whose
+    Gram matrix is feed feed' + I.  ``reduce`` hands over rows whose span
+    holds them (each pass's level, from which they were solved, was
+    extended into the set), so it factors only the complement: one
+    complete QR of c' = rows rel' gives an orthogonal change of rows whose
+    last q - r combinations Z' rows have no part along the relations.
+    Those are substituted, equilibrated and reduced to their basis
+    (:func:`~lqreduce.linalg.row_space_basis`).  For orthonormal rows that
+    hold the relations, c c' = rel rel' >= I, so c has full row rank, and
+    the stack that is factored is generically of full row rank: it takes
+    a QR and a values-only SVD, where the whole substituted set,
+    rank-deficient by r, would take singular vectors as well.  Of the
+    first r combinations only what lies off the relations' span survives:
+    none of it, to the held rows' rounding, in ``reduce``.  Any part above
+    ``tol``, as when rows that lack a relation are folded, is substituted
+    and appended (:func:`~lqreduce.linalg.extend_rows`), so the span is
+    that of every row substituted.
 
     Unlike :func:`strip_coisotropic`, the fold equilibrates before its rank
     decision: substituting the feedback leaves rows that are neither
@@ -84,7 +109,9 @@ def apply_feedback_to_constraints(
     exact problem's: the last constraint count of
     ``perturb(gen_exp1(16, 6, 4, seed=3), 1e-6, seed=3)`` goes from 45 to
     46, and that of ``gen_exp1(8, 3, 2)`` with its cost scaled by 1e9 from
-    23 to 24.
+    23 to 24.  For the same reason the part of the first r combinations
+    off the relations is judged before the substitution, at the rows'
+    scale: after it, rounding of about eps ||feed|| could pass ``tol``.
     """
     rows = as_matrix(rows)
     two_n = 2 * n
@@ -97,9 +124,20 @@ def apply_feedback_to_constraints(
         raise DimensionMismatch(f"cannot solve {r} of {m_cur} controls")
     if feed.shape != (r, two_n):
         raise DimensionMismatch(f"feedback block is {feed.shape}, expected ({r}, {two_n})")
-    u_rot = rows[:, two_n:] @ v_rot
-    xp = rows[:, :two_n] + u_rot[:, :r] @ feed
-    return row_space_basis(equilibrate_rows(np.hstack([xp, u_rot[:, r:]]), tol), tol)
+
+    # the last q - r combinations have no part along the solved relations
+    rel = np.hstack([-feed, v_rot[:, :r].T])
+    mixed = np.linalg.qr(rows @ rel.T, mode="complete")[0].T @ rows
+    folded = _substitute(mixed[r:], two_n, v_rot, feed, r)
+    kept = row_space_basis(equilibrate_rows(folded, tol), tol)
+    # what of the first r lies off the relations' span, projected out with
+    # their Gram matrix
+    lead = mixed[:r]
+    off = lead - np.linalg.solve(feed @ feed.T + np.eye(r), rel @ lead.T).T @ rel
+    if not negligible(off, tol):
+        extra = equilibrate_rows(off, tol)
+        kept = extend_rows(kept, _substitute(extra, two_n, v_rot, feed, r), tol)
+    return kept
 
 
 def strip_coisotropic(

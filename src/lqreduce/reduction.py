@@ -11,8 +11,9 @@ hess0 = J G0 = [[-Q, A'], [A, 0]] plus one symmetric rank-2r term per
 feedback fold, so the loop holds the problem's read-only A and Q and the
 fold factors, stacked (:class:`StepState`).  A row c = (c_x, c_p) then
 differentiates to the oracle's own product [c_x A + c_p Q, -c_p A'] plus
-two thin products through the factors, and the reduced drift blocks are
-formed once, at the exit, from the same sum; no 2n x 2n array is made.
+two thin products through the factors.  The result holds the same parts,
+and forms each n x n block of the reduced drift from them only when a
+caller reads it (:class:`ReductionResult`); no 2n x 2n array is made.
 
 The constraint set lives on the symplectically extended space
 (x, p, u, v), but beyond the zero-order constraints v = 0, one per
@@ -35,11 +36,22 @@ Each rank decision is paid for once, at the size it needs:
 - A pass records only the size of its bracket matrix, and only once the
   next ``step`` shows that the loop goes on, so the last count is the
   split's own rank decision.  Between two folds the set only grows, so
-  the passes of such a segment are counted together at its end, from
-  leading blocks of one matrix (:func:`~lqreduce.classify.class_counts`),
-  built in block form, with one product over (x, p) alone
-  (:func:`~lqreduce.classify.bracket_matrix`): at a fold, from the rows
-  before it, and at the exit, where the split reads it too.
+  the passes of such a segment are counted together at its end, each
+  from leading blocks of U and P0 as 2 rank(U_k) + rank(K' P0_k K), K
+  the left kernel of U_k (:func:`~lqreduce.classify.class_counts`): a
+  q_k x m and a smaller square matrix are factored, not the whole
+  (m + q_k)^2 block.  P0 is one product over (x, p) alone
+  (:func:`~lqreduce.classify.poisson_brackets`); a fold builds only it,
+  from the rows before the fold, and the exit the whole matrix
+  (:func:`~lqreduce.classify.bracket_matrix`), which the split reads
+  too.
+- A fold factors only what survives it
+  (:func:`~lqreduce.constraints.apply_feedback_to_constraints`): the r
+  relations it solves lie in the held span, so it substitutes the q - r
+  combinations of the held rows that have no part along them, a stack
+  generically of full row rank, which a large fold reduces by a QR and
+  a values-only SVD.  All q rows, substituted, would be rank-deficient
+  by r, and their basis would need singular vectors.
 - At rank 0 every row is first class and the held rows are the stripped
   set; a negligible matrix, as on every chain whose brackets vanish, is
   not even factored.  Otherwise the strip decides on the k x q block of
@@ -63,11 +75,12 @@ that pick and ``feedback_law()`` is the same to the bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .classify import bracket_matrix, class_counts, split_first_second
+from .classify import bracket_matrix, class_counts, poisson_brackets, split_first_second
 from .constraints import (
     apply_feedback_to_constraints,
     strip_coisotropic,
@@ -153,7 +166,13 @@ class ReductionResult:
             arrays over (x, p, u_res, v_res) with 2n + 2 m_res columns;
             ``classify.poisson_brackets(rows, n)`` gives their brackets.
         ax, ap, qx, qp: n x n blocks of the reduced drift,
-            xdot = ax x + ap p + bu u_res, pdot = qx x + qp p + nu u_res.
+            xdot = ax x + ap p + bu u_res, pdot = qx x + qp p + nu u_res,
+            formed when first read (and kept) from the drift
+            G = [[A, 0], [Q, -A']] - left right, whose parts the result
+            holds: each is the problem's block less one product of the
+            factors, formed in place (``qp`` as its transpose, so that
+            A is read in memory order, and handed out as a transposed
+            view).  A result that is never asked for them forms none.
         bu, nu: n x m_res control blocks (zero-width when all solved).
         constraint_counts: per-pass effective count of independent
             constraints: the rows held, plus one zero-order row v = 0 per
@@ -163,6 +182,12 @@ class ReductionResult:
         feedback_ranks: controls solved at each pass (aligned with the
             entries of class_counts after the initial one; a fold after a
             flat count adds a last rank without a class count).
+        a, q: the problem's own A and Q, shared, not copied (they are
+            read-only).
+        left, right: the fold factors, 2n x 2R and 2R x 2n over the R
+            controls solved, so that the reduced drift is G0 - left right
+            (:class:`StepState`); both have no columns, and no rows, when
+            nothing was solved.
     """
 
     index_k: int
@@ -175,10 +200,6 @@ class ReductionResult:
     phi_second: np.ndarray
     phi_first_ext: np.ndarray
     phi_second_ext: np.ndarray
-    ax: np.ndarray
-    ap: np.ndarray
-    qx: np.ndarray
-    qp: np.ndarray
     bu: np.ndarray
     nu: np.ndarray
     constraint_counts: tuple
@@ -187,6 +208,31 @@ class ReductionResult:
     n: int
     m: int
     tol: float
+    a: np.ndarray = field(repr=False)
+    q: np.ndarray = field(repr=False)
+    left: np.ndarray = field(repr=False)
+    right: np.ndarray = field(repr=False)
+
+    @cached_property
+    def ax(self) -> np.ndarray:
+        out = self.left[: self.n].dot(self.right[:, : self.n])
+        return np.subtract(self.a, out, out)
+
+    @cached_property
+    def ap(self) -> np.ndarray:
+        out = self.left[: self.n].dot(self.right[:, self.n :])
+        return np.negative(out, out)
+
+    @cached_property
+    def qx(self) -> np.ndarray:
+        out = self.left[self.n :].dot(self.right[:, : self.n])
+        return np.subtract(self.q, out, out)
+
+    @cached_property
+    def qp(self) -> np.ndarray:
+        out = self.right[:, self.n :].T.dot(self.left[self.n :].T)
+        out += self.a
+        return np.negative(out, out).T
 
     def feedback_law(self) -> np.ndarray:
         """m x 2n map of the solved control component in original coordinates.
@@ -388,7 +434,10 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
             state = nxt
             feedback_ranks.append(r)
             if r > 0:
-                pass_classes += class_counts(bracket_matrix(rows, n), sizes, tol)
+                # the rows the fold takes, counted from their blocks
+                pass_classes += class_counts(
+                    poisson_brackets(rows[:, :two_n], n), sizes, tol, u=rows[:, two_n:]
+                )
                 sizes = []
                 m_cur -= r
                 sel, signed_feed = _sign_canonical(v_rot.T[:r] @ nofeed, feed)
@@ -430,7 +479,9 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     # brackets vanish
     quiet = negligible(poi, tol)
     if sizes:
-        pass_classes += class_counts(poi, sizes, tol, quiet)
+        pass_classes += class_counts(
+            poi[m_cur:, m_cur:], sizes, tol, quiet, u=poi[m_cur:, :m_cur]
+        )
     first_c, second_c = split_first_second(poi, tol, quiet)
     if not folded_exit:
         pass_classes.append((first_c.shape[0], second_c.shape[0]))
@@ -447,17 +498,6 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
     feedtot = np.vstack(feed_blocks) if feed_blocks else empty_matrix(two_n)
     feedsel = np.vstack(sel_blocks) if sel_blocks else empty_matrix(m)
 
-    # G = G0 - left right = [[A, 0], [Q, -A']] - left right, each block
-    # formed in place in its own product; qp is formed as its transpose,
-    # so that A is read in memory order
-    lx, lp = state.left[:n], state.left[n:]
-    rx, rp = state.right[:, :n], state.right[:, n:]
-    ax, ap, qx, qp_t = lx.dot(rx), lx.dot(rp), lp.dot(rx), rp.T.dot(lp.T)
-    np.subtract(problem.A, ax, ax)
-    np.negative(ap, ap)
-    np.subtract(problem.Q, qx, qx)
-    qp_t += problem.A
-    np.negative(qp_t, qp_t)
     w = state.w_jw[:two_n]
     return ReductionResult(
         index_k=index_k,
@@ -470,10 +510,6 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
         phi_second=strip_coisotropic(second_c, rows, tol),
         phi_first_ext=phi1,
         phi_second_ext=phi2,
-        ax=ax,
-        ap=ap,
-        qx=qx,
-        qp=qp_t.T,
         # Z = -J w
         bu=w[n:],
         nu=-w[:n],
@@ -483,4 +519,8 @@ def reduce(problem: LQProblem, tol: float = DEFAULT_TOL) -> ReductionResult:
         n=n,
         m=m,
         tol=tol,
+        a=problem.A,
+        q=problem.Q,
+        left=state.left,
+        right=state.right,
     )

@@ -1,7 +1,10 @@
+from functools import lru_cache
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
-from lqreduce import LQProblem, gen_exp1, gen_exp2, gen_exp3
+from lqreduce import LQProblem, gen_exp1, gen_exp2, gen_exp3, reduce
 from lqreduce.experiments import _seeded_orthogonal
 from lqreduce.linalg import empty_matrix, equilibrate_rows, row_space_basis
 
@@ -117,6 +120,32 @@ def _block_diag(mats):
     return out
 
 
+class Expected(NamedTuple):
+    """What :func:`compose` predicts of a direct sum from its blocks alone."""
+
+    index_k: int
+    m_res: int
+    rp: int
+    # the second-class count of each pass's set, ``class_counts``' second
+    # entries, and the controls each pass solves, ``feedback_ranks``
+    second_counts: tuple
+    feedback_ranks: tuple
+
+
+@lru_cache(maxsize=None)
+def _block_passes(spec):
+    """``(second_counts, feedback_ranks)`` of one block's own, unmixed run."""
+    res = reduce(_block(spec)[0], 1e-6)
+    return tuple(c[1] for c in res.class_counts), res.feedback_ranks
+
+
+def _pass_sums(lists, fill):
+    """The lists summed pass by pass, each padded with ``fill(list)`` to the longest."""
+    size = max(len(lst) for lst in lists)
+    padded = [lst + (fill(lst),) * (size - len(lst)) for lst in lists]
+    return tuple(int(sum(entries)) for entries in zip(*padded))
+
+
 def compose(blocks, seed):
     """A problem of known structure: the direct sum of ``blocks``, mixed.
 
@@ -124,8 +153,12 @@ def compose(blocks, seed):
     or ``("chain", j)`` (:func:`integrator_chain`).  The blocks' data are
     summed directly, then mixed by a seeded orthogonal state change x = T z
     and control rotation u = V w, which change no structure.  Returns
-    ``(problem, expected)``: the blocks' chains run side by side, so
-    ``expected`` is (max index_k, sum of m_res, sum of rp).
+    ``(problem, expected)``, with ``expected`` an :class:`Expected`.  The
+    blocks' chains run side by side, so its first three entries are
+    (max index_k, sum of m_res, sum of rp), from closed forms, and its
+    per-pass lists add up pass by pass those of the blocks' own runs,
+    unmixed (ROADMAP item 19): each block's second-class counts are padded
+    with its last one once its chain has ended, its feedback ranks with 0.
     """
     parts = [_block(spec) for spec in blocks]
     probs = [p for p, _ in parts]
@@ -140,7 +173,12 @@ def compose(blocks, seed):
         A=t.T @ a @ t, B=t.T @ b @ v, Q=(q + q.T) / 2.0, N=t.T @ nm @ v, R=(r + r.T) / 2.0
     )
     counts = [c for _, c in parts]
-    expected = (
-        max(c[0] for c in counts), sum(c[1] for c in counts), sum(c[2] for c in counts)
+    passes = [_block_passes(tuple(spec)) for spec in blocks]
+    expected = Expected(
+        max(c[0] for c in counts),
+        sum(c[1] for c in counts),
+        sum(c[2] for c in counts),
+        _pass_sums([second for second, _ in passes], lambda lst: lst[-1]),
+        _pass_sums([ranks for _, ranks in passes], lambda lst: 0),
     )
     return problem, expected

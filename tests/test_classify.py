@@ -163,3 +163,47 @@ class TestNestedCounts:
         poi = (poi - poi.T) / 2.0
         sizes = range(1, q + 1)
         assert class_counts(poi, sizes, TOL) == self.direct(poi, sizes)
+
+
+class TestCountFromTheUBlock:
+    # with the m zero-order rows first, the bracket matrix is
+    # [[0, -U'], [U, P0]]; class_counts reads its rank from the blocks, as
+    # 2 rank(U) + rank(K' P0 K) with K the left kernel of U
+
+    @staticmethod
+    def planted(rng, q, m, pairs, inner):
+        """U (q x m) of rank ``pairs`` and P0 (q x q) whose K' P0 K has rank
+        2 ``inner``; every planted singular value lies in [0.1, 2]."""
+        w = np.linalg.qr(rng.standard_normal((q, q)))[0]
+        v = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        u = w[:, :pairs] * rng.uniform(0.1, 2.0, pairs) @ v[:, :pairs].T
+        ker = w[:, pairs:]
+        basis = np.linalg.qr(rng.standard_normal((q - pairs, q - pairs)))[0]
+        x, y = basis[:, :inner], basis[:, inner : 2 * inner]
+        s = rng.uniform(0.1, 2.0, inner)
+        inside = (x * s) @ y.T - (y * s) @ x.T
+        # brackets of the paired combinations with everything, free of rank
+        free = rng.standard_normal((q, q))
+        free -= ker @ (ker.T @ free @ ker) @ ker.T
+        p0 = ker @ inside @ ker.T + (free - free.T) / 2.0
+        return u, (p0 - p0.T) / 2.0
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), q=st.integers(1, 10), m=st.integers(1, 5),
+           data=st.data())
+    def test_count_is_the_rank_of_the_whole_block(self, seed, q, m, data):
+        pairs = data.draw(st.integers(0, min(q, m)))
+        inner = data.draw(st.integers(0, (q - pairs) // 2))
+        u, p0 = self.planted(np.random.default_rng(seed), q, m, pairs, inner)
+        whole = np.block([[np.zeros((m, m)), -u.T], [u, p0]])
+        second = 2 * pairs + 2 * inner
+        assert rank_tol(whole, TOL) == second
+        assert class_counts(p0, [m + q], TOL, u=u) == [(m + q - second, second)]
+
+    def test_negligible_blocks_read_nothing(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(classify, "rank_tol", lambda m, tol: seen.append(m))
+        monkeypatch.setattr(classify, "rank_svd", lambda *args, **kwargs: seen.append(args))
+        u, p0 = np.full((3, 2), TOL / 10), np.zeros((3, 3))
+        assert class_counts(p0, [3, 5], TOL, u=u) == [(3, 0), (5, 0)]
+        assert seen == []

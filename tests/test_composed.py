@@ -23,22 +23,29 @@ TOL = 1e-6
 
 
 @st.composite
-def blocks(draw):
+def blocks(draw, size=12):
     kind = draw(st.sampled_from(["exp1", "exp2", "exp3", "chain"]))
     if kind == "exp1":
-        n = draw(st.integers(2, 12))
+        n = draw(st.integers(2, size))
         r = draw(st.integers(1, n - 1))
         return (kind, n, r, draw(st.integers(1, n - r)))
     if kind == "chain":
-        return (kind, draw(st.integers(1, 12)))
-    return (kind, draw(st.integers(2, 12)))
+        return (kind, draw(st.integers(1, size)))
+    return (kind, draw(st.integers(2, size)))
+
+
+def check_pass_counts(res, expected):
+    # the blocks' chains run side by side, pass by pass (ROADMAP item 19)
+    assert tuple(c[1] for c in res.class_counts) == expected.second_counts
+    assert res.feedback_ranks == expected.feedback_ranks
 
 
 def check_both_routes(problem, expected, angle=1e-10):
     res = reduce(problem, TOL)
     out = recursive_reduce(problem, TOL)
-    assert (res.index_k, res.m_res, res.rp) == expected
+    assert (res.index_k, res.m_res, res.rp) == expected[:3]
     assert (out.index_k, out.m_res) == expected[:2]
+    check_pass_counts(res, expected)
     # the stripped sets are held orthonormal, and the reconstruction built
     # from them by extension spans the stacked reference's subspace
     assert max_orthonormality_error(res.phi_first) <= 1e-13
@@ -60,26 +67,31 @@ NEAR_DEPENDENT = [("exp1", 3, 1, 1), ("chain", 2), ("exp1", 12, 6, 6)]
 @given(parts=st.lists(blocks(), min_size=1, max_size=5), seed=st.integers(0, 2 ** 32 - 1))
 @example(parts=NEAR_DEPENDENT, seed=0)
 def test_both_routes_find_the_composed_structure(parts, seed):
-    # at most five blocks of at most 12 states: n <= 60.  The angle bound
-    # is the structure snapshot's: where a block of family 1 folds beside a
-    # chain, reduce's reconstruction can sit up to about 2e-7 rad from the
-    # oracle (test_reconstruction_near_dependent_rows)
-    check_both_routes(*compose(parts, seed), angle=1e-6)
+    # at most five blocks of at most 12 states: n <= 60.  Where a block of
+    # family 1 folds beside a chain, the reconstruction is nearly
+    # dependent and magnifies any tilt of the folded rows (see below)
+    check_both_routes(*compose(parts, seed), angle=1e-10)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the reduced sets carry a 1.9e-8 rad error into the reconstruction "
-    "(ROADMAP items 15 and 18)",
-)
 def test_reconstruction_near_dependent_rows():
     # the structure is exact, and the oracle lies within 3e-13 rad of the
-    # direct sum of the blocks' own answers, but the reconstruction sits
-    # 1.9488e-8 rad from it.  Built by extension from orthonormal parts, it
-    # reads the same angle as one factorization of the stacked parts, so
-    # the error lies in the parts that reduce hands over, not in how they
-    # are combined; its structure is checked with the property above
+    # direct sum of the blocks' own answers.  The held rows hold the
+    # relation that the chain's fold solves only to about 3e-9, and the
+    # reconstruction's stack has a smallest singular value of 5.5e-4, so
+    # a fold that mixed that residue into the rows it keeps, instead of
+    # turning the relations out before its rank decision, shows here
     check_both_routes(*compose(NEAR_DEPENDENT, 0))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(parts=st.lists(blocks(size=8), min_size=1, max_size=4), seed=st.integers(0, 2 ** 32 - 1))
+def test_pass_counts_add_up_over_the_blocks(parts, seed):
+    # up to four blocks of at most 8 states, mixed: each pass's second-class
+    # count and feedback rank are the sums of the blocks' own at that pass
+    problem, expected = compose(parts, seed)
+    res = reduce(problem, TOL)
+    assert (res.index_k, res.m_res, res.rp) == expected[:3]
+    check_pass_counts(res, expected)
 
 
 def test_chain_that_folds_mid_chain(monkeypatch):
@@ -87,7 +99,7 @@ def test_chain_that_folds_mid_chain(monkeypatch):
     # 81 while gen_exp3(60) goes on: the only sizeable input whose oracle
     # meets a u-block of full rank in the middle of its chain
     problem, expected = compose([("chain", 10), ("chain", 20), ("chain", 40), ("exp3", 60)], 0)
-    assert (problem.n, expected) == (130, (81, 1, 140))
+    assert (problem.n, expected[:3]) == (130, (81, 1, 140))
     calls = []
     real_ker = oracle.numerical_ker
 

@@ -15,7 +15,7 @@ from lqreduce.constraints import (
     strip_coisotropic,
     with_zero_order,
 )
-from lqreduce.linalg import independent_rows, row_space_basis
+from lqreduce.linalg import equilibrate_rows, independent_rows, row_space_basis
 
 TOL = 1e-6
 
@@ -82,6 +82,25 @@ class TestApplyFeedback:
         out = apply_feedback_to_constraints(rows, n, v_rot, feed, r, TOL)
         assert out.shape == (5, 2 * n + m_cur - r)
         assert np.linalg.norm(out @ out.T - np.eye(5)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_complement_keeps_the_span_of_every_row_substituted(self, seed):
+        # rows whose span holds the solved relations, as reduce's do: the
+        # fold substitutes only the q - r combinations with no part along
+        # them, and keeps the count and span of every row substituted
+        rng = np.random.default_rng(seed)
+        n, m_cur, r, free = 3, 4, 2, 3
+        v_rot = np.linalg.qr(rng.standard_normal((m_cur, m_cur)))[0]
+        feed = rng.standard_normal((r, 2 * n)) * 10.0 ** (seed % 3)
+        rel = np.hstack([-feed, v_rot[:, :r].T])
+        rows = row_space_basis(np.vstack([rel, rng.standard_normal((free, 2 * n + m_cur))]), TOL)
+        out = apply_feedback_to_constraints(rows, n, v_rot, feed, r, TOL)
+        u_rot = rows[:, 2 * n :] @ v_rot
+        whole = np.hstack([rows[:, : 2 * n] + u_rot[:, :r] @ feed, u_rot[:, r:]])
+        ref = row_space_basis(equilibrate_rows(whole, TOL), TOL)
+        assert out.shape == ref.shape == (free, 2 * n + m_cur - r)
+        assert subspace_angle(out, ref, TOL) <= 1e-12
+        assert np.abs(out @ out.T - np.eye(free)).max() <= 1e-13
 
     def test_shape_errors(self):
         rows = [[0, 0, 1]]
